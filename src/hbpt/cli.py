@@ -29,7 +29,7 @@ from .scene import ForegroundMask
 
 
 def _load_depths(directory, n_frames):
-    paths = sorted(Path(directory).glob("depth_*.pgm"))
+    paths = sorted(Path(directory).glob("depth_*.pgm"), key=iio.frame_sort_key)
     if not paths:
         return None
     depths = [iio.load_depth_raster(p) for p in paths]
@@ -254,12 +254,13 @@ def run_baseline(cfg):
     frames = iio.load_frame_sequence(cfg.input, cfg.pattern)
     frame_area = frames[0].width * frames[0].height
     refine_min_area = max(1, int(round(cfg.mask_min_area_frac * frame_area)))
+    se = (cfg.mask_se, cfg.mask_se)
     model = sm.learn_scene(frames[: min(cfg.learn_frames, len(frames))], cfg.var_floor)
     out_path = outdir / "baseline.jsonl"
     with open(out_path, "w") as fh:
         for fi, frame in enumerate(frames):
             fg = sm.detect_foreground(model, frame, cfg.tau)
-            refined = mo.refine_mask(fg.bits, refine_min_area)
+            refined = mo.refine_mask(fg.bits, refine_min_area, se, cfg.mask_iterations)
             entry = {"frame": fi, "labels": None}
             comps = mo.connected_components(refined)
             if comps.count:

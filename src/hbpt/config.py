@@ -99,14 +99,29 @@ def _parse_value(text):
         return text
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _coerce(attr, value):
+    """Check a parsed value against the field's type; numbers are converted."""
     kind = _FIELD_TYPES[attr]
-    if kind == "int" and isinstance(value, (int, float)):
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"expects true/false, got {value!r}")
+    elif kind is int:
+        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"expects an integer, got {value!r}")
         return int(value)
-    if kind == "float" and isinstance(value, (int, float)):
+    elif kind is float:
+        if not _is_number(value):
+            raise ValueError(f"expects a number, got {value!r}")
         return float(value)
-    if kind == "bool" and not isinstance(value, bool):
-        raise ValueError(f"{attr} expects true/false, got {value!r}")
+    elif kind is list:
+        if not isinstance(value, list) or value and (
+            len(value) != 4 or not all(_is_number(v) for v in value)
+        ):
+            raise ValueError(f"expects [] or 4 numbers, got {value!r}")
     return value
 
 
@@ -123,7 +138,10 @@ def parse_config_text(text, base=None):
         if key not in _KEY_MAP:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         attr = _KEY_MAP[key]
-        setattr(cfg, attr, _coerce(attr, _parse_value(value)))
+        try:
+            setattr(cfg, attr, _coerce(attr, _parse_value(value)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key} {exc}") from None
     return cfg
 
 

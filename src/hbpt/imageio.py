@@ -171,72 +171,154 @@ def write_pgm16(path, z):
 # ---------------------------------------------------------------------------
 # minimal PNG decoder (8-bit gray/RGB/RGBA, non-interlaced)
 
-def read_png(path):
-    data = Path(path).read_bytes()
-    if data[:8] != b"\x89PNG\r\n\x1a\n":
-        raise ValueError(f"{path}: not a PNG file")
-    pos = 8
-    width = height = None
-    bit_depth = color_type = None
-    idat = b""
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        ctype = data[pos + 4 : pos + 8]
-        body = data[pos + 8 : pos + 8 + length]
+_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_PNG_CHANNELS = {0: 1, 2: 3, 6: 4}
+
+
+def _png_chunks(data, path):
+    """Yield (type, body) of each chunk up to and including IEND."""
+    pos = len(_PNG_SIGNATURE)
+    while True:
+        if pos + 12 > len(data):
+            raise ValueError(f"{path}: truncated PNG (no IEND chunk)")
+        length, ctype = struct.unpack_from(">I4s", data, pos)
+        if pos + 12 + length > len(data):
+            raise ValueError(f"{path}: truncated PNG chunk {ctype!r}")
+        yield ctype, data[pos + 8 : pos + 8 + length]
+        if ctype == b"IEND":
+            return
         pos += 12 + length
-        if ctype == b"IHDR":
-            width, height, bit_depth, color_type, _, _, interlace = struct.unpack(
-                ">IIBBBBB", body
-            )
-            if bit_depth != 8 or interlace != 0:
-                raise ValueError(f"{path}: only 8-bit non-interlaced PNG supported")
-            if color_type not in (0, 2, 6):
-                raise ValueError(f"{path}: unsupported PNG color type {color_type}")
-        elif ctype == b"IDAT":
-            idat += body
-        elif ctype == b"IEND":
-            break
-    if width is None:
-        raise ValueError(f"{path}: missing IHDR")
-    channels = {0: 1, 2: 3, 6: 4}[color_type]
-    raw = zlib.decompress(idat)
-    stride = width * channels
+
+
+def _unfilter_average(cur, up, out, k, channels):
+    """Reconstruct channel k of an average-filtered row into ``out``."""
+    a = 0
+    rec = bytearray()
+    append = rec.append
+    for x, b in zip(cur[k::channels], up[k::channels]):
+        a = (x + ((a + b) >> 1)) & 0xFF
+        append(a)
+    out[k::channels] = rec
+
+
+def _unfilter_paeth(cur, up, out, k, channels):
+    """Reconstruct channel k of a Paeth-filtered row into ``out``."""
+    a = c = 0
+    rec = bytearray()
+    append = rec.append
+    for x, b in zip(cur[k::channels], up[k::channels]):
+        # with p = a + b - c: pa = |p - a|, pb = |p - b|, pc = |p - c|
+        pa = b - c
+        pb = a - c
+        pc = pa + pb
+        if pa < 0:
+            pa = -pa
+        if pb < 0:
+            pb = -pb
+        if pc < 0:
+            pc = -pc
+        if pa <= pb and pa <= pc:
+            a = (x + a) & 0xFF
+        elif pb <= pc:
+            a = (x + b) & 0xFF
+        else:
+            a = (x + c) & 0xFF
+        c = b
+        append(a)
+    out[k::channels] = rec
+
+
+def _unfilter(rows, channels):
+    """Undo the per-row filters of an (h, 1 + stride) uint8 scanline array.
+
+    None, sub and up rows are whole-row uint8 numpy ops, which wrap mod 256
+    as the PNG arithmetic does. Average and Paeth depend on the reconstructed
+    byte to the left, so they run left to right on plain ints, one channel
+    at a time.
+    """
+    height, stride = rows.shape[0], rows.shape[1] - 1
     out = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
-    off = 0
-    for row in range(height):
-        ftype = raw[off]
-        line = np.frombuffer(raw, np.uint8, stride, off + 1).astype(np.int32)
-        off += 1 + stride
-        if ftype == 0:
-            rec = line
+    for row, ftype in enumerate(rows[:, 0].tolist()):
+        line = rows[row, 1:]
+        rec = out[row]
+        if ftype == 0:  # none
+            rec[:] = line
+        elif ftype == 1:  # sub
+            np.cumsum(
+                line.reshape(-1, channels),
+                axis=0,
+                dtype=np.uint8,
+                out=rec.reshape(-1, channels),
+            )
         elif ftype == 2:  # up
-            rec = (line + prev) & 0xFF
-        else:  # sub, average, paeth need the previous pixel; scan left to right
-            rec = np.zeros(stride, dtype=np.int32)
-            for i in range(stride):
-                a = rec[i - channels] if i >= channels else 0
-                b = int(prev[i])
-                if ftype == 1:
-                    pred = a
-                elif ftype == 3:
-                    pred = (a + b) // 2
-                elif ftype == 4:
-                    c = int(prev[i - channels]) if i >= channels else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
-                else:
-                    raise ValueError(f"{path}: bad PNG filter {ftype}")
-                rec[i] = (line[i] + pred) & 0xFF
-        prev = rec.astype(np.uint8)
-        out[row] = prev
-    px = out.reshape(height, width, channels)
+            np.add(line, prev, out=rec)
+        else:  # average or paeth
+            step = _unfilter_average if ftype == 3 else _unfilter_paeth
+            cur, up = line.tobytes(), prev.tobytes()
+            buf = bytearray(stride)
+            for k in range(channels):
+                step(cur, up, buf, k, channels)
+            rec[:] = np.frombuffer(buf, dtype=np.uint8)
+        prev = rec
+    return out
+
+
+def read_png(path):
+    """Read an 8-bit gray, RGB or RGBA PNG into an (h, w, 3) uint8 array.
+
+    Raises ValueError for anything it cannot decode exactly: unsupported
+    formats, truncated chunks, a missing IHDR or IDAT, a corrupt or truncated
+    zlib stream, image data of the wrong size, or an unknown row filter.
+    """
+    data = Path(path).read_bytes()
+    if data[:8] != _PNG_SIGNATURE:
+        raise ValueError(f"{path}: not a PNG file")
+    header = None
+    idat = []
+    for ctype, body in _png_chunks(data, path):
+        if ctype == b"IHDR":
+            if len(body) != 13:
+                raise ValueError(f"{path}: bad IHDR length {len(body)}")
+            header = struct.unpack(">IIBBBBB", body)
+        elif ctype == b"IDAT":
+            idat.append(body)
+    if header is None:
+        raise ValueError(f"{path}: missing IHDR")
+    width, height, bit_depth, color_type, _, _, interlace = header
+    if bit_depth != 8 or interlace != 0:
+        raise ValueError(f"{path}: only 8-bit non-interlaced PNG supported")
+    if color_type not in _PNG_CHANNELS:
+        raise ValueError(f"{path}: unsupported PNG color type {color_type}")
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: empty PNG ({width}x{height})")
+    if not idat:
+        raise ValueError(f"{path}: missing IDAT")
+    channels = _PNG_CHANNELS[color_type]
+    expected = height * (1 + width * channels)
+    stream = zlib.decompressobj()
+    try:
+        # one byte past the expected size is enough to tell the size is wrong
+        raw = stream.decompress(b"".join(idat), expected + 1)
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt PNG image data ({exc})") from None
+    if not stream.eof and len(raw) <= expected:
+        raise ValueError(f"{path}: truncated PNG image data")
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: PNG image data is not {expected} bytes "
+            f"({height} rows of 1 + {width}x{channels})"
+        )
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, -1)
+    bad = np.flatnonzero(rows[:, 0] > 4)
+    if bad.size:
+        raise ValueError(f"{path}: bad PNG filter {rows[bad[0], 0]} in row {bad[0]}")
+    px = _unfilter(rows, channels).reshape(height, width, channels)
     if channels == 1:
-        px = np.repeat(px, 3, axis=2)
-    elif channels == 4:
-        px = px[:, :, :3]
-    return px.copy()
+        return np.repeat(px, 3, axis=2)
+    if channels == 4:
+        return np.ascontiguousarray(px[:, :, :3])
+    return px
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +327,8 @@ def read_png(path):
 _NUM_RE = re.compile(r"(\d+)")
 
 
-def _frame_sort_key(path):
+def frame_sort_key(path):
+    """Order frame and depth files by the last number in their name."""
     nums = _NUM_RE.findall(path.stem)
     return (int(nums[-1]) if nums else 0, path.name)
 
@@ -259,7 +342,7 @@ def load_frame_sequence(directory, pattern="frame_*.ppm"):
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"no such directory: {directory}")
-    paths = sorted(directory.glob(pattern), key=_frame_sort_key)
+    paths = sorted(directory.glob(pattern), key=frame_sort_key)
     if not paths:
         raise FileNotFoundError(f"no files match {pattern!r} in {directory}")
     frames = []

@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hbpt import cli
+from hbpt import imageio as iio
+from hbpt import maskops as mo
 from hbpt import synthgen as sg
 from hbpt.config import PipelineConfig, load_config, parse_config_text
 
@@ -52,6 +55,44 @@ def test_config_rejects_unknown_key():
 def test_config_rejects_bad_line():
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just some words")
+
+
+def test_config_bench_files_parse_unchanged():
+    cfg = parse_config_text(
+        'baseline_mode = true\npattern = "frame_*.png"\n'
+        "box.rect = [230, 112, 24, 20]\nbox.ref_frame = 35\n"
+    )
+    assert cfg.baseline_mode is True
+    assert cfg.pattern == "frame_*.png"
+    assert cfg.box_rect == [230, 112, 24, 20]
+    assert cfg.box_ref_frame == 35 and type(cfg.box_ref_frame) is int
+
+
+def test_config_converts_numbers_to_field_type():
+    cfg = parse_config_text("particles.n = 64.0\nscene.tau = 3\nbox.rect = []")
+    assert cfg.particles_n == 64 and type(cfg.particles_n) is int
+    assert cfg.tau == 3.0 and type(cfg.tau) is float
+    assert cfg.box_rect == []
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("use_depth = no", "use_depth expects true/false"),
+        ("emit_overlays = 1", "emit_overlays expects true/false"),
+        ("particles.n = 50.7", "particles.n expects an integer"),
+        ("particles.n = true", "particles.n expects an integer"),
+        ("mask.se = five", "mask.se expects an integer"),
+        ("scene.tau = false", "scene.tau expects a number"),
+        ("scene.alpha = [1]", "scene.alpha expects a number"),
+        ("box.rect = [1, 2]", "box.rect expects"),
+        ("box.rect = [1, 2, 3, x]", "box.rect expects"),
+        ("box.rect = 5", "box.rect expects"),
+    ],
+)
+def test_config_rejects_wrong_types(line, message):
+    with pytest.raises(ValueError, match=rf"line 2: {re.escape(message)}"):
+        parse_config_text("seed = 1\n" + line)
 
 
 # ---------------------------------------------------------------------------
@@ -175,3 +216,29 @@ def test_record_shape(tmp_path):
     assert "torso" in r["parts"]
     blob = r["parts"]["torso"]
     assert set(blob) == {"label", "mu", "K", "color", "area"}
+
+
+def test_depth_rasters_follow_numeric_frame_order(tmp_path):
+    for i in (10, 2, 1):
+        iio.write_pgm16(tmp_path / f"depth_{i}.pgm", np.full((3, 4), 1000 + i, np.int32))
+    depths = cli._load_depths(tmp_path, 3)
+    assert [int(d.z[0, 0]) for d in depths] == [1001, 1002, 1010]
+
+
+def test_baseline_honours_mask_config(tmp_path, monkeypatch):
+    indir = tmp_path / "seq"
+    sg.write_scenario(sg.Scenario("walker", frames=32, seed=11), indir)
+    calls = []
+    real = mo.refine_mask
+
+    def spy(mask, min_area=None, se=(3, 3), iterations=1):
+        calls.append((se, iterations))
+        return real(mask, min_area, se, iterations)
+
+    monkeypatch.setattr(mo, "refine_mask", spy)
+    cfg = PipelineConfig(
+        input=str(indir), output=str(tmp_path / "out"), mask_se=5, mask_iterations=2
+    )
+    cli.run_baseline(cfg)
+    assert len(calls) == 32
+    assert set(calls) == {((5, 5), 2)}

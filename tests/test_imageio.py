@@ -76,22 +76,122 @@ def test_reloaded_walker_frames_match_generator(tmp_path):
         assert np.array_equal(a.rgb, b.rgb)
 
 
-def _write_png(path, px):
-    """Minimal PNG encoder (filter 0) used only as a test fixture."""
+def _reference_read_png(path):
+    """The original per-byte PNG decoder, kept as the oracle for read_png."""
+    data = path.read_bytes()
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    pos = 8
+    idat = b""
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        ctype = data[pos + 4 : pos + 8]
+        body = data[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+        if ctype == b"IHDR":
+            width, height, _, color_type, _, _, _ = struct.unpack(">IIBBBBB", body)
+        elif ctype == b"IDAT":
+            idat += body
+        elif ctype == b"IEND":
+            break
+    channels = {0: 1, 2: 3, 6: 4}[color_type]
+    raw = zlib.decompress(idat)
+    stride = width * channels
+    out = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    off = 0
+    for row in range(height):
+        ftype = raw[off]
+        line = np.frombuffer(raw, np.uint8, stride, off + 1).astype(np.int32)
+        off += 1 + stride
+        if ftype == 0:
+            rec = line
+        elif ftype == 2:  # up
+            rec = (line + prev) & 0xFF
+        else:  # sub, average, paeth need the previous pixel; scan left to right
+            rec = np.zeros(stride, dtype=np.int32)
+            for i in range(stride):
+                a = rec[i - channels] if i >= channels else 0
+                b = int(prev[i])
+                if ftype == 1:
+                    pred = a
+                elif ftype == 3:
+                    pred = (a + b) // 2
+                else:
+                    assert ftype == 4
+                    c = int(prev[i - channels]) if i >= channels else 0
+                    p = a + b - c
+                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                    pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+                rec[i] = (line[i] + pred) & 0xFF
+        prev = rec.astype(np.uint8)
+        out[row] = prev
+    px = out.reshape(height, width, channels)
+    if channels == 1:
+        px = np.repeat(px, 3, axis=2)
+    elif channels == 4:
+        px = px[:, :, :3]
+    return px.copy()
+
+
+def _filter_row(ftype, line, prev, channels):
+    """PNG filter ``ftype`` (0-4) applied to one row of unfiltered bytes."""
+    x = line.astype(np.int32)
+    b = prev.astype(np.int32)
+    a = np.zeros_like(x)
+    a[channels:] = x[:-channels]
+    c = np.zeros_like(x)
+    c[channels:] = b[:-channels]
+    if ftype == 0:
+        pred = 0
+    elif ftype == 1:
+        pred = a
+    elif ftype == 2:
+        pred = b
+    elif ftype == 3:
+        pred = (a + b) // 2
+    else:
+        p = a + b - c
+        pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+        pred = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+    return ((x - pred) & 0xFF).astype(np.uint8)
+
+
+def _chunk(tag, body):
+    data = tag + body
+    return struct.pack(">I", len(body)) + data + struct.pack(">I", zlib.crc32(data))
+
+
+def _png_bytes(px, filters=None):
+    """Minimal PNG encoder used only as a test fixture.
+
+    ``filters`` gives the filter type (0-4) of each row; default all 0.
+    """
     h, w = px.shape[:2]
     channels = 1 if px.ndim == 2 else px.shape[2]
     color_type = {1: 0, 3: 2, 4: 6}[channels]
-    raw = b"".join(b"\x00" + px[r].tobytes() for r in range(h))
+    filters = [0] * h if filters is None else list(filters)
+    rows = px.reshape(h, w * channels)
+    prev = np.zeros(w * channels, np.uint8)
+    raw = b""
+    for r, ftype in enumerate(filters):
+        raw += bytes([ftype]) + _filter_row(ftype, rows[r], prev, channels).tobytes()
+        prev = rows[r]
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0))
+        + _chunk(b"IDAT", zlib.compress(raw))
+        + _chunk(b"IEND", b"")
+    )
 
-    def chunk(tag, body):
-        data = tag + body
-        return struct.pack(">I", len(body)) + data + struct.pack(">I", zlib.crc32(data))
 
-    with open(path, "wb") as f:
-        f.write(b"\x89PNG\r\n\x1a\n")
-        f.write(chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)))
-        f.write(chunk(b"IDAT", zlib.compress(raw)))
-        f.write(chunk(b"IEND", b""))
+def _write_png(path, px, filters=None):
+    path.write_bytes(_png_bytes(px, filters))
+
+
+def _as_rgb(px):
+    if px.ndim == 2:
+        return np.repeat(px[..., None], 3, axis=2)
+    return px[..., :3]
 
 
 @pytest.mark.parametrize("channels", [1, 3, 4])
@@ -101,10 +201,116 @@ def test_png_round_trip(tmp_path, channels):
     px = rng.integers(0, 256, size=shape).astype(np.uint8)
     _write_png(tmp_path / "frame_000000.png", px)
     frames = iio.load_frame_sequence(tmp_path, "frame_*.png")
-    expect = px if channels == 3 else (
-        np.repeat(px[..., None], 3, axis=2) if channels == 1 else px[..., :3]
+    assert np.array_equal(frames[0].rgb, _as_rgb(px))
+
+
+def _check_png_against_reference(path, px, filters):
+    _write_png(path, px, filters)
+    got = iio.read_png(path)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, _reference_read_png(path))
+    assert np.array_equal(got, _as_rgb(px))
+
+
+@pytest.mark.parametrize("levels", [256, 3])  # 3 levels: many Paeth ties
+@pytest.mark.parametrize("channels", [1, 3, 4])
+@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+def test_png_unfilter_matches_reference_per_filter(tmp_path, ftype, channels, levels):
+    rng = np.random.default_rng(10 * ftype + channels)
+    shape = (7, 11) if channels == 1 else (7, 11, channels)
+    px = rng.integers(0, levels, size=shape).astype(np.uint8)
+    _check_png_against_reference(tmp_path / "f.png", px, [ftype] * 7)
+
+
+@pytest.mark.parametrize("channels", [1, 3, 4])
+@pytest.mark.parametrize("width", [1, 2, 17])
+def test_png_unfilter_matches_reference_mixed_rows(tmp_path, width, channels):
+    rng = np.random.default_rng(100 * width + channels)
+    shape = (25, width) if channels == 1 else (25, width, channels)
+    px = rng.integers(0, 256, size=shape).astype(np.uint8)
+    filters = rng.integers(0, 5, size=25)
+    _check_png_against_reference(tmp_path / "m.png", px, filters)
+
+
+@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+def test_png_unfilter_single_row(tmp_path, ftype):
+    px = np.random.default_rng(ftype).integers(0, 256, size=(1, 6, 3)).astype(np.uint8)
+    _check_png_against_reference(tmp_path / "r.png", px, [ftype])
+
+
+def test_png_unfilter_real_frame_mixed_filters(tmp_path):
+    frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=6))
+    rgb = frames[-1].rgb
+    filters = np.random.default_rng(5).integers(0, 5, size=rgb.shape[0])
+    _check_png_against_reference(tmp_path / "w.png", rgb, filters)
+
+
+def _good_png():
+    px = np.random.default_rng(9).integers(0, 256, size=(4, 5, 3)).astype(np.uint8)
+    return _png_bytes(px, [0, 1, 3, 4])
+
+
+def _idat_png(raw, w=5, h=4):
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+        + _chunk(b"IDAT", raw)
+        + _chunk(b"IEND", b"")
     )
-    assert np.array_equal(frames[0].rgb, expect)
+
+
+def _raw_rows(ftypes, w=5):
+    return b"".join(bytes([t]) + bytes(3 * w) for t in ftypes)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_good_png()[:50], "truncated PNG chunk"),
+        (_good_png()[:-12], "no IEND"),
+        (_idat_png(zlib.compress(_raw_rows([0] * 4))[:-6]), "truncated PNG image data"),
+        (_idat_png(b"\x78\x9c\xff\xff\xff\xff"), "corrupt PNG image data"),
+        (_idat_png(zlib.compress(_raw_rows([0] * 3))), "not 64 bytes"),
+        (_idat_png(zlib.compress(_raw_rows([0] * 5))), "not 64 bytes"),
+        (_idat_png(zlib.compress(_raw_rows([0, 1, 5, 0]))), "bad PNG filter 5 in row 2"),
+        (_good_png().replace(b"IDAT", b"iDAT"), "missing IDAT"),
+    ],
+    ids=[
+        "truncated-chunk",
+        "missing-iend",
+        "truncated-zlib",
+        "corrupt-zlib",
+        "short-data",
+        "long-data",
+        "bad-filter",
+        "missing-idat",
+    ],
+)
+def test_corrupt_png_raises_value_error(tmp_path, data, message):
+    path = tmp_path / "frame_000000.png"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
+        iio.read_png(path)
+    with pytest.raises(ValueError, match="cannot decode .*frame_000000.png"):
+        iio.load_frame_sequence(tmp_path, "frame_*.png")
+
+
+def test_truncated_png_frame_fails_track_cleanly(tmp_path, capsys):
+    from hbpt import cli
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    data = _good_png()
+    (indir / "frame_000000.png").write_bytes(data)
+    (indir / "frame_000001.png").write_bytes(data[: len(data) // 2])
+    (indir / "run.cfg").write_text('pattern = "frame_*.png"\n')
+    rc = cli.main(
+        ["track", "--input", str(indir), "--output", str(tmp_path / "out"),
+         "--config", str(indir / "run.cfg")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot decode") and "frame_000001.png" in err
 
 
 def test_depth_raster_constant(tmp_path):
