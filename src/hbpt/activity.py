@@ -304,11 +304,17 @@ def detect_carry(
 # pyramidal Lucas-Kanade point tracking
 
 def _blur_decimate(img):
-    p = np.pad(img, 1, mode="edge")
-    rows = 0.25 * p[:-2, 1:-1] + 0.5 * p[1:-1, 1:-1] + 0.25 * p[2:, 1:-1]
-    p2 = np.pad(rows, ((0, 0), (1, 1)), mode="edge")
-    full = 0.25 * p2[:, :-2] + 0.5 * p2[:, 1:-1] + 0.25 * p2[:, 2:]
-    return full[::2, ::2]
+    """[1 2 1] / 4 blur down the columns, then along the rows (edges
+    replicated), computed only at the even rows and columns it keeps."""
+    h, w = img.shape
+    r = np.arange(0, h, 2)
+    rows = 0.25 * img[np.maximum(r - 1, 0)] + 0.5 * img[r] + 0.25 * img[np.minimum(r + 1, h - 1)]
+    c = np.arange(0, w, 2)
+    return (
+        0.25 * rows[:, np.maximum(c - 1, 0)]
+        + 0.5 * rows[:, c]
+        + 0.25 * rows[:, np.minimum(c + 1, w - 1)]
+    )
 
 
 def _pyramid(gray, levels):
@@ -321,6 +327,7 @@ def _pyramid(gray, levels):
 
 
 def _sample(img, gx, gy):
+    """Bilinear samples of img at (gx, gy), clamped inside the image."""
     h, w = img.shape
     gx = np.clip(gx, 0.0, w - 1.001)
     gy = np.clip(gy, 0.0, h - 1.001)
@@ -328,78 +335,121 @@ def _sample(img, gx, gy):
     y0 = np.floor(gy).astype(int)
     fx = gx - x0
     fy = gy - y0
-    top = (1 - fx) * img[y0, x0] + fx * img[y0, x0 + 1]
-    bot = (1 - fx) * img[y0 + 1, x0] + fx * img[y0 + 1, x0 + 1]
+    flat = img.ravel()
+    i = y0 * w + x0
+    top = (1 - fx) * flat.take(i) + fx * flat.take(i + 1)
+    bot = (1 - fx) * flat.take(i + w) + fx * flat.take(i + w + 1)
     return (1 - fy) * top + fy * bot
 
 
-def lk_flow(prev_frame, frame, points, window=15, levels=3, iters=20, min_eig=1e-3):
+def _gray(frame):
+    return frame.yuv[:, :, 0].astype(np.float64) / 255.0
+
+
+def lk_flow(
+    prev_frame,
+    frame,
+    points,
+    window=15,
+    levels=3,
+    iters=20,
+    min_eig=1e-3,
+    prev_pyramid=None,
+):
     """Track points between frames with pyramidal iterative least squares.
 
     Works on the Y channel normalized to [0, 1]. Each point's flow is solved
-    coarse to fine inside a ``window`` x ``window`` patch. A point is lost
-    when its structure tensor is too flat (minimum eigenvalue per pixel below
-    ``min_eig``) at the finest level, the solution diverges, or it leaves the
-    frame.
+    coarse to fine inside a ``window`` x ``window`` patch (Bouguet's pyramidal
+    Lucas-Kanade). A point is lost when its structure tensor is too flat
+    (minimum eigenvalue per pixel below ``min_eig``) at the finest level, the
+    solution diverges, or it leaves the frame. A point that is flat only at a
+    coarser level carries its flow on to the next level unchanged.
+
+    All points are solved together, one pyramid level at a time: each point's
+    patch is a row of an ``(n, window**2)`` array, its sums run along that
+    row, and each point stops iterating on its own convergence test. The
+    arithmetic per point is the same, in the same order, as solving the
+    points one by one.
+
+    ``prev_pyramid`` is the pyramid of ``prev_frame`` as returned by an
+    earlier call with the same ``levels``; passing it skips rebuilding it.
+    Returns ``(points, status, pyramid)``: the new positions (lost points
+    keep their input position), which points were tracked, and the pyramid
+    of ``frame`` for the next call.
     """
-    g0 = prev_frame.yuv[:, :, 0].astype(np.float64) / 255.0
-    g1 = frame.yuv[:, :, 0].astype(np.float64) / 255.0
-    pyr0 = _pyramid(g0, levels)
-    pyr1 = _pyramid(g1, levels)
+    pyr0 = prev_pyramid if prev_pyramid is not None else _pyramid(_gray(prev_frame), levels)
+    pyr1 = _pyramid(_gray(frame), levels)
     half = window // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
-    oy, ox = np.meshgrid(offs, offs, indexing="ij")
+    oy, ox = (o.ravel() for o in np.meshgrid(offs, offs, indexing="ij"))
     npx = window * window
     out = np.array(points, dtype=np.float64).reshape(-1, 2).copy()
-    status = np.ones(len(out), dtype=bool)
+    flow = np.zeros_like(out)
+    live = np.arange(len(out))  # points not lost so far
 
-    for pi in range(len(out)):
-        px, py = out[pi]
-        flow = np.zeros(2)
-        lost = False
-        for lvl in range(len(pyr0) - 1, -1, -1):
-            scale = 2.0**lvl
-            lx, ly = px / scale, py / scale
-            i0, i1 = pyr0[lvl], pyr1[lvl]
-            gxs = lx + ox
-            gys = ly + oy
-            ix = (_sample(i0, gxs + 1, gys) - _sample(i0, gxs - 1, gys)) / 2.0
-            iy = (_sample(i0, gxs, gys + 1) - _sample(i0, gxs, gys - 1)) / 2.0
-            t0 = _sample(i0, gxs, gys)
-            gxx = float((ix * ix).sum())
-            gxy = float((ix * iy).sum())
-            gyy = float((iy * iy).sum())
-            tr2 = (gxx + gyy) / 2.0
-            det = gxx * gyy - gxy * gxy
-            lam_min = tr2 - math.sqrt(max(tr2 * tr2 - det, 0.0))
-            if lam_min / npx < min_eig:
-                if lvl == 0:
-                    lost = True
-                    break
-                flow *= 2.0
-                continue
-            v = np.zeros(2)
-            for _ in range(iters):
-                t1 = _sample(i1, gxs + flow[0] + v[0], gys + flow[1] + v[1])
-                r = t0 - t1
-                bx = float((r * ix).sum())
-                by = float((r * iy).sum())
-                dvx = (gyy * bx - gxy * by) / det
-                dvy = (gxx * by - gxy * bx) / det
-                v += (dvx, dvy)
-                if dvx * dvx + dvy * dvy < 1e-4:
-                    break
-            if np.hypot(v[0], v[1]) > window:
-                lost = True
-                break
-            flow = (flow + v) * 2.0 if lvl > 0 else flow + v
-        nx, ny = px + flow[0], py + flow[1]
-        h, w = g1.shape
-        if lost or not (half <= nx < w - half and half <= ny < h - half):
-            status[pi] = False
+    for lvl in range(len(pyr0) - 1, -1, -1):
+        if live.size == 0:
+            break
+        scale = 2.0**lvl
+        i0, i1 = pyr0[lvl], pyr1[lvl]
+        gxs = (out[live, 0] / scale)[:, None] + ox
+        gys = (out[live, 1] / scale)[:, None] + oy
+        ix = (_sample(i0, gxs + 1, gys) - _sample(i0, gxs - 1, gys)) / 2.0
+        iy = (_sample(i0, gxs, gys + 1) - _sample(i0, gxs, gys - 1)) / 2.0
+        t0 = _sample(i0, gxs, gys)
+        gxx = (ix * ix).sum(axis=1)
+        gxy = (ix * iy).sum(axis=1)
+        gyy = (iy * iy).sum(axis=1)
+        tr2 = (gxx + gyy) / 2.0
+        det = gxx * gyy - gxy * gxy
+        lam_min = tr2 - np.sqrt(np.maximum(tr2 * tr2 - det, 0.0))
+        flat = lam_min / npx < min_eig
+        if lvl == 0:
+            keep = ~flat
         else:
-            out[pi] = (nx, ny)
-    return out, status
+            flow[live[flat]] *= 2.0
+            keep = np.ones(live.size, dtype=bool)
+
+        rows = np.flatnonzero(~flat)  # rows of this level's arrays to solve
+        f = flow[live[rows]]
+        v = np.zeros_like(f)
+        todo = np.arange(rows.size)  # solves still iterating
+        for _ in range(iters):
+            if todo.size == 0:
+                break
+            sel = rows[todo]
+            # (patch + flow) + v, in this order: the sums must round as the
+            # per-point solve rounds them
+            t1 = _sample(
+                i1,
+                gxs[sel] + f[todo, :1] + v[todo, :1],
+                gys[sel] + f[todo, 1:] + v[todo, 1:],
+            )
+            r = t0[sel] - t1
+            bx = (r * ix[sel]).sum(axis=1)
+            by = (r * iy[sel]).sum(axis=1)
+            dvx = (gyy[sel] * bx - gxy[sel] * by) / det[sel]
+            dvy = (gxx[sel] * by - gxy[sel] * bx) / det[sel]
+            v[todo, 0] += dvx
+            v[todo, 1] += dvy
+            todo = todo[~(dvx * dvx + dvy * dvy < 1e-4)]
+        diverged = np.hypot(v[:, 0], v[:, 1]) > window
+        keep[rows[diverged]] = False
+        ok = ~diverged
+        f = f[ok] + v[ok]
+        flow[live[rows[ok]]] = f * 2.0 if lvl > 0 else f
+        live = live[keep]
+
+    nx = out[live, 0] + flow[live, 0]
+    ny = out[live, 1] + flow[live, 1]
+    h, w = pyr1[0].shape
+    inside = (half <= nx) & (nx < w - half) & (half <= ny) & (ny < h - half)
+    live = live[inside]
+    out[live, 0] = nx[inside]
+    out[live, 1] = ny[inside]
+    status = np.zeros(len(out), dtype=bool)
+    status[live] = True
+    return out, status, pyr1
 
 
 def seed_object_points(rect, spacing=4, margin=2):
@@ -416,45 +466,46 @@ def seed_object_points(rect, spacing=4, margin=2):
 
 
 class ActivityMonitor:
-    """Per-frame driver for the three recognizers against one box region."""
+    """Per-frame driver for the three recognizers against one box region.
 
-    def __init__(
-        self,
-        box_rect=None,
-        ref_frame=0,
-        d_xy=DEFAULT_D_XY,
-        z_gate=DEFAULT_Z_GATE,
-        approach_frames=DEFAULT_APPROACH_FRAMES,
-        theta_open=DEFAULT_THETA_OPEN,
-        open_frames=DEFAULT_OPEN_FRAMES,
-        carry_frames=DEFAULT_CARRY_FRAMES,
-        carry_min_disp=DEFAULT_CARRY_MIN_DISP,
-        carry_z_rate=DEFAULT_CARRY_Z_RATE,
-    ):
-        self.box_rect = tuple(box_rect) if box_rect else None
-        self.ref_frame = ref_frame
+    Takes the box and recognizer settings from a ``PipelineConfig``.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.box_rect = tuple(cfg.box_rect) if cfg.box_rect else None
         self.box = None
         self.track = None
         self.state = ActivityState()
         self.events = []
         self.prev_frame = None
-        self.d_xy = d_xy
-        self.z_gate = z_gate
-        self.approach_frames = approach_frames
-        self.theta_open = theta_open
-        self.open_frames = open_frames
-        self.carry_frames = carry_frames
-        self.carry_min_disp = carry_min_disp
-        self.carry_z_rate = carry_z_rate
+        self._lk_pyramid = (None, None)  # (frame, its LK pyramid)
+
+    def _track_points(self, frame):
+        """Move the alive object points from the previous frame to this one."""
+        alive = np.flatnonzero(self.track.alive)
+        if alive.size == 0:
+            return
+        cached_frame, pyramid = self._lk_pyramid
+        pts, ok, pyramid = lk_flow(
+            self.prev_frame,
+            frame,
+            self.track.points[alive],
+            prev_pyramid=pyramid if cached_frame is self.prev_frame else None,
+        )
+        self._lk_pyramid = (frame, pyramid)
+        self.track.points[alive] = pts
+        self.track.alive[alive] = ok
 
     def process(self, frame_index, frame, model, depth=None):
         """Run the recognizers for one frame; returns newly fired events."""
+        cfg = self.cfg
         fired = []
         if self.box_rect is None:
             self.prev_frame = frame
             return fired
         if self.box is None:
-            if frame_index < self.ref_frame:
+            if frame_index < cfg.box_ref_frame:
                 self.prev_frame = frame
                 return fired
             self.box = make_box_region(frame, self.box_rect)
@@ -462,9 +513,7 @@ class ActivityMonitor:
 
         if self.track is not None and self.prev_frame is not None:
             prev_centroid = self.track.centroid
-            pts, alive = lk_flow(self.prev_frame, frame, self.track.points)
-            self.track.points = pts
-            self.track.alive &= alive
+            self._track_points(frame)
             self.track.prev_centroid = prev_centroid
 
         if model is not None and model.torso is not None:
@@ -474,9 +523,9 @@ class ActivityMonitor:
                 depth,
                 self.state,
                 frame_index=frame_index,
-                d_xy=self.d_xy,
-                z_gate=self.z_gate,
-                frames_required=self.approach_frames,
+                d_xy=cfg.d_xy,
+                z_gate=cfg.z_gate_mm,
+                frames_required=cfg.approach_frames,
             )
             if ev:
                 fired.append(ev)
@@ -486,8 +535,8 @@ class ActivityMonitor:
                 frame,
                 self.state,
                 frame_index=frame_index,
-                theta_open=self.theta_open,
-                frames_required=self.open_frames,
+                theta_open=cfg.theta_open,
+                frames_required=cfg.open_frames,
             )
             if ev:
                 fired.append(ev)
@@ -497,10 +546,10 @@ class ActivityMonitor:
                 depth,
                 self.state,
                 frame_index=frame_index,
-                d_xy=self.d_xy,
-                min_disp=self.carry_min_disp,
-                z_rate=self.carry_z_rate,
-                frames_required=self.carry_frames,
+                d_xy=cfg.d_xy,
+                min_disp=cfg.carry_min_disp,
+                z_rate=cfg.carry_z_rate_mm,
+                frames_required=cfg.carry_frames,
             )
             if ev:
                 fired.append(ev)

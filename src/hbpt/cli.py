@@ -105,18 +105,7 @@ def run_pipeline(cfg):
             "learn", sm.learn_scene, frames[: min(cfg.learn_frames, n)], cfg.var_floor
         )
 
-    monitor = act.ActivityMonitor(
-        box_rect=cfg.box_rect or None,
-        ref_frame=cfg.box_ref_frame,
-        d_xy=cfg.d_xy,
-        z_gate=cfg.z_gate_mm,
-        approach_frames=cfg.approach_frames,
-        theta_open=cfg.theta_open,
-        open_frames=cfg.open_frames,
-        carry_frames=cfg.carry_frames,
-        carry_min_disp=cfg.carry_min_disp,
-        carry_z_rate=cfg.carry_z_rate_mm,
-    )
+    monitor = act.ActivityMonitor(cfg)
 
     person = None
     particles = None

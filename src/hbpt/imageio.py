@@ -107,9 +107,9 @@ def yuv_to_rgb_image(yuv):
 # ---------------------------------------------------------------------------
 # PNM codecs
 
-def _read_pnm_header(data, magic):
+def _read_pnm_header(data, magic, path):
     if data[:2] != magic:
-        raise ValueError(f"expected {magic.decode()} header")
+        raise ValueError(f"{path}: expected {magic.decode()} header")
     # header tokens may be separated by whitespace and '#' comments
     pos = 2
     fields = []
@@ -124,19 +124,26 @@ def _read_pnm_header(data, magic):
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token:
+            raise ValueError(f"{path}: truncated PNM header")
+        if not token.isdigit():
+            raise ValueError(f"{path}: bad PNM header field {token!r}")
+        fields.append(int(token))
+    if fields[0] == 0 or fields[1] == 0:
+        raise ValueError(f"{path}: empty PNM image ({fields[0]}x{fields[1]})")
     return fields, pos + 1  # single whitespace after the last header field
 
 
 def read_ppm(path):
     """Read a binary PPM (P6, maxval 255) into an (h, w, 3) uint8 array."""
     data = Path(path).read_bytes()
-    (w, h, maxval), pos = _read_pnm_header(data, b"P6")
+    (w, h, maxval), pos = _read_pnm_header(data, b"P6", path)
     if maxval != 255:
         raise ValueError(f"{path}: unsupported PPM maxval {maxval}")
-    px = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    if px.size != w * h * 3:
+    if len(data) - pos < w * h * 3:
         raise ValueError(f"{path}: truncated PPM payload")
+    px = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
     return px.reshape(h, w, 3).copy()
 
 
@@ -151,12 +158,12 @@ def write_ppm(path, rgb):
 def read_pgm16(path):
     """Read a 16-bit big-endian PGM (P5, maxval 65535)."""
     data = Path(path).read_bytes()
-    (w, h, maxval), pos = _read_pnm_header(data, b"P5")
+    (w, h, maxval), pos = _read_pnm_header(data, b"P5", path)
     if maxval != 65535:
         raise ValueError(f"{path}: depth PGM must have maxval 65535, got {maxval}")
-    px = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos)
-    if px.size != w * h:
+    if len(data) - pos < w * h * 2:
         raise ValueError(f"{path}: truncated PGM payload")
+    px = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos)
     return px.reshape(h, w).astype(np.int32)
 
 
@@ -353,7 +360,8 @@ def load_frame_sequence(directory, pattern="frame_*.ppm"):
             else:
                 rgb = read_ppm(path)
         except ValueError as exc:
-            raise ValueError(f"cannot decode {path}: {exc}") from exc
+            # the readers' messages already start with the path
+            raise ValueError(f"cannot decode {exc}") from exc
         h, w = rgb.shape[:2]
         if frames and (w != frames[0].width or h != frames[0].height):
             raise ValueError(

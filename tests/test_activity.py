@@ -7,6 +7,7 @@ from hbpt import activity as act
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob
+from hbpt.config import PipelineConfig
 from hbpt.imageio import DepthRaster
 
 from conftest import frame_from_rgb
@@ -262,12 +263,157 @@ def _textured_frame(rng, w=90, h=70):
     return rgb
 
 
+def _reference_blur_decimate(img):
+    """The original full-resolution blur, decimated afterwards."""
+    p = np.pad(img, 1, mode="edge")
+    rows = 0.25 * p[:-2, 1:-1] + 0.5 * p[1:-1, 1:-1] + 0.25 * p[2:, 1:-1]
+    p2 = np.pad(rows, ((0, 0), (1, 1)), mode="edge")
+    full = 0.25 * p2[:, :-2] + 0.5 * p2[:, 1:-1] + 0.25 * p2[:, 2:]
+    return full[::2, ::2]
+
+
+def _reference_pyramid(gray, levels):
+    pyr = [gray]
+    for _ in range(levels - 1):
+        if min(pyr[-1].shape) < 8:
+            break
+        pyr.append(_reference_blur_decimate(pyr[-1]))
+    return pyr
+
+
+def _reference_sample(img, gx, gy):
+    """The original bilinear sampler (2-D fancy indexing)."""
+    h, w = img.shape
+    gx = np.clip(gx, 0.0, w - 1.001)
+    gy = np.clip(gy, 0.0, h - 1.001)
+    x0 = np.floor(gx).astype(int)
+    y0 = np.floor(gy).astype(int)
+    fx = gx - x0
+    fy = gy - y0
+    top = (1 - fx) * img[y0, x0] + fx * img[y0, x0 + 1]
+    bot = (1 - fx) * img[y0 + 1, x0] + fx * img[y0 + 1, x0 + 1]
+    return (1 - fy) * top + fy * bot
+
+
+def _reference_lk_flow(
+    prev_frame, frame, points, window=15, levels=3, iters=20, min_eig=1e-3, paths=None
+):
+    """The original per-point pyramidal LK, kept as the oracle for lk_flow.
+
+    When ``paths`` is a list, one ``(point, level, what)`` tuple is appended
+    per point and level, ``what`` being "coarse-flat", "lost-flat",
+    "diverged" or the number of solver iterations run.
+    """
+    g0 = prev_frame.yuv[:, :, 0].astype(np.float64) / 255.0
+    g1 = frame.yuv[:, :, 0].astype(np.float64) / 255.0
+    pyr0 = _reference_pyramid(g0, levels)
+    pyr1 = _reference_pyramid(g1, levels)
+    half = window // 2
+    offs = np.arange(-half, half + 1, dtype=np.float64)
+    oy, ox = np.meshgrid(offs, offs, indexing="ij")
+    npx = window * window
+    out = np.array(points, dtype=np.float64).reshape(-1, 2).copy()
+    status = np.ones(len(out), dtype=bool)
+    note = paths.append if paths is not None else lambda item: None
+
+    for pi in range(len(out)):
+        px, py = out[pi]
+        flow = np.zeros(2)
+        lost = False
+        for lvl in range(len(pyr0) - 1, -1, -1):
+            scale = 2.0**lvl
+            lx, ly = px / scale, py / scale
+            i0, i1 = pyr0[lvl], pyr1[lvl]
+            gxs = lx + ox
+            gys = ly + oy
+            ix = (_reference_sample(i0, gxs + 1, gys) - _reference_sample(i0, gxs - 1, gys)) / 2.0
+            iy = (_reference_sample(i0, gxs, gys + 1) - _reference_sample(i0, gxs, gys - 1)) / 2.0
+            t0 = _reference_sample(i0, gxs, gys)
+            gxx = float((ix * ix).sum())
+            gxy = float((ix * iy).sum())
+            gyy = float((iy * iy).sum())
+            tr2 = (gxx + gyy) / 2.0
+            det = gxx * gyy - gxy * gxy
+            lam_min = tr2 - math.sqrt(max(tr2 * tr2 - det, 0.0))
+            if lam_min / npx < min_eig:
+                if lvl == 0:
+                    note((pi, lvl, "lost-flat"))
+                    lost = True
+                    break
+                note((pi, lvl, "coarse-flat"))
+                flow *= 2.0
+                continue
+            v = np.zeros(2)
+            n_iter = 0
+            for _ in range(iters):
+                n_iter += 1
+                t1 = _reference_sample(i1, gxs + flow[0] + v[0], gys + flow[1] + v[1])
+                r = t0 - t1
+                bx = float((r * ix).sum())
+                by = float((r * iy).sum())
+                dvx = (gyy * bx - gxy * by) / det
+                dvy = (gxx * by - gxy * bx) / det
+                v += (dvx, dvy)
+                if dvx * dvx + dvy * dvy < 1e-4:
+                    break
+            if np.hypot(v[0], v[1]) > window:
+                note((pi, lvl, "diverged"))
+                lost = True
+                break
+            note((pi, lvl, n_iter))
+            flow = (flow + v) * 2.0 if lvl > 0 else flow + v
+        nx, ny = px + flow[0], py + flow[1]
+        h, w = g1.shape
+        if lost or not (half <= nx < w - half and half <= ny < h - half):
+            status[pi] = False
+        else:
+            out[pi] = (nx, ny)
+    return out, status
+
+
+def _gray_frame(gray):
+    gray = np.asarray(gray, dtype=np.uint8)
+    return frame_from_rgb(np.stack([gray, gray, gray], axis=2))
+
+
+def _assert_lk_matches_reference(f0, f1, pts, **kwargs):
+    """lk_flow equals the oracle exactly, with the pyramid rebuilt or reused.
+
+    Returns the oracle's per-point paths and status.
+    """
+    paths = []
+    ref_pts, ref_status = _reference_lk_flow(f0, f1, pts, paths=paths, **kwargs)
+    out, status, pyr1 = act.lk_flow(f0, f1, pts, **kwargs)
+    assert np.array_equal(out, ref_pts)
+    assert np.array_equal(status, ref_status)
+    levels = kwargs.get("levels", 3)
+    gray1 = f1.yuv[:, :, 0].astype(np.float64) / 255.0
+    assert all(np.array_equal(a, b) for a, b in zip(pyr1, _reference_pyramid(gray1, levels)))
+    # the pyramid a call returns for its frame, passed back as the previous one
+    _, _, pyr0 = act.lk_flow(f1, f0, [], **kwargs)
+    out, status, _ = act.lk_flow(None, f1, pts, prev_pyramid=pyr0, **kwargs)
+    assert np.array_equal(out, ref_pts)
+    assert np.array_equal(status, ref_status)
+    return paths, ref_status
+
+
+def test_pyramid_matches_reference():
+    rng = np.random.default_rng(11)
+    for h, w in [(240, 320), (70, 90), (33, 17), (9, 8), (8, 40), (7, 7), (1, 5)]:
+        gray = rng.random((h, w))
+        for levels in (1, 3, 6):
+            got = act._pyramid(gray, levels)
+            ref = _reference_pyramid(gray, levels)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 def test_lk_identical_frames_zero_flow():
     rng = np.random.default_rng(3)
     rgb = _textured_frame(rng)
     f = frame_from_rgb(rgb)
     pts = [(30.0, 30.0), (45.0, 25.0), (60.0, 40.0)]
-    out, status = act.lk_flow(f, f, pts)
+    out, status, _ = act.lk_flow(f, f, pts)
     assert status.all()
     assert np.allclose(out, pts, atol=1e-3)
 
@@ -280,7 +426,7 @@ def test_lk_recovers_integer_shift_vs_ssd():
     f0 = frame_from_rgb(rgb)
     f1 = frame_from_rgb(moved)
     pts = [(30.0, 35.0), (50.0, 30.0), (40.0, 45.0)]
-    out, status = act.lk_flow(f0, f1, pts)
+    out, status, _ = act.lk_flow(f0, f1, pts)
     assert status.all()
     g0 = rgb[:, :, 0].astype(float)
     g1 = moved[:, :, 0].astype(float)
@@ -301,8 +447,146 @@ def test_lk_recovers_integer_shift_vs_ssd():
 def test_lk_flat_region_is_lost():
     rgb = np.full((60, 60, 3), 128, np.uint8)
     f = frame_from_rgb(rgb)
-    out, status = act.lk_flow(f, f, [(30.0, 30.0)])
+    out, status, _ = act.lk_flow(f, f, [(30.0, 30.0)])
     assert not status.any()
+
+
+def _smooth_gray(dx=0.0, dy=0.0, w=90, h=70):
+    """Smooth texture translated by a sub-pixel (dx, dy)."""
+    y, x = np.mgrid[0:h, 0:w].astype(np.float64)
+    x, y = x - dx, y - dy
+    g = 128 + 50 * np.sin(0.35 * x + 0.2 * y) + 40 * np.cos(0.27 * y - 0.15 * x)
+    return np.rint(g).astype(np.uint8)
+
+
+def _iteration_counts(paths, level=0):
+    return [what for _, lvl, what in paths if lvl == level and isinstance(what, int)]
+
+
+_GRID = [(float(x), float(y)) for x in range(14, 78, 9) for y in range(14, 58, 9)]
+
+
+def test_lk_matches_reference_identical_frames():
+    f = frame_from_rgb(_textured_frame(np.random.default_rng(3)))
+    _, status = _assert_lk_matches_reference(f, f, _GRID)
+    assert status.all()
+
+
+@pytest.mark.parametrize("shift", [(3, -2), (-1, 4), (0, 1)])
+def test_lk_matches_reference_integer_shift(shift):
+    rgb = _textured_frame(np.random.default_rng(4))
+    moved = np.roll(rgb, (shift[1], shift[0]), axis=(0, 1))
+    _assert_lk_matches_reference(frame_from_rgb(rgb), frame_from_rgb(moved), _GRID)
+
+
+@pytest.mark.parametrize("shift", [(0.4, -0.3), (1.7, 0.6), (-2.25, 1.5)])
+def test_lk_matches_reference_subpixel_shift(shift):
+    f0 = _gray_frame(_smooth_gray())
+    f1 = _gray_frame(_smooth_gray(*shift))
+    paths, status = _assert_lk_matches_reference(f0, f1, _GRID)
+    assert status.all()
+    # points stop iterating after different numbers of solver steps
+    assert len(set(_iteration_counts(paths))) > 1
+
+
+def test_lk_matches_reference_flat_patch_lost_at_level_0():
+    f = _gray_frame(np.full((60, 60), 128))
+    paths, status = _assert_lk_matches_reference(f, f, [(30.0, 30.0), (20.5, 41.25)])
+    assert not status.any()
+    assert {(lvl, what) for _, lvl, what in paths} == {
+        (2, "coarse-flat"), (1, "coarse-flat"), (0, "lost-flat")
+    }
+
+
+def test_lk_matches_reference_flat_only_at_coarse_levels():
+    # Period-4 stripes have a gradient at level 0 but blur to period-2
+    # stripes (zero central difference) at level 1 and to a constant at
+    # level 2, so those levels only double the flow. The right half keeps an
+    # ordinary texture, so one call mixes both kinds of point.
+    y, x = np.mgrid[0:70, 0:100]
+    stripes = 60 + 60 * ((x % 4) < 2) + 60 * ((y % 4) < 2)
+    rgb = _textured_frame(np.random.default_rng(5), w=100, h=70)[:, :, 0]
+    gray = np.where(x < 50, stripes, rgb)
+    moved = np.roll(gray, (1, 1), axis=(0, 1))
+    pts = [(20.0, 20.0), (24.0, 36.0), (30.0, 30.0), (70.0, 25.0), (80.0, 40.0)]
+    paths, status = _assert_lk_matches_reference(_gray_frame(gray), _gray_frame(moved), pts)
+    coarse_flat = {(pi, lvl) for pi, lvl, what in paths if what == "coarse-flat"}
+    assert coarse_flat == {(pi, lvl) for pi in range(3) for lvl in (1, 2)}
+    assert len(_iteration_counts(paths)) == len(pts)
+    assert status[:3].all()
+
+
+def _divergent_scene():
+    """Left half: texture moved by 1 px. Right half: faint noise replaced by
+    unrelated strong noise, where a permissive ``min_eig`` lets the solve run
+    away."""
+    rng = np.random.default_rng(0)
+    a = _textured_frame(rng, w=80, h=60)[:, :, 0].copy()
+    a[:, 40:] = rng.integers(100, 103, size=(60, 40))
+    b = np.roll(a, 1, axis=1)
+    b[:, 40:] = rng.integers(0, 256, size=(60, 40))
+    pts = [(float(x), float(y)) for x in range(10, 72, 7) for y in range(10, 52, 7)]
+    return _gray_frame(a), _gray_frame(b), pts
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"min_eig": 1e-6},
+        {"window": 7, "min_eig": 1e-6},
+        {"window": 7, "levels": 2, "min_eig": 1e-6},
+        {"window": 9, "levels": 4, "iters": 5, "min_eig": 1e-6},
+    ],
+)
+def test_lk_matches_reference_divergent_solves(kwargs):
+    f0, f1, pts = _divergent_scene()
+    paths, status = _assert_lk_matches_reference(f0, f1, pts, **kwargs)
+    assert any(what == "diverged" for _, _, what in paths)
+    assert any(what == "coarse-flat" for _, _, what in paths)
+    assert status.any() and not status.all()
+
+
+def test_lk_matches_reference_points_leaving_frame():
+    rgb = _textured_frame(np.random.default_rng(6))
+    h = rgb.shape[0]
+    moved = np.roll(rgb, (3, -4), axis=(0, 1))
+    # x = 10 moves to 6 and y = h - 10 to h - 7, both inside the 7 px margin
+    pts = [(10.0, 30.0), (40.0, float(h - 10)), (40.0, 30.0), (11.5, 20.0)]
+    paths, status = _assert_lk_matches_reference(frame_from_rgb(rgb), frame_from_rgb(moved), pts)
+    assert status.tolist() == [False, False, True, True]
+    # lost by leaving the frame, not by the solver
+    assert all(isinstance(what, int) for _, _, what in paths)
+
+
+def test_lk_matches_reference_near_border():
+    # the patch reaches outside the image at the coarser levels (and, for the
+    # last five points, at level 0 too), so _sample clamps it
+    rgb = _textured_frame(np.random.default_rng(7))
+    h, w = rgb.shape[:2]
+    moved = np.roll(rgb, (1, -1), axis=(0, 1))
+    pts = [
+        (10.0, 9.0), (10.5, float(h - 11)), (float(w - 11), 10.25), (float(w - 12), float(h - 11)),
+        (0.0, 0.0), (2.5, 30.0), (float(w - 1), 20.0), (-3.0, 15.0), (float(w + 2), 40.0),
+    ]
+    _, status = _assert_lk_matches_reference(frame_from_rgb(rgb), frame_from_rgb(moved), pts)
+    assert status[:4].all() and not status[4:].any()
+
+
+@pytest.mark.parametrize("pts", [[], [(40.0, 30.0)]], ids=["0-points", "1-point"])
+def test_lk_matches_reference_point_counts(pts):
+    rgb = _textured_frame(np.random.default_rng(8))
+    moved = np.roll(rgb, (1, 2), axis=(0, 1))
+    _, status = _assert_lk_matches_reference(frame_from_rgb(rgb), frame_from_rgb(moved), pts)
+    assert status.shape == (len(pts),)
+
+
+def test_lk_matches_reference_small_frame_fewer_levels():
+    gray = _smooth_gray(w=20, h=14)
+    assert len(act._pyramid(gray / 255.0, 3)) == 2
+    f0 = _gray_frame(gray)
+    f1 = _gray_frame(_smooth_gray(0.5, 0.25, w=20, h=14))
+    paths, _ = _assert_lk_matches_reference(f0, f1, [(9.0, 7.0), (10.5, 6.5), (3.0, 3.0)])
+    assert {lvl for _, lvl, _ in paths} == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +679,123 @@ def test_phase_order_is_monotone():
 
 
 def test_monitor_without_box_is_inert():
-    mon = act.ActivityMonitor(box_rect=None)
+    mon = act.ActivityMonitor(PipelineConfig())
     frame, _ = scene_with_box()
     assert mon.process(0, frame, stub_model()) == []
     assert mon.events == []
+
+
+# ---------------------------------------------------------------------------
+# monitor over a carry_box run
+
+@pytest.fixture(scope="module")
+def carry_monitor_calls(tmp_path_factory):
+    """Config and the (frame_index, frame, model, depth) arguments of every
+    ActivityMonitor.process call in a short carry_box run."""
+    from hbpt.cli import run_pipeline
+
+    root = tmp_path_factory.mktemp("carry_monitor")
+    truth = sg.write_scenario(sg.Scenario("carry_box", frames=112), root / "in")
+    cfg = PipelineConfig(
+        input=str(root / "in"),
+        output=str(root / "out"),
+        box_rect=truth["box"]["rect"],
+        box_ref_frame=truth["box"]["ref_frame"],
+    )
+    calls = []
+    process = act.ActivityMonitor.process
+
+    def spy(self, *args):
+        calls.append(args)
+        return process(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(act.ActivityMonitor, "process", spy)
+        run_pipeline(cfg)
+    return cfg, calls
+
+
+def _replay(mon, calls, kill=None, after_call=None):
+    """Drive a monitor over recorded calls; ``kill`` indexes the object points
+    marked dead right after they are seeded. Returns, per frame, the fired
+    events, the alive flags and the centroid."""
+    seeded = False
+    per_frame = []
+    for args in calls:
+        fired = mon.process(*args)
+        if mon.track is not None and not seeded:
+            seeded = True
+            if kill is not None:
+                mon.track.alive[kill] = False
+        track = mon.track
+        per_frame.append(
+            (
+                [e.to_dict() for e in fired],
+                None if track is None else track.alive.tolist(),
+                None if track is None else track.centroid,
+            )
+        )
+        if after_call is not None:
+            after_call()
+    return per_frame
+
+
+def test_monitor_builds_one_pyramid_per_frame_and_tracks_alive_points(
+    carry_monitor_calls, monkeypatch
+):
+    cfg, calls = carry_monitor_calls
+    mon = act.ActivityMonitor(cfg)
+    builds = []
+    pyramid, lk_flow = act._pyramid, act.lk_flow
+    monkeypatch.setattr(act, "_pyramid", lambda *a: builds.append(1) or pyramid(*a))
+    received = []
+
+    def spy_lk(prev_frame, frame, points, **kwargs):
+        assert np.array_equal(points, mon.track.points[mon.track.alive])
+        received.append(len(points))
+        return lk_flow(prev_frame, frame, points, **kwargs)
+
+    monkeypatch.setattr(act, "lk_flow", spy_lk)
+    per_call = []
+    frames = _replay(
+        mon,
+        calls,
+        kill=slice(None, None, 3),
+        after_call=lambda: per_call.append(len(builds) - sum(per_call)),
+    )
+
+    builds_per_lk_frame = [n for n in per_call if n]
+    assert len(builds_per_lk_frame) == len(received) >= 30
+    # both pyramids on the first LK frame, then only the new frame's
+    assert builds_per_lk_frame[0] == 2 and set(builds_per_lk_frame[1:]) == {1}
+    assert max(received) < len(mon.track.alive)  # the killed points never went in
+    assert [e["kind"] for f in frames for e in f[0]] == ["Approach", "Carry"]
+
+
+def test_monitor_matches_reference_lk(carry_monitor_calls, monkeypatch):
+    cfg, calls = carry_monitor_calls
+    every_third = slice(None, None, 3)
+    fast = _replay(act.ActivityMonitor(cfg), calls)
+    fast_killed = _replay(act.ActivityMonitor(cfg), calls, kill=every_third)
+    monkeypatch.setattr(
+        act,
+        "lk_flow",
+        lambda prev_frame, frame, points, prev_pyramid=None: (
+            *_reference_lk_flow(prev_frame, frame, points),
+            None,
+        ),
+    )
+    assert fast == _replay(act.ActivityMonitor(cfg), calls)
+    assert fast_killed == _replay(act.ActivityMonitor(cfg), calls, kill=every_third)
+    assert sum(f[1] is not None for f in fast) >= 30
+
+
+def test_monitor_skips_lk_without_alive_points(carry_monitor_calls, monkeypatch):
+    cfg, calls = carry_monitor_calls
+    lk_calls = []
+    lk_flow = act.lk_flow
+    monkeypatch.setattr(act, "lk_flow", lambda *a, **k: lk_calls.append(1) or lk_flow(*a, **k))
+    frames = _replay(act.ActivityMonitor(cfg), calls, kill=slice(None))
+    assert lk_calls == []
+    seeded = [f for f in frames if f[1] is not None]
+    assert seeded and all(not any(alive) and centroid is None for _, alive, centroid in seeded)

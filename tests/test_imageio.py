@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 
@@ -311,6 +312,110 @@ def test_truncated_png_frame_fails_track_cleanly(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot decode") and "frame_000001.png" in err
+
+
+def _ppm_bytes(w=4, h=3):
+    return b"P6\n%d %d\n255\n" % (w, h) + bytes(range(3 * w * h))
+
+
+def _pgm16_bytes(w=4, h=3):
+    return b"P5\n%d %d\n65535\n" % (w, h) + bytes(2 * w * h)
+
+
+@pytest.mark.parametrize(
+    "name, data, reason",
+    [
+        ("frame_000000.png", _good_png()[: len(_good_png()) // 2], "truncated PNG chunk"),
+        ("frame_000000.ppm", _ppm_bytes()[:-5], "truncated PPM payload"),
+        ("frame_000000.ppm", b"P6\n4", "truncated PNM header"),
+    ],
+    ids=["png", "ppm-payload", "ppm-header"],
+)
+def test_decode_error_names_file_once(tmp_path, name, data, reason):
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        iio.load_frame_sequence(tmp_path, "frame_*" + name[-4:])
+    message = str(info.value)
+    assert message.startswith(f"cannot decode {tmp_path / name}: {reason}")
+    assert message.count(name) == 1
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_ppm_bytes()[:-1], "truncated PPM payload"),
+        (_ppm_bytes()[:11], "truncated PPM payload"),  # header only
+        (b"P6\n4 3\n255", "truncated PPM payload"),  # no whitespace after maxval
+        (b"P6\n4", "truncated PNM header"),
+        (b"P6\n4 3\n", "truncated PNM header"),
+        (b"P6\n4 3 # comment", "truncated PNM header"),
+        (b"P6", "truncated PNM header"),
+        (b"P6\n4 x3\n255\n", "bad PNM header field b'x3'"),
+        (b"P6\n-4 3\n255\n", "bad PNM header field b'-4'"),
+        (b"P6\n0 3\n255\n", "empty PNM image"),
+        (b"P5\n4 3\n255\n", "expected P6 header"),
+    ],
+    ids=[
+        "payload-1", "header-only", "no-space-after-maxval", "header-width-only",
+        "header-no-maxval", "header-comment-at-end", "magic-only", "bad-field",
+        "negative-field", "zero-width", "wrong-magic",
+    ],
+)
+def test_corrupt_ppm_raises_value_error(tmp_path, data, message):
+    path = tmp_path / "frame_000000.ppm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        iio.read_ppm(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_pgm16_bytes()[:-1], "truncated PGM payload"),
+        (_pgm16_bytes()[:-2], "truncated PGM payload"),
+        (b"P5\n4 3", "truncated PNM header"),
+        (b"P5\n4 3\n65535", "truncated PGM payload"),
+    ],
+    ids=["payload-1", "payload-2", "header-no-maxval", "no-space-after-maxval"],
+)
+def test_corrupt_pgm_raises_value_error(tmp_path, data, message):
+    path = tmp_path / "depth_000000.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        iio.read_pgm16(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(_ppm_bytes()[:-7], "truncated PPM payload"), (b"P6\n4", "truncated PNM header")],
+    ids=["payload", "header"],
+)
+def test_truncated_ppm_frame_fails_track_cleanly(tmp_path, capsys, data, message):
+    from hbpt import cli
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    (indir / "frame_000000.ppm").write_bytes(_ppm_bytes())
+    (indir / "frame_000001.ppm").write_bytes(data)
+    rc = cli.main(["track", "--input", str(indir), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot decode {indir / 'frame_000001.ppm'}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(_pgm16_bytes()[:-3], "truncated PGM payload"), (b"P5\n4 3", "truncated PNM header")],
+    ids=["payload", "header"],
+)
+def test_truncated_depth_pgm_is_rejected(tmp_path, data, message):
+    from hbpt import cli
+
+    (tmp_path / "depth_000000.pgm").write_bytes(_pgm16_bytes())
+    (tmp_path / "depth_000001.pgm").write_bytes(data)
+    bad = tmp_path / "depth_000001.pgm"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
+        cli._load_depths(tmp_path, 2)
 
 
 def test_depth_raster_constant(tmp_path):
