@@ -72,7 +72,7 @@ def _project(coords, length):
     return out, native
 
 
-def silhouette_geometry(mask):
+def silhouette_geometry(mask, origin=(0, 0)):
     """Centroid, major-axis unit vector, and median-aligned projections.
 
     The major axis is the principal eigenvector of the mask's second central
@@ -80,11 +80,17 @@ def silhouette_geometry(mask):
     histogram bins pixel coordinates along the major axis; the vertical one
     bins them along the perpendicular axis. Both are rescaled to a fixed
     length of 100 with the median coordinate aligned at index 50.
+
+    ``origin`` is the integer frame position of ``mask[0, 0]`` when ``mask``
+    is a crop; the centroid is in frame coordinates.
     """
     m = mask.bits if hasattr(mask, "bits") else np.asarray(mask)
     ys, xs = np.nonzero(m)
     if xs.size == 0:
         raise ValueError("cannot analyze an empty mask")
+    # shift as ints before any mean, so a crop gives the full-frame floats
+    xs += origin[0]
+    ys += origin[1]
     cx, cy = float(xs.mean()), float(ys.mean())
     dx = xs - cx
     dy = ys - cy

@@ -20,8 +20,8 @@ DEFAULT_MIN_PART_AREA = 15
 
 @dataclass
 class RegionPartition:
-    masks: dict  # label -> (h, w) bool, pairwise disjoint, within silhouette
-    bbox: tuple  # silhouette bounding box (x, y, w, h)
+    masks: dict  # label -> (h, w) bool over bbox, pairwise disjoint, within silhouette
+    bbox: tuple  # silhouette bounding box (x, y, w, h); masks[label][0, 0] is (x, y)
 
 
 @dataclass
@@ -43,24 +43,30 @@ def partition_regions(silhouette, torso, bbox=None):
     legs: below the disc bottom within the disc's x-extent down to the
     bounding-box bottom, split into a 2x2 grid at the disc center x and the
     vertical midpoint.
+
+    ``bbox`` must cover the silhouette (it is computed when None). The region
+    masks are cropped to it: each is (h, w) with its origin at (x, y).
     """
     sil = silhouette.bits if hasattr(silhouette, "bits") else np.asarray(silhouette)
-    sil = sil.astype(bool)
-    if not sil.any():
-        raise ValueError("cannot partition an empty silhouette")
     if bbox is None:
         ys, xs = np.nonzero(sil)
+        if xs.size == 0:
+            raise ValueError("cannot partition an empty silhouette")
         bbox = (
             int(xs.min()),
             int(ys.min()),
             int(xs.max() - xs.min() + 1),
             int(ys.max() - ys.min() + 1),
         )
-    h, w = sil.shape
+    bx, by, bw, bh = bbox
+    sil = sil[by : by + bh, bx : bx + bw].astype(bool)
+    if not sil.any():
+        raise ValueError("cannot partition an empty silhouette")
     cx, cy = torso.center
     r = torso.radius
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
+    # frame coordinates of the crop, so every test sees the full-frame values
+    xs = np.arange(bx, bx + bw)[None, :]
+    ys = np.arange(by, by + bh)[:, None]
     inside_disc = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
     above = ys < cy - r
     below = ys > cy + r
@@ -68,7 +74,7 @@ def partition_regions(silhouette, torso, bbox=None):
     in_x = np.abs(xs - cx) <= r
     left = (xs - cx) < -r
     right = (xs - cx) > r
-    bbox_bottom = bbox[1] + bbox[3] - 1
+    bbox_bottom = by + bh - 1
     legs_mid = (cy + r + bbox_bottom) / 2.0
 
     masks = {
@@ -81,13 +87,14 @@ def partition_regions(silhouette, torso, bbox=None):
         "leg3": sil & below & in_x & (xs < cx) & (ys > legs_mid),
         "leg4": sil & below & in_x & (xs >= cx) & (ys > legs_mid),
     }
-    for label in masks:
-        masks[label] &= ys <= bbox_bottom
     return RegionPartition(masks=masks, bbox=bbox)
 
 
-def _largest_filled_component(mask):
-    """Pixels of the region's largest component with its holes filled."""
+def _largest_filled_component(mask, origin):
+    """Frame pixels of the region's largest component with its holes filled.
+
+    ``mask`` is cropped to a box whose top-left pixel sits at ``origin``.
+    """
     comps = connected_components(mask)
     if comps.count == 0:
         return None
@@ -95,7 +102,7 @@ def _largest_filled_component(mask):
     x, y, w, h = comps.stats[best].bbox
     sub = fill_holes(comps.labels[y : y + h, x : x + w] == best + 1)
     sy, sx = np.nonzero(sub)
-    return np.column_stack([sx + x, sy + y])
+    return np.column_stack([sx + (x + origin[0]), sy + (y + origin[1])])
 
 
 def build_part_model(
@@ -113,7 +120,7 @@ def build_part_model(
         mask = partition.masks[label]
         if int(mask.sum()) < min_part_area:
             continue
-        pixels = _largest_filled_component(mask)
+        pixels = _largest_filled_component(mask, partition.bbox[:2])
         if pixels is None or pixels.shape[0] < min_part_area:
             continue
         blobs[label] = fit_blob(pixels, frame, label=label)

@@ -145,6 +145,38 @@ def parse_config_text(text, base=None):
     return cfg
 
 
+def check_ranges(cfg):
+    """Reject out-of-range values that need no input to judge.
+
+    Raises ValueError naming the config key.
+    """
+    if not 0.0 < cfg.alpha < 1.0:
+        raise ValueError(f"scene.alpha must lie in (0, 1), got {cfg.alpha}")
+    if cfg.mask_se < 1 or cfg.mask_se % 2 == 0:
+        raise ValueError(f"mask.se must be odd and positive, got {cfg.mask_se}")
+    if cfg.mask_iterations < 1:
+        raise ValueError(f"mask.iterations must be at least 1, got {cfg.mask_iterations}")
+    if cfg.particles_n < 1:
+        raise ValueError(f"particles.n must be at least 1, got {cfg.particles_n}")
+
+
+def check_box(cfg, width, height, frames):
+    """Reject a box that does not fit a ``width`` x ``height`` sequence of
+    ``frames`` frames. Raises ValueError naming the config key."""
+    if not cfg.box_rect:
+        return
+    x, y, w, h = cfg.box_rect
+    if w <= 0 or h <= 0:
+        raise ValueError(f"box.rect needs a positive width and height, got {cfg.box_rect}")
+    if x < 0 or y < 0 or x + w > width or y + h > height:
+        raise ValueError(f"box.rect {cfg.box_rect} does not fit the {width}x{height} frame")
+    if not 0 <= cfg.box_ref_frame < frames:
+        raise ValueError(
+            f"box.ref_frame must lie in [0, {frames}) for {frames} frames, "
+            f"got {cfg.box_ref_frame}"
+        )
+
+
 def load_config(path, base=None):
     with open(path) as fh:
         return parse_config_text(fh.read(), base=base)

@@ -1,5 +1,5 @@
-"""Binary mask machinery: box morphology, connected components, two-level
-contour hierarchy, chain-code polygon compression, convex hulls, and the
+"""Binary mask machinery: box morphology, connected components, outer
+contours, chain-code polygon compression, convex hulls, and the
 dilate/erode/dilate silhouette refinement step."""
 
 from dataclasses import dataclass
@@ -32,8 +32,6 @@ class LabeledComponents:
 @dataclass
 class Contour:
     points: list  # [(x, y)] closed 8-connected chain
-    level: str  # "outer" | "hole"
-    parent: int | None = None  # index of the enclosing outer contour
     component: int = 0  # label in the source component raster
 
 
@@ -136,53 +134,27 @@ def _trace_boundary(region, start):
     return cycle[j:] + cycle[:j]
 
 
-def extract_contours(mask):
-    """Outer contour per component plus hole contours in a two-level hierarchy.
+def extract_contours(mask, origin=(0, 0)):
+    """Outer contour of each 8-connected component, in label order.
 
-    Hole chains run along the enclosed background pixels. A component sitting
-    inside another component's hole is a component of its own, so its outer
-    contour appears at the top level.
+    A component sitting inside another component's hole is a component of
+    its own, so it gets its own outer contour. Points are shifted by the
+    integer ``origin``, the frame position of ``mask[0, 0]`` when ``mask`` is
+    a crop.
     """
     mask = np.asarray(mask, dtype=bool)
     comps = connected_components(mask, connectivity=8)
+    ox, oy = origin
     contours = []
-    outer_index = {}
     for i in range(comps.count):
         x, y, w, h = comps.stats[i].bbox
         sub = comps.labels[y : y + h, x : x + w] == i + 1
         ys, xs = np.nonzero(sub)
         k = np.lexsort((xs, ys))[0]  # topmost, then leftmost
         chain = _trace_boundary(sub, (int(xs[k]), int(ys[k])))
-        points = [(cx + x, cy + y) for cx, cy in chain]
-        outer_index[i + 1] = len(contours)
-        contours.append(
-            Contour(points=points, level="outer", parent=None, component=i + 1)
-        )
-
-    # holes: 4-connected background regions that do not reach the border
-    bg_labels, bg_count = ndimage.label(~mask)
-    if bg_count:
-        border = np.zeros(mask.shape, dtype=bool)
-        border[0, :] = border[-1, :] = True
-        border[:, 0] = border[:, -1] = True
-        outside = set(int(v) for v in np.unique(bg_labels[border]) if v != 0)
-        for b in range(1, bg_count + 1):
-            if b in outside:
-                continue
-            region = bg_labels == b
-            ys, xs = np.nonzero(region)
-            k = np.lexsort((xs, ys))[0]
-            ty, tx = int(ys[k]), int(xs[k])
-            owner = int(comps.labels[ty - 1, tx])  # enclosing pixel sits above
-            chain = _trace_boundary(region, (tx, ty))
-            contours.append(
-                Contour(
-                    points=chain,
-                    level="hole",
-                    parent=outer_index.get(owner),
-                    component=owner,
-                )
-            )
+        dx, dy = x + ox, y + oy
+        points = [(cx + dx, cy + dy) for cx, cy in chain]
+        contours.append(Contour(points=points, component=i + 1))
     return contours
 
 

@@ -240,6 +240,9 @@ def _truth_for_frame(sc, f, mask, script, box):
         area = int(region.sum())
         if area >= 15:
             rys, rxs = np.nonzero(region)
+            # frame coordinates as ints before the mean, as over the full frame
+            rxs += bbox[0]
+            rys += bbox[1]
             parts[label] = {
                 "centroid": [float(rxs.mean()), float(rys.mean())],
                 "area": area,

@@ -16,7 +16,7 @@ def rect_mask(w, h, left=10, top=5, shape=(80, 60)):
 
 
 def outer_contour(mask):
-    return next(c for c in mo.extract_contours(mask) if c.level == "outer")
+    return mo.extract_contours(mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,30 @@ def test_projections_match_rotation_oracle():
 def test_empty_mask_rejected():
     with pytest.raises(ValueError, match="empty"):
         bl.silhouette_geometry(np.zeros((5, 5), bool))
+
+
+def test_geometry_of_crop_equals_full_frame():
+    rng = np.random.default_rng(4)
+    masks = [render_person_mask(np.zeros((240, 320), bool), 160, 60, pose)
+             for pose in ("star", "reach", "reach_hidden", "down")]
+    for _ in range(60):
+        m = np.zeros((240, 320), bool)
+        y, x = rng.integers(0, 200), rng.integers(0, 270)
+        m[y : y + 37, x : x + 45] = rng.random((37, 45)) < rng.uniform(0.2, 0.7)
+        masks.append(m)
+    shifted_after_mean = 0
+    for m in masks:
+        ys, xs = np.nonzero(m)
+        x0, y0 = int(xs.min()), int(ys.min())
+        crop = m[y0 : ys.max() + 1, x0 : xs.max() + 1]
+        centroid, axis, hist = bl.silhouette_geometry(m)
+        c_centroid, c_axis, c_hist = bl.silhouette_geometry(crop, (x0, y0))
+        assert c_centroid == centroid and c_axis == axis
+        for field in ("vertical", "horizontal", "vertical_native", "horizontal_native"):
+            assert np.array_equal(getattr(c_hist, field), getattr(hist, field)), field
+        cys, cxs = np.nonzero(crop)
+        shifted_after_mean += (float(cxs.mean()) + x0, float(cys.mean()) + y0) != centroid
+    assert shifted_after_mean  # adding the origin after the mean would show
 
 
 # ---------------------------------------------------------------------------

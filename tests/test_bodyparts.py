@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hbpt import bodyparts as bp
+from hbpt.blobmodel import fit_blob
+from hbpt.maskops import connected_components, fill_holes
 from hbpt.synthgen import render_person_mask
 from hbpt.tracker import TorsoDisc
 
@@ -26,6 +28,14 @@ def flat_frame_like(mask):
     return frame_from_rgb(rgb)
 
 
+def in_frame(partition, label, shape):
+    """A region mask placed back into a frame of ``shape`` at its bbox."""
+    x, y, w, h = partition.bbox
+    out = np.zeros(shape, dtype=bool)
+    out[y : y + h, x : x + w] = partition.masks[label]
+    return out
+
+
 def test_partition_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         bp.partition_regions(np.zeros((10, 10), bool), TorsoDisc((5, 5), 2.0))
@@ -36,7 +46,7 @@ def test_starfish_all_regions_nonempty_and_disjoint():
     partition = bp.partition_regions(mask, shoulder_disc(mask))
     total = np.zeros_like(mask)
     for label in bp.PART_LABELS:
-        region = partition.masks[label]
+        region = in_frame(partition, label, mask.shape)
         assert region.sum() >= 15, label
         assert not (total & region).any(), label  # pairwise disjoint
         total |= region
@@ -58,7 +68,7 @@ def test_leg_grid_boundaries():
         ("leg3", True, False),
         ("leg4", False, False),
     ):
-        rys, rxs = np.nonzero(partition.masks[label])
+        rys, rxs = np.nonzero(in_frame(partition, label, mask.shape))
         assert rys.size
         assert ((rxs < cx) == want_left).all(), label
         assert ((rys <= mid) == want_upper).all(), label
@@ -134,3 +144,200 @@ def test_detect_starfish_false_without_head():
     model = bp.build_part_model(bp.partition_regions(mask, disc), flat_frame_like(mask))
     model.blobs.pop("head")
     assert not bp.detect_starfish(model, disc)
+
+
+# ---------------------------------------------------------------------------
+# the bbox crop against the full-frame computation
+
+def _reference_partition_regions(silhouette, torso, bbox=None):
+    """Full-frame partition: every region mask has the silhouette's shape."""
+    sil = np.asarray(silhouette).astype(bool)
+    if not sil.any():
+        raise ValueError("cannot partition an empty silhouette")
+    if bbox is None:
+        ys, xs = np.nonzero(sil)
+        bbox = (
+            int(xs.min()),
+            int(ys.min()),
+            int(xs.max() - xs.min() + 1),
+            int(ys.max() - ys.min() + 1),
+        )
+    h, w = sil.shape
+    cx, cy = torso.center
+    r = torso.radius
+    xs = np.arange(w)[None, :]
+    ys = np.arange(h)[:, None]
+    inside_disc = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+    above = ys < cy - r
+    below = ys > cy + r
+    band_y = ~above & ~below
+    in_x = np.abs(xs - cx) <= r
+    left = (xs - cx) < -r
+    right = (xs - cx) > r
+    bbox_bottom = bbox[1] + bbox[3] - 1
+    legs_mid = (cy + r + bbox_bottom) / 2.0
+
+    masks = {
+        "torso": sil & inside_disc,
+        "head": sil & above & in_x,
+        "armL": sil & band_y & left,
+        "armR": sil & band_y & right,
+        "leg1": sil & below & in_x & (xs < cx) & (ys <= legs_mid),
+        "leg2": sil & below & in_x & (xs >= cx) & (ys <= legs_mid),
+        "leg3": sil & below & in_x & (xs < cx) & (ys > legs_mid),
+        "leg4": sil & below & in_x & (xs >= cx) & (ys > legs_mid),
+    }
+    for label in masks:
+        masks[label] &= ys <= bbox_bottom
+    return bp.RegionPartition(masks=masks, bbox=bbox)
+
+
+def _reference_largest_filled_component(mask):
+    comps = connected_components(mask)
+    if comps.count == 0:
+        return None
+    best = max(range(comps.count), key=lambda i: comps.stats[i].area)
+    x, y, w, h = comps.stats[best].bbox
+    sub = fill_holes(comps.labels[y : y + h, x : x + w] == best + 1)
+    sy, sx = np.nonzero(sub)
+    return np.column_stack([sx + x, sy + y])
+
+
+def _reference_build_part_model(partition, frame, min_part_area=bp.DEFAULT_MIN_PART_AREA):
+    """Blobs and pixels per label from full-frame region masks."""
+    blobs, part_pixels = {}, {}
+    for label in bp.PART_LABELS:
+        mask = partition.masks[label]
+        if int(mask.sum()) < min_part_area:
+            continue
+        pixels = _reference_largest_filled_component(mask)
+        if pixels is None or pixels.shape[0] < min_part_area:
+            continue
+        blobs[label] = fit_blob(pixels, frame, label=label)
+        part_pixels[label] = pixels
+    return blobs, part_pixels
+
+
+def textured_frame(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return frame_from_rgb(rng.integers(0, 256, size=shape + (3,), dtype=np.uint8))
+
+
+def assert_crop_matches_reference(mask, disc, min_part_area=bp.DEFAULT_MIN_PART_AREA):
+    """Partition and part model equal the full-frame ones, with and without bbox."""
+    ys, xs = np.nonzero(mask)
+    tight = (
+        int(xs.min()),
+        int(ys.min()),
+        int(xs.max() - xs.min() + 1),
+        int(ys.max() - ys.min() + 1),
+    )
+    frame = textured_frame(mask.shape)
+    models = []
+    for bbox in (None, tight):
+        ref = _reference_partition_regions(mask, disc, bbox)
+        got = bp.partition_regions(mask, disc, bbox)
+        assert got.bbox == tight
+        for label in bp.PART_LABELS:
+            assert got.masks[label].shape == (tight[3], tight[2])
+            assert np.array_equal(in_frame(got, label, mask.shape), ref.masks[label]), label
+        ref_blobs, ref_pixels = _reference_build_part_model(ref, frame, min_part_area)
+        model = bp.build_part_model(got, frame, min_part_area=min_part_area)
+        assert {k: b.to_dict() for k, b in model.blobs.items()} == {
+            k: b.to_dict() for k, b in ref_blobs.items()
+        }
+        assert list(model.part_pixels) == list(ref_pixels)
+        for label, pixels in ref_pixels.items():
+            got_pixels = model.part_pixels[label]
+            assert got_pixels.dtype == pixels.dtype, label
+            assert np.array_equal(got_pixels, pixels), label
+        models.append(model)
+    return models[-1]
+
+
+def truth_disc(mask):
+    """The disc synthgen partitions its truth with: centroid, half bbox width."""
+    ys, xs = np.nonzero(mask)
+    return TorsoDisc(center=(float(xs.mean()), float(ys.mean())), radius=(xs.max() - xs.min() + 1) / 2.0)
+
+
+@pytest.mark.parametrize("pose", ["star", "reach", "reach_hidden", "down"])
+@pytest.mark.parametrize("disc_of", [shoulder_disc, truth_disc])
+def test_crop_matches_reference_poses(pose, disc_of):
+    mask = person_mask(pose, ox=150, oy=70)
+    model = assert_crop_matches_reference(mask, disc_of(mask))
+    assert "torso" in model.blobs
+
+
+# star figure placements touching the left, right, top and bottom frame edges
+@pytest.mark.parametrize(
+    "ox, oy, edge",
+    [(45, 60, "left"), (275, 60, "right"), (150, 0, "top"), (150, 126, "bottom"),
+     (45, 0, "left-top"), (275, 126, "right-bottom")],
+)
+def test_crop_matches_reference_at_frame_edges(ox, oy, edge):
+    mask = person_mask("star", ox=ox, oy=oy)
+    ys, xs = np.nonzero(mask)
+    touches = {
+        "left": xs.min() == 0,
+        "right": xs.max() == mask.shape[1] - 1,
+        "top": ys.min() == 0,
+        "bottom": ys.max() == mask.shape[0] - 1,
+    }
+    assert all(touches[side] for side in edge.split("-"))
+    assert_crop_matches_reference(mask, shoulder_disc(mask))
+
+
+@pytest.mark.parametrize("corner", ["top-left", "top-right", "bottom-left", "bottom-right"])
+def test_crop_matches_reference_in_frame_corner(corner):
+    mask = np.zeros((60, 80), bool)
+    rows = slice(0, 30) if corner.startswith("top") else slice(30, 60)
+    cols = slice(0, 24) if corner.endswith("left") else slice(56, 80)
+    mask[rows, cols] = True
+    ys, xs = np.nonzero(mask)
+    cx, cy = float(xs.mean()), float(ys.mean())
+    assert_crop_matches_reference(mask, TorsoDisc(center=(cx, cy), radius=6.0))
+    # a corner pixel of the frame is foreground
+    assert mask[0 if corner.startswith("top") else -1, 0 if corner.endswith("left") else -1]
+
+
+def _torso_block():
+    """A 21x21 block around a radius-10 disc at (40, 30) in a 60x80 frame."""
+    mask = np.zeros((60, 80), bool)
+    mask[20:41, 30:51] = True
+    return mask, TorsoDisc(center=(40.0, 30.0), radius=10.0)
+
+
+def test_crop_matches_reference_equal_area_tie_takes_first_label():
+    mask, disc = _torso_block()
+    mask[22:25, 60:65] = True  # two 15-px blobs right of the disc, upper first
+    mask[32:35, 55:60] = True
+    model = assert_crop_matches_reference(mask, disc)
+    rows = model.part_pixels["armR"][:, 1]
+    assert set(rows.tolist()) == {22, 23, 24}
+
+
+def test_crop_matches_reference_fills_enclosed_hole():
+    mask, disc = _torso_block()
+    mask[27:34, 37:44] = False  # hole inside the disc
+    model = assert_crop_matches_reference(mask, disc)
+    pixels = {tuple(p) for p in model.part_pixels["torso"].tolist()}
+    assert (40, 30) in pixels  # the hole's center came back through fill_holes
+    assert model.blobs["torso"].area == len(pixels)
+
+
+def test_crop_matches_reference_one_pixel_limb():
+    mask, disc = _torso_block()
+    mask[30, 0:30] = True  # 1-px-wide arm reaching the left frame edge
+    model = assert_crop_matches_reference(mask, disc)
+    assert model.part_pixels["armL"].shape == (30, 2)
+    assert set(model.part_pixels["armL"][:, 1].tolist()) == {30}
+
+
+@pytest.mark.parametrize("area", [14, 15])
+def test_crop_matches_reference_at_min_part_area(area):
+    mask, disc = _torso_block()
+    ys, xs = np.divmod(np.arange(area), 5)
+    mask[22 + ys, 58 + xs] = True  # 3 rows of 5 (or 14 px) right of the disc
+    model = assert_crop_matches_reference(mask, disc, min_part_area=15)
+    assert ("armR" in model.blobs) == (area >= 15)

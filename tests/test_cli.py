@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from hbpt import baseline as bl
+from hbpt import bodyparts as bp
 from hbpt import cli
 from hbpt import imageio as iio
 from hbpt import maskops as mo
@@ -11,6 +13,7 @@ from hbpt import synthgen as sg
 from hbpt.config import PipelineConfig, load_config, parse_config_text
 
 from conftest import read_jsonl
+from test_bodyparts import _reference_build_part_model, _reference_partition_regions
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +245,162 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
     cli.run_baseline(cfg)
     assert len(calls) == 32
     assert set(calls) == {((5, 5), 2)}
+
+
+# ---------------------------------------------------------------------------
+# config ranges, checked before the frame loop
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("scene.alpha = 0", "scene.alpha"),
+        ("scene.alpha = 1.0", "scene.alpha"),
+        ("scene.alpha = -0.5", "scene.alpha"),
+        ("mask.se = 4", "mask.se"),
+        ("mask.se = 0", "mask.se"),
+        ("mask.se = -3", "mask.se"),
+        ("mask.iterations = 0", "mask.iterations"),
+        ("particles.n = 0", "particles.n"),
+        ("box.rect = [10, 10, 0, 5]", "box.rect"),
+        ("box.rect = [10, 10, 5, -1]", "box.rect"),
+        ("box.rect = [310, 100, 24, 20]", "box.rect"),
+        ("box.rect = [-1, 0, 5, 5]", "box.rect"),
+        ("box.rect = [0, 230, 5, 20]", "box.rect"),
+        ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = 500", "box.ref_frame"),
+        ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = 32", "box.ref_frame"),
+        ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = -1", "box.ref_frame"),
+    ],
+)
+def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line, key):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(line + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["track", "--input", str(indir), "--output", str(out), "--config", str(cfg_path)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} "), err
+    assert "Traceback" not in err
+    assert not (out / "blobs.jsonl").exists()
+
+
+def test_baseline_rejects_out_of_range_config(tmp_path, capsys, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("mask.se = 4\n")
+    rc = cli.main(
+        ["baseline", "--input", str(indir), "--output", str(tmp_path / "out"),
+         "--config", str(cfg_path)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: mask.se ")
+
+
+def test_track_accepts_box_at_frame_border(tmp_path, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    cfg = PipelineConfig(
+        input=str(indir), output=str(tmp_path / "out"), box_rect=[296, 220, 24, 20],
+        box_ref_frame=31,
+    )
+    cli.run_pipeline(cfg)
+    assert len(read_jsonl(tmp_path / "out" / "blobs.jsonl")) == 32
+
+
+# ---------------------------------------------------------------------------
+# metrics.json stage accounting
+
+def test_metrics_time_load_baseline_and_learn_once(tmp_path, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    cfg = PipelineConfig(input=str(indir), output=str(tmp_path / "out"), baseline_mode=True)
+    cli.run_pipeline(cfg)
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    stages = metrics["stage_ms"]
+    assert {"load", "baseline", "parts", "foreground"} <= set(stages)
+    assert "learn" not in stages
+    assert metrics["learn_ms"] > 0
+    assert all(v >= 0 for v in stages.values())
+    # per-frame stage means add up to no more than the wall time per frame
+    assert sum(stages.values()) <= 1e3 * metrics["wall_time_s"] / metrics["frames"]
+
+
+# ---------------------------------------------------------------------------
+# contour labeler on the silhouette crop against the full-frame computation
+
+def _reference_label_silhouette(sil):
+    """Labels computed over the whole frame."""
+    centroid, _, _ = bl.silhouette_geometry(sil)
+    contour = mo.extract_contours(sil)[0]
+    if len(contour.points) < 3:
+        return None
+    vertices = bl.hull_vertices(contour)
+    return bl.label_parts_by_distance(vertices, centroid, sil).to_dict()
+
+
+def _silhouettes():
+    shape = (240, 320)
+    for pose in ("star", "reach", "reach_hidden", "down"):
+        yield pose, sg.render_person_mask(np.zeros(shape, bool), 150, 70, pose)
+    for name, ox, oy in (("left", 45, 60), ("right", 275, 60), ("top", 150, 0),
+                         ("bottom", 150, 126), ("left-top", 45, 0)):
+        yield f"star-{name}", sg.render_person_mask(np.zeros(shape, bool), ox, oy, "star")
+    for corner in ((slice(0, 30), slice(0, 24)), (slice(210, 240), slice(296, 320))):
+        m = np.zeros(shape, bool)
+        m[corner] = True
+        yield "corner", m
+    m = np.zeros(shape, bool)
+    m[100:130, 40:60] = True
+    m[115, 0:40] = True  # 1-px-wide limb to the left edge
+    yield "thin-limb", m
+    m = np.zeros(shape, bool)
+    m[100:130, 40:70] = True
+    m[108:122, 48:62] = False  # enclosed hole
+    yield "ring", m
+    for n in (1, 2, 3):
+        m = np.zeros(shape, bool)
+        m[239, 319 - n + 1 :] = True  # tiny silhouettes in the corner
+        yield f"pixels-{n}", m
+    m = np.zeros(shape, bool)
+    m[0, 0:25] = True  # a 1-px line, walked on both sides
+    yield "line", m
+
+
+def test_label_silhouette_crop_matches_full_frame():
+    seen = set()
+    for name, sil in _silhouettes():
+        comps = mo.connected_components(sil)
+        assert comps.count == 1, name
+        got = cli._label_silhouette(sil, comps.stats[0].bbox)
+        assert got == _reference_label_silhouette(sil), name
+        seen.add(got is None)
+    assert seen == {True, False}  # degenerate contours are covered too
+
+
+def _reference_part_model(partition, frame, prev=None, min_part_area=15, frame_index=None):
+    blobs, pixels = _reference_build_part_model(partition, frame, min_part_area)
+    return bp.BodyPartModel(blobs=blobs, frame_index=frame_index, part_pixels=pixels)
+
+
+def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, scenario_dir):
+    indir, _ = scenario_dir("starfish", frames=60, seed=13)
+
+    def run(tag):
+        cfg = PipelineConfig(input=str(indir), output=str(tmp_path / tag), baseline_mode=True)
+        cli.run_pipeline(cfg)
+        cfg.output = str(tmp_path / tag / "base")
+        cli.run_baseline(cfg)
+        return [
+            (tmp_path / tag / name).read_bytes()
+            for name in ("blobs.jsonl", "events.json", "baseline.jsonl", "base/baseline.jsonl")
+        ]
+
+    got = run("crop")
+    monkeypatch.setattr(bp, "partition_regions", _reference_partition_regions)
+    monkeypatch.setattr(bp, "build_part_model", _reference_part_model)
+    monkeypatch.setattr(cli, "_label_silhouette", lambda sil, bbox: _reference_label_silhouette(sil))
+    want = run("full")
+    assert got == want
+    records = read_jsonl(tmp_path / "crop" / "blobs.jsonl")
+    assert sum(len(r["parts"]) == 6 for r in records) == 30
+    assert got[2] == got[3]

@@ -209,20 +209,8 @@ def test_square_contour_hierarchy():
     m = np.zeros((12, 12), bool)
     m[2:8, 3:9] = True
     cs = mo.extract_contours(m)
-    assert [c.level for c in cs] == ["outer"]
-    assert cs[0].parent is None
-
-
-def test_ring_has_parented_hole():
-    m = np.zeros((12, 12), bool)
-    m[2:9, 2:9] = True
-    m[4:7, 4:7] = False
-    cs = mo.extract_contours(m)
-    levels = sorted(c.level for c in cs)
-    assert levels == ["hole", "outer"]
-    hole = next(c for c in cs if c.level == "hole")
-    outer = next(i for i, c in enumerate(cs) if c.level == "outer")
-    assert hole.parent == outer
+    assert len(cs) == 1
+    assert cs[0].component == 1
 
 
 def test_blob_inside_hole_is_top_level():
@@ -231,10 +219,26 @@ def test_blob_inside_hole_is_top_level():
     m[3:12, 3:12] = False
     m[6:9, 6:9] = True
     cs = mo.extract_contours(m)
-    outers = [c for c in cs if c.level == "outer"]
-    holes = [c for c in cs if c.level == "hole"]
-    assert len(outers) == 2 and len(holes) == 1
-    assert all(c.parent is None for c in outers)
+    assert len(cs) == 2
+    assert [c.component for c in cs] == [1, 2]
+    # outer chains run on foreground pixels; no hole chain is reported
+    assert all(m[y, x] for c in cs for x, y in c.points)
+
+
+def test_contours_of_crop_shift_by_origin():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        m = np.zeros((30, 40), bool)
+        m[5:25, 8:33] = rng.random((20, 25)) < rng.uniform(0.3, 0.7)
+        if not m.any():
+            continue
+        ys, xs = np.nonzero(m)
+        x0, y0 = int(xs.min()), int(ys.min())
+        crop = m[y0 : ys.max() + 1, x0 : xs.max() + 1]
+        full = mo.extract_contours(m)
+        got = mo.extract_contours(crop, (x0, y0))
+        assert [c.points for c in got] == [c.points for c in full]
+        assert [c.component for c in got] == [c.component for c in full]
 
 
 def test_contour_chains_closed_and_adjacent():

@@ -6,6 +6,10 @@ import pytest
 from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
+from hbpt.bodyparts import PART_LABELS
+from hbpt.tracker import TorsoDisc
+
+from test_bodyparts import _reference_partition_regions
 
 
 def test_same_seed_is_bit_identical():
@@ -98,3 +102,76 @@ def test_write_scenario_layout(tmp_path):
     assert len(list(tmp_path.glob("depth_*.pgm"))) == 36
     truth = json.loads((tmp_path / "truth.json").read_text())
     assert truth["box"]["rect"] == list(sg.BOX_RECT)
+
+
+def _reference_truth_for_frame(sc, f, mask, script, box):
+    """Ground truth for one frame from a full-frame partition of the mask."""
+    entry = {"frame": f, "person_visible": script is not None}
+    if box is not None:
+        entry["box_rect"] = list(box["rect"])
+        entry["box_opened"] = box["opened"]
+    if script is None:
+        return entry
+    ys, xs = np.nonzero(mask)
+    cx, cy = float(xs.mean()), float(ys.mean())
+    bbox = (
+        int(xs.min()),
+        int(ys.min()),
+        int(xs.max() - xs.min() + 1),
+        int(ys.max() - ys.min() + 1),
+    )
+    entry["person_centroid"] = [cx, cy]
+    entry["person_x"] = script["ox"]
+    entry["bbox"] = list(bbox)
+    tr = sg._TORSO
+    entry["torso_rect"] = [
+        script["ox"] + tr[1],
+        script["oy"] + tr[2],
+        tr[3] - tr[1],
+        tr[4] - tr[2],
+    ]
+    hand = sg._hand_tip(script)
+    entry["hand"] = list(hand) if hand else None
+    disc = TorsoDisc(center=(cx, cy), radius=bbox[2] / 2.0)
+    partition = _reference_partition_regions(mask, disc, bbox)
+    parts = {}
+    for label in PART_LABELS:
+        region = partition.masks[label]
+        area = int(region.sum())
+        if area >= 15:
+            rys, rxs = np.nonzero(region)
+            parts[label] = {
+                "centroid": [float(rxs.mean()), float(rys.mean())],
+                "area": area,
+                "visible": True,
+            }
+        else:
+            parts[label] = {"centroid": None, "area": area, "visible": False}
+    entry["parts"] = parts
+    return entry
+
+
+def _scenario_masks(sc):
+    """(frame, clean person mask, script, box) for every frame of a scenario."""
+    for f in range(sc.frames):
+        script = sg._person_script(sc, f)
+        mask = np.zeros((sc.height, sc.width), dtype=bool)
+        if script is not None:
+            sg.render_person_mask(mask, script["ox"], script["oy"], script["pose"])
+        yield f, mask, script, sg._box_script(sc, f)
+
+
+@pytest.mark.parametrize("name", sg.SCENARIO_NAMES)
+def test_truth_matches_full_frame_reference(name):
+    sc = sg.Scenario(name)
+    for f, mask, script, box in _scenario_masks(sc):
+        got = sg._truth_for_frame(sc, f, mask, script, box)
+        want = _reference_truth_for_frame(sc, f, mask, script, box)
+        assert json.dumps(got) == json.dumps(want), f
+
+
+def test_generated_truth_matches_full_frame_reference():
+    sc = sg.Scenario("occluded_arm", frames=110, seed=3)
+    _, _, truth = sg.generate_scenario(sc)
+    want = [_reference_truth_for_frame(sc, *args) for args in _scenario_masks(sc)]
+    assert json.dumps(truth["per_frame"]) == json.dumps(want)
