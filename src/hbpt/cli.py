@@ -220,7 +220,7 @@ def run_pipeline(cfg):
             iio.write_annotated_frame(frame, items, outdir / f"out_{fi:06d}.ppm")
             stage_ms["overlays"] += (time.perf_counter() - t) * 1e3
 
-    wall = time.perf_counter() - t0
+    t = time.perf_counter()
     with open(outdir / "blobs.jsonl", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
@@ -230,11 +230,15 @@ def run_pipeline(cfg):
                 fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
     with open(outdir / "events.json", "w") as fh:
         json.dump([e.to_dict() for e in monitor.events], fh, indent=1)
+    stage_ms["write"] += (time.perf_counter() - t) * 1e3
+    wall = time.perf_counter() - t0
+    learn_ms = stage_ms.pop("learn", 0.0)  # once, not per frame
+    stage_ms["other"] = wall * 1e3 - learn_ms - sum(stage_ms.values())
     metrics = {
         "frames": n,
         "wall_time_s": wall,
         "fps": n / wall,
-        "learn_ms": stage_ms.pop("learn", 0.0),  # once, not per frame
+        "learn_ms": learn_ms,
         "stage_ms": {k: v / n for k, v in sorted(stage_ms.items())},
     }
     with open(outdir / "metrics.json", "w") as fh:
@@ -445,6 +449,7 @@ def main(argv=None):
             print(f"wrote {truth['frames']} frames of {sc.name} to {args.output or '.'}")
         elif args.command == "learn":
             cfg = _build_config(args)
+            check_ranges(cfg)
             frames = iio.load_frame_sequence(cfg.input, cfg.pattern)
             model = sm.learn_scene(
                 frames[: min(cfg.learn_frames, len(frames))], cfg.var_floor

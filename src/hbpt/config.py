@@ -152,6 +152,14 @@ def check_ranges(cfg):
     """
     if not 0.0 < cfg.alpha < 1.0:
         raise ValueError(f"scene.alpha must lie in (0, 1), got {cfg.alpha}")
+    if not cfg.tau > 0.0:
+        raise ValueError(f"scene.tau must be positive, got {cfg.tau}")
+    if not cfg.var_floor > 0.0:
+        raise ValueError(f"scene.var_floor must be positive, got {cfg.var_floor}")
+    if not cfg.scene_file and cfg.learn_frames < 2:
+        raise ValueError(
+            f"learn.frames must be at least 2 to learn a scene, got {cfg.learn_frames}"
+        )
     if cfg.mask_se < 1 or cfg.mask_se % 2 == 0:
         raise ValueError(f"mask.se must be odd and positive, got {cfg.mask_se}")
     if cfg.mask_iterations < 1:

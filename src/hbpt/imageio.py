@@ -78,18 +78,61 @@ _YUV_FWD = np.array(
 _YUV_OFF = np.array([0.0, 128.0, 128.0])
 
 
-def convert_rgb_to_yuv(r, g, b):
-    """Convert one RGB triple (0..255 each) to a rounded, clamped YUV triple."""
-    vec = _YUV_FWD @ np.array([r, g, b], dtype=np.float64) + _YUV_OFF
-    out = np.clip(np.rint(vec), 0, 255).astype(np.uint8)
-    return int(out[0]), int(out[1]), int(out[2])
+# The same transform in integers: channel k of a pixel is
+# (cr*r + cg*g + cb*b + off) // den with _YUV_FWD[k] == (cr, cg, cb) / den
+# exactly; off holds the 128 chroma offset plus den/2, so the quotient is the
+# value rounded half up. Away from an exact .5 every float64 evaluation rounds
+# the same way; at .5 (the remainder is 0) the float64 product decides.
+_YUV_INT = (
+    (299, 587, 114, 500, 1000),
+    (-5273, -10352, 15625, 128 * 31250 + 15625, 31250),
+    (15625, -13084, -2541, 128 * 31250 + 15625, 31250),
+)
+_YUV_CHUNK = 32768  # pixels per pass, so that the int32 temporaries stay small
+
+
+def _float_yuv(rows):
+    """The float64 transform of an (n, 3) pixel array, rounded and clamped."""
+    return np.clip(np.rint(rows.astype(np.float64) @ _YUV_FWD.T + _YUV_OFF), 0, 255)
 
 
 def rgb_to_yuv_image(rgb):
-    """Vectorized RGB -> YUV for an (h, w, 3) uint8 raster."""
-    flat = rgb.reshape(-1, 3).astype(np.float64)
-    yuv = flat @ _YUV_FWD.T + _YUV_OFF
-    return np.clip(np.rint(yuv), 0, 255).astype(np.uint8).reshape(rgb.shape)
+    """RGB -> YUV for an (h, w, 3) uint8 raster.
+
+    Equal to ``_float_yuv`` over the whole raster: integer math decides every
+    pixel but those where some channel lands exactly on .5; how the BLAS
+    product rounds those is neither half-even nor half-up, so they are sent
+    through ``_float_yuv`` itself.
+    """
+    flat = rgb.reshape(-1, 3)
+    n = flat.shape[0]
+    out = np.empty((n, 3), np.uint8)
+    for start in range(0, n, _YUV_CHUNK):
+        px = flat[start : start + _YUV_CHUNK]
+        dst = out[start : start + _YUV_CHUNK]
+        r, g, b = (px[:, c].astype(np.int32) for c in range(3))
+        acc = np.empty_like(r)
+        tmp = np.empty_like(r)
+        tie = np.zeros(len(px), bool)
+        for c, (cr, cg, cb, off, den) in enumerate(_YUV_INT):
+            np.multiply(r, cr, out=acc)
+            np.multiply(g, cg, out=tmp)
+            acc += tmp
+            np.multiply(b, cb, out=tmp)
+            acc += tmp
+            acc += off
+            np.floor_divide(acc, den, out=tmp)
+            dst[:, c] = tmp  # a tie may hold 256 here; it is overwritten below
+            tmp *= den
+            tie |= tmp == acc
+        ties = np.flatnonzero(tie)
+        if ties.size:
+            # BLAS multiplies a single row as a vector (gemv), which rounds
+            # some ties unlike the matrix product (gemm) of a whole raster,
+            # so a lone tie goes in twice
+            rows = ties if ties.size > 1 or n == 1 else np.repeat(ties, 2)
+            dst[ties] = _float_yuv(px[rows])[: ties.size]
+    return out.reshape(rgb.shape)
 
 
 def yuv_to_rgb_image(yuv):

@@ -21,6 +21,11 @@ class SceneModel:
     frames_seen: int
     var_floor: float
 
+    def __post_init__(self):
+        # update_scene writes through (h*w, 3) views of these two arrays
+        self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
+        self.var = np.ascontiguousarray(self.var, dtype=np.float64)
+
     @property
     def height(self):
         return self.mean.shape[0]
@@ -64,8 +69,12 @@ def detect_foreground(model, frame, tau=DEFAULT_TAU):
     """Flag pixels whose squared Mahalanobis distance over Y,U,V exceeds tau^2."""
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
-    d = frame.yuv.astype(np.float64) - model.mean
-    dist2 = np.sum(d * d / model.var, axis=2)
+    q = frame.yuv.astype(np.float64)  # x, then d = x - mean, d*d, d*d/var
+    q -= model.mean
+    q *= q
+    q /= model.var
+    dist2 = q[:, :, 0] + q[:, :, 1]  # the order of np.sum(q, axis=2)
+    dist2 += q[:, :, 2]
     return ForegroundMask(width=model.width, height=model.height, bits=dist2 > tau * tau)
 
 
@@ -73,7 +82,9 @@ def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
     """Blend the visible (non-foreground) pixels into the model in place.
 
     mean <- (1-a)*mean + a*x, var <- (1-a)*var + a*(x-mean)^2, then the
-    variance floor is re-applied. Foreground pixels are left untouched.
+    variance floor is re-applied. ``model.mean`` and ``model.var`` are updated
+    in place over the whole frame, and the foreground pixels' values, saved
+    beforehand, are written back, so they are left untouched.
     """
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
@@ -81,16 +92,26 @@ def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
         raise ValueError("mask dimensions do not match scene model")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    vis = ~fg.bits
-    if not vis.any():
+    rows = np.flatnonzero(fg.bits)
+    if rows.size == fg.bits.size:
         return model
-    x = frame.yuv.astype(np.float64)
-    new_mean = (1.0 - alpha) * model.mean + alpha * x
-    d = x - new_mean
-    new_var = np.maximum((1.0 - alpha) * model.var + alpha * d * d, model.var_floor)
-    keep = vis[:, :, None]
-    model.mean = np.where(keep, new_mean, model.mean)
-    model.var = np.where(keep, new_var, model.var)
+    # (h*w, 3) views of the model's C-contiguous arrays
+    mean = model.mean.reshape(-1, 3)
+    var = model.var.reshape(-1, 3)
+    saved_mean = np.take(mean, rows, axis=0)
+    saved_var = np.take(var, rows, axis=0)
+    x = frame.yuv.reshape(-1, 3).astype(np.float64)
+    ax = x * alpha  # a*x, then a*d*d
+    mean *= 1.0 - alpha
+    mean += ax
+    d = np.subtract(x, mean, out=x)
+    np.multiply(d, alpha, out=ax)
+    ax *= d
+    var *= 1.0 - alpha
+    var += ax
+    np.maximum(var, model.var_floor, out=var)
+    mean[rows] = saved_mean
+    var[rows] = saved_var
     model.frames_seen += 1
     return model
 

@@ -45,10 +45,12 @@ class ParticleSet:
 # histograms
 
 def uv_bin_plane(frame):
-    """Per-pixel joint UV bin index in 0..15 (bin edges at 0,64,128,192,256)."""
+    """Per-pixel joint UV bin index in 0..15 (bin edges at 0,64,128,192,256), uint8."""
     u = frame.yuv[:, :, 1] >> 6
     v = frame.yuv[:, :, 2] >> 6
-    return (u.astype(np.intp) << 2) | v.astype(np.intp)
+    u <<= 2
+    u |= v
+    return u
 
 
 def hist16_of_bins(bins):
@@ -68,11 +70,6 @@ def color_hist16(frame, rect):
     if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
         raise ValueError("histogram rect is outside the frame")
     return hist16_of_bins(uv_bin_plane(frame)[y : y + h, x : x + w])
-
-
-def bhattacharyya_similarity(h1, h2):
-    """Bhattacharyya coefficient sum(sqrt(p*q)), 1 for identical histograms."""
-    return float(np.sqrt(np.asarray(h1) * np.asarray(h2)).sum())
 
 
 def back_project(frame, hist):
@@ -229,6 +226,23 @@ def _shift_blob(prev, width, height):
     )
 
 
+def _particle_weights(plane, states, ref_size, sqrt_ref):
+    """Bhattacharyya coefficient of each particle window's UV histogram.
+
+    Full-window histograms: background dilution penalizes oversized windows,
+    which keeps the scale random walk in check.
+    """
+    height, width = plane.shape
+    weights = np.zeros(len(states))
+    for i, state in enumerate(states):
+        x, y, w, h = _state_rect(state, ref_size, width, height)
+        counts = np.bincount(plane[y : y + h, x : x + w].ravel(), minlength=N_BINS)[:N_BINS]
+        total = counts.sum()
+        if total:
+            weights[i] = float((np.sqrt(counts / total) * sqrt_ref).sum())
+    return weights
+
+
 def mspf_track(
     prev,
     particles,
@@ -267,17 +281,7 @@ def mspf_track(
     masked_plane = np.where(fg.bits, plane, N_BINS)  # bin 16 = off-silhouette
     ref = prev.ref_hist
     sqrt_ref = np.sqrt(ref)
-    # full-window histograms: background dilution penalizes oversized windows,
-    # which keeps the scale random walk in check
-    weights = np.zeros(n)
-    for i in range(n):
-        x, y, w, h = _state_rect(states[i], particles.ref_size, frame.width, frame.height)
-        counts = np.bincount(
-            plane[y : y + h, x : x + w].ravel(), minlength=N_BINS
-        )[:N_BINS]
-        total = counts.sum()
-        if total:
-            weights[i] = float((np.sqrt(counts / total) * sqrt_ref).sum())
+    weights = _particle_weights(plane, states, particles.ref_size, sqrt_ref)
     best_state = states[int(np.argmax(weights))].copy()
 
     wsum = weights.sum()
@@ -290,7 +294,7 @@ def mspf_track(
     # mean-shift refinement of the best particle over the masked backprojection;
     # the window takes the tracked person's current size so a wandering scale
     # cannot crop the silhouette and bias the position estimate
-    wimg = np.where(fg.bits, ref[plane], 0.0)
+    wimg = np.append(ref, 0.0).take(masked_plane)  # bin 16 weighs 0.0
     seed = (best_state[0], best_state[1], 1.0)
     win0 = _state_rect(seed, (prev.bbox[2], prev.bbox[3]), frame.width, frame.height)
     win, _, _ = mean_shift(wimg, win0)

@@ -1,5 +1,7 @@
 import json
 import re
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -261,6 +263,12 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("mask.se = -3", "mask.se"),
         ("mask.iterations = 0", "mask.iterations"),
         ("particles.n = 0", "particles.n"),
+        ("scene.tau = 0", "scene.tau"),
+        ("scene.tau = -2", "scene.tau"),
+        ("scene.var_floor = 0", "scene.var_floor"),
+        ("scene.var_floor = -1", "scene.var_floor"),
+        ("learn.frames = 1", "learn.frames"),
+        ("learn.frames = 0", "learn.frames"),
         ("box.rect = [10, 10, 0, 5]", "box.rect"),
         ("box.rect = [10, 10, 5, -1]", "box.rect"),
         ("box.rect = [310, 100, 24, 20]", "box.rect"),
@@ -287,15 +295,35 @@ def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line,
 
 
 def test_baseline_rejects_out_of_range_config(tmp_path, capsys, scenario_dir):
+    """``baseline``, and ``learn`` likewise, stop before writing anything."""
     indir, _ = scenario_dir("walker", frames=32, seed=12)
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("mask.se = 4\n")
-    rc = cli.main(
-        ["baseline", "--input", str(indir), "--output", str(tmp_path / "out"),
-         "--config", str(cfg_path)]
+    for command in ("baseline", "learn"):
+        for line, key in (
+            ("mask.se = 4", "mask.se"),
+            ("scene.tau = -2", "scene.tau"),
+            ("scene.var_floor = 0", "scene.var_floor"),
+            ("learn.frames = 1", "learn.frames"),
+        ):
+            cfg_path.write_text(line + "\n")
+            rc = cli.main(
+                [command, "--input", str(indir), "--output", str(tmp_path / "out"),
+                 "--config", str(cfg_path)]
+            )
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(f"error: {key} ")
+            assert not (tmp_path / "out").exists()
+
+
+def test_learn_frames_unchecked_with_scene_file(tmp_path, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    assert cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)]) == 0
+    cfg = PipelineConfig(
+        input=str(indir), output=str(tmp_path / "out"), learn_frames=1,
+        scene_file=str(tmp_path / "scene.bin"),
     )
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: mask.se ")
+    cli.run_pipeline(cfg)
+    assert len(read_jsonl(tmp_path / "out" / "blobs.jsonl")) == 32
 
 
 def test_track_accepts_box_at_frame_border(tmp_path, scenario_dir):
@@ -309,6 +337,49 @@ def test_track_accepts_box_at_frame_border(tmp_path, scenario_dir):
 
 
 # ---------------------------------------------------------------------------
+# faulty and degenerate inputs through hbpt track
+
+def _track(indir, outdir, *extra):
+    return cli.main(["track", "--input", str(indir), "--output", str(outdir), *extra])
+
+
+def test_track_rejects_depth_count_mismatch(tmp_path, capsys, scenario_dir):
+    src, truth = scenario_dir("carry_box", frames=40, seed=3)
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    for i in range(10, 40):
+        (indir / f"depth_{i:06d}.pgm").unlink()
+    box = truth["box"]
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"box.rect = {box['rect']}\nbox.ref_frame = {box['ref_frame']}\n")
+    assert _track(indir, tmp_path / "out", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: 10 depth rasters for 40 frames in {indir}"), err
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
+def test_track_rejects_single_frame_input(tmp_path, capsys, scenario_dir):
+    src, _ = scenario_dir("walker", frames=32, seed=12)
+    indir = tmp_path / "in"
+    indir.mkdir()
+    shutil.copy(src / "frame_000000.ppm", indir)
+    assert _track(indir, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == "error: need at least 2 frames to learn a scene, got 1\n"
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
+def test_track_person_free_sequence(tmp_path, scenario_dir):
+    indir, truth = scenario_dir("background", frames=45, seed=2)
+    assert not any(e["person_visible"] for e in truth["per_frame"])
+    assert _track(indir, tmp_path / "out") == 0
+    records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
+    assert [r["frame"] for r in records] == list(range(45))
+    assert not any(r["tracked"] or r["person"] or r["parts"] for r in records)
+    assert json.loads((tmp_path / "out" / "events.json").read_text()) == []
+
+
+# ---------------------------------------------------------------------------
 # metrics.json stage accounting
 
 def test_metrics_time_load_baseline_and_learn_once(tmp_path, scenario_dir):
@@ -317,12 +388,33 @@ def test_metrics_time_load_baseline_and_learn_once(tmp_path, scenario_dir):
     cli.run_pipeline(cfg)
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     stages = metrics["stage_ms"]
-    assert {"load", "baseline", "parts", "foreground"} <= set(stages)
+    assert {"load", "baseline", "parts", "foreground", "write", "other"} <= set(stages)
     assert "learn" not in stages
     assert metrics["learn_ms"] > 0
-    assert all(v >= 0 for v in stages.values())
-    # per-frame stage means add up to no more than the wall time per frame
-    assert sum(stages.values()) <= 1e3 * metrics["wall_time_s"] / metrics["frames"]
+    assert all(v > 0 for v in stages.values())
+    # the per-frame stage means and learning add up to the wall time per frame
+    n = metrics["frames"]
+    assert sum(stages.values()) + metrics["learn_ms"] / n == pytest.approx(
+        1e3 * metrics["wall_time_s"] / n, rel=1e-9
+    )
+
+
+def test_metrics_write_stage_times_the_output_files(tmp_path, scenario_dir, monkeypatch):
+    """Writing blobs.jsonl, baseline.jsonl and events.json is ``write``, not ``other``."""
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    dumps = json.dumps
+
+    def slow_dumps(*args, **kwargs):
+        time.sleep(0.002)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", slow_dumps)  # one call per output line
+    cfg = PipelineConfig(input=str(indir), output=str(tmp_path / "out"), baseline_mode=True)
+    cli.run_pipeline(cfg)
+    monkeypatch.undo()
+    stages = json.loads((tmp_path / "out" / "metrics.json").read_text())["stage_ms"]
+    assert stages["write"] >= 2 * 2.0  # 64 lines of 2 ms over 32 frames
+    assert stages["other"] < stages["write"]
 
 
 # ---------------------------------------------------------------------------

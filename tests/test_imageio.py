@@ -11,9 +11,52 @@ from hbpt import synthgen as sg
 from conftest import frame_from_rgb
 
 
+# ---------------------------------------------------------------------------
+# RGB -> YUV against the float64 product it replaces
+
+_FWD = np.array(
+    [[0.299, 0.587, 0.114], [-0.168736, -0.331264, 0.5], [0.5, -0.418688, -0.081312]]
+)
+
+
+def _reference_rgb_to_yuv_image(rgb):
+    """The float64 BLAS product, rounded half to even as it falls."""
+    flat = rgb.reshape(-1, 3).astype(np.float64)
+    yuv = flat @ _FWD.T + np.array([0.0, 128.0, 128.0])
+    return np.clip(np.rint(yuv), 0, 255).astype(np.uint8).reshape(rgb.shape)
+
+
+def _assert_yuv_matches_reference(rgb):
+    got = iio.rgb_to_yuv_image(rgb)
+    assert got.dtype == np.uint8 and got.shape == rgb.shape
+    assert np.array_equal(got, _reference_rgb_to_yuv_image(rgb))
+
+
+def _tie_mask(rgb):
+    """Pixels where some channel is exactly halfway between two integers."""
+    r, g, b = (rgb[..., c].astype(np.int64) for c in range(3))
+    y = 299 * r + 587 * g + 114 * b  # Y * 1000
+    u = -5273 * r - 10352 * g + 15625 * b  # (U - 128) * 31250
+    v = 15625 * r - 13084 * g - 2541 * b  # (V - 128) * 31250
+    return (y % 1000 == 500) | (u % 31250 == 15625) | (v % 31250 == 15625)
+
+
+def _r_plane(r):
+    """All 65536 colours with red = r as a 256x256 raster (rows: green)."""
+    g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    return np.stack([np.full_like(g, r), g, b], axis=-1).astype(np.uint8)
+
+
+@pytest.fixture(scope="module")
+def tie_colours():
+    ties = [p[_tie_mask(p)] for p in map(_r_plane, range(256))]
+    return np.concatenate(ties)
+
+
 def test_rgb_to_yuv_black_and_white():
-    assert iio.convert_rgb_to_yuv(0, 0, 0) == (0, 128, 128)
-    assert iio.convert_rgb_to_yuv(255, 255, 255) == (255, 128, 128)
+    for rgb, yuv in (((0, 0, 0), (0, 128, 128)), ((255, 255, 255), (255, 128, 128))):
+        img = np.array([[rgb]], dtype=np.uint8)
+        assert tuple(iio.rgb_to_yuv_image(img)[0, 0]) == yuv
 
 
 def test_rgb_yuv_round_trip_within_2():
@@ -25,10 +68,61 @@ def test_rgb_yuv_round_trip_within_2():
 
 
 def test_scalar_matches_vectorized():
+    """Single pixels, as 1x1 rasters, equal the float64 product of one row."""
     rng = np.random.default_rng(1)
     for r, g, b in rng.integers(0, 256, size=(50, 3)):
-        img = np.array([[[r, g, b]]], dtype=np.uint8)
-        assert iio.convert_rgb_to_yuv(r, g, b) == tuple(iio.rgb_to_yuv_image(img)[0, 0])
+        _assert_yuv_matches_reference(np.array([[[r, g, b]]], dtype=np.uint8))
+
+
+def test_rgb_to_yuv_every_tie_colour(tie_colours):
+    assert len(tie_colours) == 82318
+    # all ties in one raster, in cube order and shuffled
+    _assert_yuv_matches_reference(tie_colours.reshape(-1, 1, 3))
+    rng = np.random.default_rng(2)
+    _assert_yuv_matches_reference(rng.permutation(tie_colours).reshape(1, -1, 3))
+
+
+def test_rgb_to_yuv_lone_ties(tie_colours):
+    """One tie among non-tie pixels is rounded as in the product of the raster."""
+    rng = np.random.default_rng(3)
+    base = np.full((2, 3, 3), 7, np.uint8)  # (7, 7, 7) is no tie
+    assert not _tie_mask(base).any()
+    for colour in tie_colours[rng.choice(len(tie_colours), 400, replace=False)]:
+        img = base.copy()
+        img[rng.integers(2), rng.integers(3)] = colour
+        _assert_yuv_matches_reference(img)
+        _assert_yuv_matches_reference(np.stack([colour, base[0, 0]]).reshape(1, 2, 3))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 64, 127, 128, 129, 200, 253, 254, 255])
+def test_rgb_to_yuv_whole_r_planes(r):
+    _assert_yuv_matches_reference(_r_plane(r))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 2), (2, 1), (3, 5), (17, 1), (64, 512), (240, 320), (181, 199)]
+)
+def test_rgb_to_yuv_random_rasters(shape, tie_colours):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    rgb = rng.integers(0, 256, size=(*shape, 3)).astype(np.uint8)
+    _assert_yuv_matches_reference(rgb)
+    # ties scattered through the raster, and on both sides of every pass boundary
+    flat = rgb.reshape(-1, 3)
+    n = len(flat)
+    spots = rng.choice(n, size=min(n, 40), replace=False)
+    chunk = iio._YUV_CHUNK
+    edges = [i for k in range(chunk, n, chunk) for i in (k - 1, k)]
+    spots = np.union1d(spots, edges).astype(int)
+    flat[spots] = tie_colours[rng.choice(len(tie_colours), len(spots))]
+    _assert_yuv_matches_reference(rgb)
+
+
+def test_rgb_to_yuv_synthgen_frames():
+    frames, _, _ = sg.generate_scenario(sg.Scenario("carry_box", frames=70, seed=3))
+    for f in frames[::7]:
+        assert _tie_mask(f.rgb).any()
+        _assert_yuv_matches_reference(f.rgb)
+        assert np.array_equal(f.yuv, _reference_rgb_to_yuv_image(f.rgb))
 
 
 def test_load_sequence_empty_dir(tmp_path):

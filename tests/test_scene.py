@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from hbpt import scene as sm
+from hbpt import synthgen as sg
 from hbpt.scene import ForegroundMask
 
 from conftest import flat_frame, frame_from_rgb
@@ -192,3 +195,116 @@ def test_scene_load_rejects_bad_magic(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"NOTSCENE" + b"\0" * 16)
     with pytest.raises(ValueError, match="scene model"):
         sm.load_scene(tmp_path / "x.bin")
+
+
+# ---------------------------------------------------------------------------
+# detect_foreground and the in-place update_scene against the float64
+# full-frame code they replace
+
+def _reference_detect_foreground(model, frame, tau):
+    d = frame.yuv.astype(np.float64) - model.mean
+    dist2 = np.sum(d * d / model.var, axis=2)
+    return dist2 > tau * tau
+
+
+def _reference_update_scene(model, frame, bits, alpha):
+    """(mean, var, frames_seen) after the update; ``model`` is not touched."""
+    vis = ~bits
+    if not vis.any():
+        return model.mean.copy(), model.var.copy(), model.frames_seen
+    x = frame.yuv.astype(np.float64)
+    new_mean = (1.0 - alpha) * model.mean + alpha * x
+    d = x - new_mean
+    new_var = np.maximum((1.0 - alpha) * model.var + alpha * d * d, model.var_floor)
+    keep = vis[:, :, None]
+    return (
+        np.where(keep, new_mean, model.mean),
+        np.where(keep, new_var, model.var),
+        model.frames_seen + 1,
+    )
+
+
+def _update_masks(rng, detected):
+    h, w = detected.shape
+    yield np.zeros((h, w), bool)
+    yield np.ones((h, w), bool)
+    yield detected
+    yield rng.random((h, w)) < 0.3
+    border = np.ones((h, w), bool)
+    border[1:-1, 1:-1] = False
+    yield border
+    corner = np.zeros((h, w), bool)
+    corner[h - h // 3 :, : w // 3 + 1] = True
+    yield corner
+    one = np.zeros((h, w), bool)
+    one[h - 1, w - 1] = True
+    yield one
+    yield ~one  # only the last pixel is visible
+
+
+def _assert_scene_passes_match(model, frames, alpha, tau, seed=0):
+    rng = np.random.default_rng(seed)
+    for frame in frames:
+        bits = sm.detect_foreground(model, frame, tau).bits
+        assert np.array_equal(bits, _reference_detect_foreground(model, frame, tau))
+        for mask in _update_masks(rng, bits):
+            trial = copy.deepcopy(model)
+            mean, var, seen = _reference_update_scene(trial, frame, mask, alpha)
+            before_mean, before_var = trial.mean.copy(), trial.var.copy()
+            fg = ForegroundMask(frame.width, frame.height, mask)
+            assert sm.update_scene(trial, frame, fg, alpha) is trial
+            assert trial.mean.tobytes() == mean.tobytes()
+            assert trial.var.tobytes() == var.tobytes()
+            assert trial.frames_seen == seen
+            assert trial.mean[mask].tobytes() == before_mean[mask].tobytes()
+            assert trial.var[mask].tobytes() == before_var[mask].tobytes()
+        sm.update_scene(model, frame, ForegroundMask(frame.width, frame.height, bits), alpha)
+
+
+def test_detect_foreground_sums_channels_in_np_sum_order():
+    """Distances within a few ulps of tau^2, where the order of the channel
+    sum decides the flag."""
+    rng = np.random.default_rng(8)
+    h, w, tau = 120, 160, 4.0
+    frame = frame_from_rgb(np.zeros((h, w, 3), np.uint8))
+    frame.yuv = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+    mean = frame.yuv + rng.uniform(-40.0, 40.0, size=(h, w, 3))
+    d = frame.yuv - mean
+    scale = (d * d).sum(axis=2) / (tau * tau)
+    scale *= 1.0 + rng.integers(-4, 5, size=(h, w)) * np.finfo(float).eps
+    var = np.repeat(scale[:, :, None], 3, axis=2)
+    model = sm.SceneModel(mean=mean, var=var, frames_seen=2, var_floor=1e-9)
+    q = d * d / var
+    left = (q[:, :, 0] + q[:, :, 1]) + q[:, :, 2] > tau * tau
+    right = q[:, :, 0] + (q[:, :, 1] + q[:, :, 2]) > tau * tau
+    assert (left != right).sum() > 100  # the case is sensitive to the order
+    bits = sm.detect_foreground(model, frame, tau).bits
+    assert np.array_equal(bits, _reference_detect_foreground(model, frame, tau))
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (1, 1), (1, 7), (5, 1), (33, 17)])
+def test_scene_passes_match_reference_on_random_frames(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    h, w = shape
+    frames = _random_frames(rng, 12, w=w, h=h)
+    model = sm.learn_scene(frames[:4], var_floor=4.0)
+    _assert_scene_passes_match(model, frames[4:], alpha=0.05, tau=4.0)
+    # a tiny floor gives huge distances; a large alpha and tau move the cut
+    model = sm.learn_scene(frames[:4], var_floor=1e-3)
+    _assert_scene_passes_match(model, frames[4:], alpha=0.7, tau=40.0, seed=1)
+
+
+@pytest.mark.parametrize("name", ["walker", "carry_box"])
+def test_scene_passes_match_reference_on_synthgen(name):
+    frames, _, _ = sg.generate_scenario(sg.Scenario(name, frames=80, seed=5))
+    model = sm.learn_scene(frames[:30])
+    _assert_scene_passes_match(model, frames[30:80:5], alpha=0.05, tau=4.0)
+
+
+def test_scene_model_arrays_are_contiguous_float64():
+    mean = np.zeros((4, 5, 3), np.float32)[:, ::-1]
+    model = sm.SceneModel(mean=mean, var=np.ones((4, 5, 3)), frames_seen=2, var_floor=1.0)
+    assert model.mean.flags.c_contiguous and model.mean.dtype == np.float64
+    frame = flat_frame((10, 20, 30), width=5, height=4)
+    sm.update_scene(model, frame, ForegroundMask(5, 4, np.zeros((4, 5), bool)), alpha=0.5)
+    assert (model.mean[..., 0] == 0.5 * frame.yuv[0, 0, 0]).all()

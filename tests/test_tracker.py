@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,95 @@ def test_torso_disc_horizontally_inside_bbox():
         disc = tr.torso_from_person(person)
         assert disc.center[0] - disc.radius >= x - w / 2
         assert disc.center[0] + disc.radius <= x + 1.5 * w
+
+
+# ---------------------------------------------------------------------------
+# the uint8 bin plane and the gathered backprojection against the int64 plane
+# and np.where they replace
+
+def _reference_uv_bin_plane(frame):
+    u = frame.yuv[:, :, 1] >> 6
+    v = frame.yuv[:, :, 2] >> 6
+    return (u.astype(np.intp) << 2) | v.astype(np.intp)
+
+
+def test_uv_bin_plane_is_uint8_and_matches_int64_reference():
+    # every (U, V) pair once, then random frames
+    u, v = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    yuv = np.stack([np.zeros_like(u), u, v], axis=-1).astype(np.uint8)
+    frame = frame_from_rgb(np.zeros((256, 256, 3), np.uint8))
+    frame.yuv = yuv
+    rng = np.random.default_rng(5)
+    frames = [frame] + [
+        frame_from_rgb(rng.integers(0, 256, size=shape).astype(np.uint8))
+        for shape in ((1, 1, 3), (7, 3, 3), (240, 320, 3))
+    ]
+    for f in frames:
+        plane = tr.uv_bin_plane(f)
+        assert plane.dtype == np.uint8
+        assert np.array_equal(plane, _reference_uv_bin_plane(f))
+    assert set(np.unique(tr.uv_bin_plane(frame))) == set(range(16))
+
+
+def _walker_steps(frames=60):
+    """(prev, particles, frame, fg, comps) for each tracked walker frame."""
+    frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=frames, seed=4))
+    model = sm.learn_scene(frames[:30])
+    person = particles = None
+    for f in frames[30:]:
+        refined = mo.refine_mask(sm.detect_foreground(model, f).bits, 300)
+        comps = mo.connected_components(refined)
+        fg = ForegroundMask(f.width, f.height, refined)
+        if person is None:
+            person = tr.detect_person(comps, f, 700)
+            if person is not None:
+                particles = tr.init_particles(person, 40, seed=9)
+            continue
+        yield person, copy.deepcopy(particles), f, fg, comps
+        person, particles = tr.mspf_track(person, particles, f, fg, components=comps)
+
+
+def test_particle_weights_match_int64_plane():
+    rng = np.random.default_rng(6)
+    steps = 0
+    for prev, particles, frame, _, _ in _walker_steps(45):
+        states = particles.states + rng.normal(0.0, 8.0, particles.states.shape)
+        states[:, 2] = np.clip(states[:, 2], 0.2, 3.0)
+        states[::7, 0] = -40.0  # windows clipped at the frame border
+        sqrt_ref = np.sqrt(prev.ref_hist)
+        got = tr._particle_weights(tr.uv_bin_plane(frame), states, particles.ref_size, sqrt_ref)
+        want = tr._particle_weights(
+            _reference_uv_bin_plane(frame), states, particles.ref_size, sqrt_ref
+        )
+        assert got.tobytes() == want.tobytes()
+        steps += 1
+    assert steps >= 10
+
+
+def test_mspf_track_matches_int64_where_reference(monkeypatch):
+    """Backprojection, blob and particles equal those of the int64 plane and
+    the full-frame np.where."""
+    seen = []
+    mean_shift = tr.mean_shift
+
+    def spy(weights, window, *args, **kwargs):
+        seen.append(weights)
+        return mean_shift(weights, window, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "mean_shift", spy)
+    compared = 0
+    for prev, particles, frame, fg, comps in _walker_steps():
+        twin = copy.deepcopy(particles)
+        seen.clear()
+        out, parts = tr.mspf_track(prev, particles, frame, fg, components=comps)
+        (wimg,) = seen
+        want = np.where(fg.bits, prev.ref_hist[_reference_uv_bin_plane(frame)], 0.0)
+        assert wimg.dtype == np.float64 and wimg.tobytes() == want.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(tr, "uv_bin_plane", _reference_uv_bin_plane)
+            ref_out, ref_parts = tr.mspf_track(prev, twin, frame, fg, components=comps)
+        for key in ("bbox", "centroid", "area", "confidence", "velocity"):
+            assert getattr(out, key) == getattr(ref_out, key)
+        assert parts.states.tobytes() == ref_parts.states.tobytes()
+        compared += 1
+    assert compared >= 20
