@@ -1,6 +1,6 @@
 """Silhouette-contour baseline: centroid/major-axis geometry, projection
-histograms, convex/concave boundary vertices, curvature corners, and
-centroid-distance part labeling."""
+histograms, convex/concave boundary vertices, and centroid-distance part
+labeling."""
 
 import math
 from dataclasses import dataclass
@@ -157,39 +157,6 @@ def hull_vertices(contour, d_min=DEFAULT_DEFECT_DEPTH):
         if best is not None:
             concave.append(best)
     return VertexSet(convex=list(hull), concave=concave)
-
-
-def find_corners(contour, k=7, angle_max_deg=140.0):
-    """Fast k-cosine corner candidates on a closed chain.
-
-    A point is a corner when the angle between its +/-k arm vectors is at
-    most ``angle_max_deg``; non-maximum suppression keeps the sharpest point
-    within each k-neighborhood.
-    """
-    pts = contour.points if hasattr(contour, "points") else list(contour)
-    n = len(pts)
-    if n < 2 * k + 1:
-        return []
-    angles = np.full(n, np.inf)
-    for i in range(n):
-        p = pts[i]
-        a = pts[(i - k) % n]
-        b = pts[(i + k) % n]
-        v1 = (a[0] - p[0], a[1] - p[1])
-        v2 = (b[0] - p[0], b[1] - p[1])
-        n1, n2 = math.hypot(*v1), math.hypot(*v2)
-        if n1 == 0 or n2 == 0:
-            continue
-        c = max(-1.0, min(1.0, (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)))
-        angles[i] = math.degrees(math.acos(c))
-    corners = []
-    for i in range(n):
-        if angles[i] > angle_max_deg:
-            continue
-        window = [angles[(i + d) % n] for d in range(-k, k + 1)]
-        if angles[i] <= min(window):
-            corners.append(pts[i])
-    return corners
 
 
 def label_parts_by_distance(vertices, centroid, mask):

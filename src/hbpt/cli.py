@@ -3,6 +3,10 @@
 ``track`` wires the full pipeline: scene learning, foreground detection and
 refinement, person tracking, torso-relative part modeling, scene adaptation
 and activity recognition, writing blobs.jsonl, events.json and metrics.json.
+``baseline`` is the same run with the contour-vertex labeler switched on.
+Frames and depth rasters are decoded one at a time as the loop reaches them,
+apart from the scene-learning frames, which are decoded first and then fed
+to the loop.
 """
 
 import argparse
@@ -10,7 +14,7 @@ import json
 import math
 import sys
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +32,19 @@ from .config import PipelineConfig, check_box, check_ranges, load_config
 from .scene import ForegroundMask
 
 
-def _load_depths(directory, n_frames):
+def _depth_paths(directory, n_frames):
+    """The depth rasters paired with ``n_frames`` frames, or [] when there are none."""
     paths = sorted(Path(directory).glob("depth_*.pgm"), key=iio.frame_sort_key)
-    if not paths:
-        return None
-    depths = [iio.load_depth_raster(p) for p in paths]
-    if len(depths) != n_frames:
-        raise ValueError(
-            f"{len(depths)} depth rasters for {n_frames} frames in {directory}"
-        )
-    return depths
+    if paths and len(paths) != n_frames:
+        raise ValueError(f"{len(paths)} depth rasters for {n_frames} frames in {directory}")
+    return paths
+
+
+def _learn_set(paths, count):
+    """Decode the first ``count`` frames; all must share the first one's size."""
+    first = iio.read_frame(paths[0], 0)
+    size = (first.width, first.height)
+    return [first] + [iio.read_frame(paths[i], i, size) for i in range(1, count)]
 
 
 def _overlays_for_frame(person, disc, model, monitor):
@@ -98,20 +105,28 @@ def run_pipeline(cfg):
         return out
 
     t0 = time.perf_counter()
-    frames = timed("load", iio.load_frame_sequence, cfg.input, cfg.pattern)
-    n = len(frames)
-    check_box(cfg, frames[0].width, frames[0].height, n)
-    depths = timed("load", _load_depths, cfg.input, n) if cfg.use_depth else None
-    frame_area = frames[0].width * frames[0].height
+    paths = timed("load", iio.frame_paths, cfg.input, cfg.pattern)
+    n = len(paths)
+    depth_paths = timed("load", _depth_paths, cfg.input, n) if cfg.use_depth else []
+    # with a scene file only the first frame is read ahead, for its size
+    head = deque(
+        timed("load", _learn_set, paths, 1 if cfg.scene_file else min(cfg.learn_frames, n))
+    )
+    size = (head[0].width, head[0].height)
+    check_box(cfg, *size, n)
+    frame_area = size[0] * size[1]
     refine_min_area = max(1, int(round(cfg.mask_min_area_frac * frame_area)))
     person_min_area = max(1, int(round(cfg.person_min_area_frac * frame_area)))
 
     if cfg.scene_file:
         model = sm.load_scene(cfg.scene_file)
+        if (model.width, model.height) != size:
+            raise ValueError(
+                f"{cfg.scene_file}: scene is {model.width}x{model.height}, "
+                f"frames are {size[0]}x{size[1]}"
+            )
     else:
-        model = timed(
-            "learn", sm.learn_scene, frames[: min(cfg.learn_frames, n)], cfg.var_floor
-        )
+        model = timed("learn", sm.learn_scene, head, cfg.var_floor)
 
     monitor = act.ActivityMonitor(cfg)
 
@@ -122,8 +137,10 @@ def run_pipeline(cfg):
     records = []
     baseline_records = []
 
-    for fi, frame in enumerate(frames):
-        depth = depths[fi] if depths is not None else None
+    for fi in range(n):
+        # the read-ahead frames go first; each is dropped once stepped
+        frame = head.popleft() if head else timed("load", iio.read_frame, paths[fi], fi, size)
+        depth = timed("load", iio.load_depth_raster, depth_paths[fi]) if depth_paths else None
         fg = timed("foreground", sm.detect_foreground, model, frame, cfg.tau)
         refined = timed(
             "refine", mo.refine_mask, fg.bits, refine_min_area, se, cfg.mask_iterations
@@ -244,35 +261,6 @@ def run_pipeline(cfg):
     with open(outdir / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=1)
     return outdir
-
-
-# ---------------------------------------------------------------------------
-# baseline labeler
-
-def run_baseline(cfg):
-    check_ranges(cfg)
-    outdir = Path(cfg.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    frames = iio.load_frame_sequence(cfg.input, cfg.pattern)
-    frame_area = frames[0].width * frames[0].height
-    refine_min_area = max(1, int(round(cfg.mask_min_area_frac * frame_area)))
-    se = (cfg.mask_se, cfg.mask_se)
-    model = sm.learn_scene(frames[: min(cfg.learn_frames, len(frames))], cfg.var_floor)
-    out_path = outdir / "baseline.jsonl"
-    with open(out_path, "w") as fh:
-        for fi, frame in enumerate(frames):
-            fg = sm.detect_foreground(model, frame, cfg.tau)
-            refined = mo.refine_mask(fg.bits, refine_min_area, se, cfg.mask_iterations)
-            entry = {"frame": fi, "labels": None}
-            comps = mo.connected_components(refined)
-            if comps.count:
-                largest = max(range(comps.count), key=lambda i: comps.stats[i].area)
-                entry["labels"] = _label_silhouette(
-                    comps.labels == largest + 1, comps.stats[largest].bbox
-                )
-            fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            sm.update_scene(model, frame, fg, cfg.alpha)
-    return out_path
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +438,9 @@ def main(argv=None):
         elif args.command == "learn":
             cfg = _build_config(args)
             check_ranges(cfg)
-            frames = iio.load_frame_sequence(cfg.input, cfg.pattern)
+            paths = iio.frame_paths(cfg.input, cfg.pattern)
             model = sm.learn_scene(
-                frames[: min(cfg.learn_frames, len(frames))], cfg.var_floor
+                _learn_set(paths, min(cfg.learn_frames, len(paths))), cfg.var_floor
             )
             out = Path(cfg.output or ".")
             out.mkdir(parents=True, exist_ok=True)
@@ -468,8 +456,9 @@ def main(argv=None):
             )
         elif args.command == "baseline":
             cfg = _build_config(args)
-            out_path = run_baseline(cfg)
-            print(f"baseline labels -> {out_path}")
+            cfg.baseline_mode = True
+            outdir = run_pipeline(cfg)
+            print(f"baseline labels -> {outdir / 'baseline.jsonl'}")
         elif args.command == "eval":
             cfg = _build_config(args)
             summary = evaluate(cfg.output, args.truth)

@@ -1,14 +1,15 @@
-"""Frame sequence and depth raster I/O, color conversion, overlay rendering.
+"""Frame and depth raster I/O, color conversion, overlay rendering.
 
 Frames are stored as YUV pixel rasters; the original RGB plane is kept
 alongside so that unannotated writes are byte-preserving. Depth rasters are
-16-bit PGM files holding millimeters, 0 = invalid.
+16-bit PGM files holding millimeters, 0 = invalid. A sequence is listed up
+front (``frame_paths``) and decoded one frame at a time (``read_frame``).
 """
 
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,7 @@ DEPTH_MAX_MM = 10000
 PALETTE = {
     "ellipse": (0, 255, 0),
     "rectangle": (255, 220, 0),
-    "polyline": (0, 200, 255),
-    "text": (255, 255, 255),
+    "text": (255, 255, 255),  # labels
 }
 
 
@@ -32,8 +32,8 @@ class Frame:
     width: int
     height: int
     yuv: np.ndarray  # (h, w, 3) uint8
+    rgb: np.ndarray  # (h, w, 3) uint8, kept for byte-preserving writes
     source_path: str = ""
-    rgb: np.ndarray | None = None  # kept for byte-preserving writes
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -57,9 +57,9 @@ class DepthRaster:
 
 @dataclass
 class OverlayItem:
-    """Drawable annotation: ellipse, rectangle, polyline or text."""
+    """Drawable annotation: an ellipse or rectangle, with an optional label."""
 
-    kind: str  # ellipse | rectangle | polyline | text
+    kind: str  # ellipse | rectangle
     geometry: tuple
     label: str = ""
     color: tuple | None = None  # overrides the palette when set
@@ -133,18 +133,6 @@ def rgb_to_yuv_image(rgb):
             rows = ties if ties.size > 1 or n == 1 else np.repeat(ties, 2)
             dst[ties] = _float_yuv(px[rows])[: ties.size]
     return out.reshape(rgb.shape)
-
-
-def yuv_to_rgb_image(yuv):
-    """Inverse transform, rounded and clamped; round trips within +/-2."""
-    y = yuv[..., 0].astype(np.float64)
-    u = yuv[..., 1].astype(np.float64) - 128.0
-    v = yuv[..., 2].astype(np.float64) - 128.0
-    r = y + 1.402 * v
-    g = y - 0.344136 * u - 0.714136 * v
-    b = y + 1.772 * u
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +371,10 @@ def frame_sort_key(path):
     return (int(nums[-1]) if nums else 0, path.name)
 
 
-def load_frame_sequence(directory, pattern="frame_*.ppm"):
-    """Load all frames matching ``pattern``, ordered by numeric filename index.
+def frame_paths(directory, pattern="frame_*.ppm"):
+    """Paths of the frames matching ``pattern``, ordered by numeric filename index.
 
-    Accepts binary PPM and 8-bit PNG. Raises if nothing matches, a file fails
-    to decode, or dimensions differ between frames.
+    Raises if the directory is missing or nothing matches.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -395,33 +382,31 @@ def load_frame_sequence(directory, pattern="frame_*.ppm"):
     paths = sorted(directory.glob(pattern), key=frame_sort_key)
     if not paths:
         raise FileNotFoundError(f"no files match {pattern!r} in {directory}")
-    frames = []
-    for i, path in enumerate(paths):
-        try:
-            if path.suffix.lower() == ".png":
-                rgb = read_png(path)
-            else:
-                rgb = read_ppm(path)
-        except ValueError as exc:
-            # the readers' messages already start with the path
-            raise ValueError(f"cannot decode {exc}") from exc
-        h, w = rgb.shape[:2]
-        if frames and (w != frames[0].width or h != frames[0].height):
-            raise ValueError(
-                f"dimension mismatch in {path}: {w}x{h} vs "
-                f"{frames[0].width}x{frames[0].height}"
-            )
-        frames.append(
-            Frame(
-                index=i,
-                width=w,
-                height=h,
-                yuv=rgb_to_yuv_image(rgb),
-                source_path=str(path),
-                rgb=rgb,
-            )
-        )
-    return frames
+    return paths
+
+
+def read_frame(path, index, size=None):
+    """Decode one binary PPM or 8-bit PNG frame into a ``Frame``.
+
+    Raises ValueError naming the file when it fails to decode or, given the
+    sequence's ``size`` = (width, height), when its dimensions differ.
+    """
+    try:
+        rgb = read_png(path) if path.suffix.lower() == ".png" else read_ppm(path)
+    except ValueError as exc:
+        # the readers' messages already start with the path
+        raise ValueError(f"cannot decode {exc}") from exc
+    h, w = rgb.shape[:2]
+    if size is not None and (w, h) != tuple(size):
+        raise ValueError(f"dimension mismatch in {path}: {w}x{h} vs {size[0]}x{size[1]}")
+    return Frame(
+        index=index,
+        width=w,
+        height=h,
+        yuv=rgb_to_yuv_image(rgb),
+        rgb=rgb,
+        source_path=str(path),
+    )
 
 
 def load_depth_raster(path):
@@ -452,17 +437,6 @@ def draw_rectangle(img, rect, color):
     _put_pixels(img, xs, np.full_like(xs, y + h - 1), color)
     _put_pixels(img, np.full_like(ys, x), ys, color)
     _put_pixels(img, np.full_like(ys, x + w - 1), ys, color)
-
-
-def draw_polyline(img, points, color, closed=False):
-    pts = [(int(round(px)), int(round(py))) for px, py in points]
-    if closed and len(pts) > 1:
-        pts.append(pts[0])
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        n = max(abs(x1 - x0), abs(y1 - y0)) + 1
-        xs = np.rint(np.linspace(x0, x1, n)).astype(int)
-        ys = np.rint(np.linspace(y0, y1, n)).astype(int)
-        _put_pixels(img, xs, ys, color)
 
 
 def draw_ellipse(img, center, semi_axes, angle, color):
@@ -540,13 +514,9 @@ def render_overlays(rgb, overlays):
         elif item.kind == "ellipse":
             center, axes, angle = item.geometry
             draw_ellipse(out, center, axes, angle, color)
-        elif item.kind == "polyline":
-            draw_polyline(out, item.geometry, color)
-        elif item.kind == "text":
-            draw_text(out, item.geometry, item.label, color)
         else:
             raise ValueError(f"unknown overlay kind {item.kind!r}")
-        if item.label and item.kind in ("rectangle", "ellipse"):
+        if item.label:
             if item.kind == "rectangle":
                 lx, ly = item.geometry[0], item.geometry[1] - 7
             else:
@@ -560,5 +530,4 @@ def write_annotated_frame(frame, overlays, path):
 
     With no overlays the pixel payload is identical to the source raster.
     """
-    base = frame.rgb if frame.rgb is not None else yuv_to_rgb_image(frame.yuv)
-    write_ppm(path, render_overlays(base, overlays) if overlays else base)
+    write_ppm(path, render_overlays(frame.rgb, overlays) if overlays else frame.rgb)

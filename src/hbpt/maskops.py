@@ -1,9 +1,8 @@
 """Binary mask machinery: box morphology, connected components, outer
-contours, chain-code polygon compression, convex hulls, and the
-dilate/erode/dilate silhouette refinement step."""
+contours, convex hulls, and the dilate/erode/dilate silhouette refinement
+step."""
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -158,60 +157,6 @@ def extract_contours(mask, origin=(0, 0)):
     return contours
 
 
-def approximate_contour(contour):
-    """Collapse straight runs of the chain in the 8 directions to endpoints.
-
-    Re-rasterizing consecutive output points with unit steps reproduces the
-    original chain.
-    """
-    pts = contour.points if isinstance(contour, Contour) else list(contour)
-    n = len(pts)
-    if n <= 2:
-        return list(pts)
-    dirs = []
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        step = (x1 - x0, y1 - y0)
-        if step not in _DIR_CODE:
-            raise ValueError(f"chain step {step} is not 8-connected")
-        dirs.append(step)
-    pivot = 0  # rotate so the output starts at a direction change
-    for i in range(n):
-        if dirs[i - 1] != dirs[i]:
-            pivot = i
-            break
-    out = []
-    for k in range(n):
-        i = (pivot + k) % n
-        if dirs[i - 1] != dirs[i]:
-            out.append(pts[i])
-    if not out:  # 2-cycle chains degenerate to a single direction pair
-        out = [pts[0], pts[1]] if n > 1 else [pts[0]]
-    return out
-
-
-def rasterize_polyline(points, closed=True):
-    """Walk unit steps between consecutive points; inverse of approximation."""
-    pts = list(points)
-    if len(pts) == 1:
-        return list(pts)
-    pairs = list(zip(pts, pts[1:] + (pts[:1] if closed else [])))
-    chain = []
-    for (x0, y0), (x1, y1) in pairs:
-        dx, dy = x1 - x0, y1 - y0
-        steps = max(abs(dx), abs(dy))
-        if steps and (abs(dx) not in (0, steps) or abs(dy) not in (0, steps)):
-            raise ValueError("polyline segment is not axis-aligned or diagonal")
-        sx = (dx > 0) - (dx < 0)
-        sy = (dy > 0) - (dy < 0)
-        for s in range(steps):
-            chain.append((x0 + sx * s, y0 + sy * s))
-    if not closed:
-        chain.append(pts[-1])
-    return chain
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -242,20 +187,6 @@ def convex_hull(points):
         hull = [pts[0], pts[-1]]
     start = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
     return hull[start:] + hull[:start]
-
-
-def hull_contains(hull, p):
-    """True when p is inside or on the hull boundary."""
-    if len(hull) == 1:
-        return tuple(p) == tuple(hull[0])
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, p) != 0:
-            return False
-        return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(
-            a[1], b[1]
-        ) <= p[1] <= max(a[1], b[1])
-    return all(_cross(a, b, p) >= 0 for a, b in zip(hull, hull[1:] + hull[:1]))
 
 
 def fill_holes(mask):
@@ -295,37 +226,3 @@ def refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
         if int(sub.sum()) >= min_area:
             out[y : y + h, x : x + w] |= sub
     return out
-
-
-def save_mask_pbm(path, mask):
-    """Write a bool mask as binary PBM (P4); 1 bits are foreground."""
-    h, w = mask.shape
-    packed = np.packbits(mask.astype(np.uint8), axis=1)
-    with open(path, "wb") as f:
-        f.write(b"P4\n%d %d\n" % (w, h))
-        f.write(packed.tobytes())
-
-
-def load_mask_pbm(path):
-    data = Path(path).read_bytes()
-    if data[:2] != b"P4":
-        raise ValueError(f"{path}: not a binary PBM file")
-    pos = 2
-    fields = []
-    while len(fields) < 2:
-        while data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1
-    w, h = fields
-    row_bytes = (w + 7) // 8
-    raw = np.frombuffer(data, dtype=np.uint8, count=h * row_bytes, offset=pos)
-    bits = np.unpackbits(raw.reshape(h, row_bytes), axis=1)[:, :w]
-    return bits.astype(bool)

@@ -3,6 +3,7 @@ and exponential adaptation of pixels not covered by the person."""
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -130,17 +131,24 @@ def save_scene(model, path):
 
 
 def load_scene(path):
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a scene model file")
-        w, h, frames_seen, var_floor = struct.unpack("<iiif", f.read(16))
-        n = w * h * 3
-        mean = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(h, w, 3)
-        var = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(h, w, 3)
+    """Read a ``save_scene`` file; raises ValueError naming the path if it is
+    not one or is cut short."""
+    data = Path(path).read_bytes()
+    if data[:8] != _MAGIC[: len(data)]:  # a cut-off magic is a short file
+        raise ValueError(f"{path}: not a scene model file")
+    if len(data) < 24:
+        raise ValueError(f"{path}: truncated scene file")
+    w, h, frames_seen, var_floor = struct.unpack_from("<iiif", data, 8)
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{path}: bad scene dimensions {w}x{h}")
+    n = w * h * 3
+    if len(data) < 24 + 8 * n:
+        raise ValueError(f"{path}: truncated scene file")
+    mean = np.frombuffer(data, dtype="<f4", count=n, offset=24)
+    var = np.frombuffer(data, dtype="<f4", count=n, offset=24 + 4 * n)
     return SceneModel(
-        mean=mean.astype(np.float64),
-        var=var.astype(np.float64),
+        mean=mean.reshape(h, w, 3).astype(np.float64),
+        var=var.reshape(h, w, 3).astype(np.float64),
         frames_seen=frames_seen,
         var_floor=var_floor,
     )

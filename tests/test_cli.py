@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hbpt import bodyparts as bp
 from hbpt import cli
 from hbpt import imageio as iio
 from hbpt import maskops as mo
+from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt.config import PipelineConfig, load_config, parse_config_text
 
@@ -160,11 +162,16 @@ def test_track_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_learn_then_track_with_saved_scene(tmp_path, capsys):
+def test_learn_then_track_with_saved_scene(tmp_path, capsys, monkeypatch):
     indir = tmp_path / "seq"
     sg.write_scenario(sg.Scenario("walker", frames=40, seed=5), indir)
+    decoded = []
+    read_ppm = iio.read_ppm
+    monkeypatch.setattr(iio, "read_ppm", lambda path: decoded.append(path) or read_ppm(path))
     rc = cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)])
     assert rc == 0
+    assert len(decoded) == 30  # learn.frames, not the whole sequence
+    monkeypatch.undo()
     scene_file = tmp_path / "scene.bin"
     assert scene_file.exists()
     cfg = PipelineConfig(
@@ -196,6 +203,10 @@ def test_baseline_subcommand(tmp_path, capsys):
     for e in labeled:
         assert e["labels"]["torso"] is not None
         assert e["labels"]["head"] is not None
+    # the same run as track, so its other outputs are written too
+    assert len(read_jsonl(tmp_path / "out" / "blobs.jsonl")) == 40
+    assert (tmp_path / "out" / "events.json").exists()
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["frames"] == 40
 
 
 def test_baseline_mode_flag_emits_labels_during_track(tmp_path):
@@ -226,7 +237,7 @@ def test_record_shape(tmp_path):
 def test_depth_rasters_follow_numeric_frame_order(tmp_path):
     for i in (10, 2, 1):
         iio.write_pgm16(tmp_path / f"depth_{i}.pgm", np.full((3, 4), 1000 + i, np.int32))
-    depths = cli._load_depths(tmp_path, 3)
+    depths = [iio.load_depth_raster(p) for p in cli._depth_paths(tmp_path, 3)]
     assert [int(d.z[0, 0]) for d in depths] == [1001, 1002, 1010]
 
 
@@ -241,10 +252,13 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         return real(mask, min_area, se, iterations)
 
     monkeypatch.setattr(mo, "refine_mask", spy)
-    cfg = PipelineConfig(
-        input=str(indir), output=str(tmp_path / "out"), mask_se=5, mask_iterations=2
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("mask.se = 5\nmask.iterations = 2\n")
+    rc = cli.main(
+        ["baseline", "--input", str(indir), "--output", str(tmp_path / "out"),
+         "--config", str(cfg_path)]
     )
-    cli.run_baseline(cfg)
+    assert rc == 0
     assert len(calls) == 32
     assert set(calls) == {((5, 5), 2)}
 
@@ -379,6 +393,87 @@ def test_track_person_free_sequence(tmp_path, scenario_dir):
     assert json.loads((tmp_path / "out" / "events.json").read_text()) == []
 
 
+@pytest.mark.parametrize("fault", ["corrupt", "dimensions"])
+def test_track_fails_on_bad_frame_after_learn_set(tmp_path, capsys, scenario_dir, fault):
+    """A bad frame past the read-ahead learning frames stops the run mid-loop."""
+    src, _ = scenario_dir("walker", frames=32, seed=12)
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    bad = indir / "frame_000031.ppm"
+    if fault == "corrupt":
+        bad.write_bytes(bad.read_bytes()[:-7])
+        message = f"cannot decode {bad}: truncated PPM payload"
+    else:
+        iio.write_ppm(bad, np.zeros((4, 4, 3), np.uint8))
+        message = f"dimension mismatch in {bad}: 4x4 vs 320x240"
+    out = tmp_path / "out"
+    assert _track(indir, out, "--overlays") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(list(out.glob("out_*.ppm"))) == 31  # frames 0-30 were stepped
+    assert not (out / "blobs.jsonl").exists()
+
+
+def _track_with_scene(tmp_path, indir, scene_file):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(f'scene.file = "{scene_file}"\n')
+    return _track(indir, tmp_path / "out", "--config", str(cfg))
+
+
+def test_track_rejects_truncated_scene_file(tmp_path, capsys, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    assert cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)]) == 0
+    scene_file = tmp_path / "scene.bin"
+    for keep in (20, len(scene_file.read_bytes()) - 1):
+        scene_file.write_bytes(scene_file.read_bytes()[:keep])
+        assert _track_with_scene(tmp_path, indir, scene_file) == 1
+        assert capsys.readouterr().err == f"error: {scene_file}: truncated scene file\n"
+        assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
+def test_track_rejects_scene_of_other_size(tmp_path, capsys, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    scene_file = tmp_path / "scene.bin"
+    model = sm.SceneModel(np.zeros((120, 160, 3)), np.ones((120, 160, 3)), 30, 4.0)
+    sm.save_scene(model, scene_file)
+    assert _track_with_scene(tmp_path, indir, scene_file) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {scene_file}: scene is 160x120, frames are 320x240\n"
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# streaming: every file decoded once, memory independent of sequence length
+
+def test_each_frame_and_depth_raster_is_decoded_once(tmp_path, monkeypatch, scenario_dir):
+    indir, truth = scenario_dir("carry_box", frames=40, seed=3)
+    calls = dict.fromkeys(("read_ppm", "rgb_to_yuv_image", "load_depth_raster"), 0)
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(iio, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(iio, name, spy)
+    cfg = PipelineConfig(
+        input=str(indir), output=str(tmp_path / "out"), box_rect=truth["box"]["rect"],
+        box_ref_frame=truth["box"]["ref_frame"],
+    )
+    cli.run_pipeline(cfg)
+    assert calls == {"read_ppm": 40, "rgb_to_yuv_image": 40, "load_depth_raster": 40}
+
+
+def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
+    peaks = []
+    for frames in (40, 120):
+        indir, _ = scenario_dir("background", frames=frames, seed=2)
+        tracemalloc.start()
+        try:
+            cli.run_pipeline(PipelineConfig(input=str(indir), output=str(tmp_path / f"{frames}")))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
+
+
 # ---------------------------------------------------------------------------
 # metrics.json stage accounting
 
@@ -480,8 +575,9 @@ def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, sc
     def run(tag):
         cfg = PipelineConfig(input=str(indir), output=str(tmp_path / tag), baseline_mode=True)
         cli.run_pipeline(cfg)
-        cfg.output = str(tmp_path / tag / "base")
-        cli.run_baseline(cfg)
+        assert cli.main(
+            ["baseline", "--input", str(indir), "--output", str(tmp_path / tag / "base")]
+        ) == 0
         return [
             (tmp_path / tag / name).read_bytes()
             for name in ("blobs.jsonl", "events.json", "baseline.jsonl", "base/baseline.jsonl")

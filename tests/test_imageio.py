@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from hbpt import cli
 from hbpt import imageio as iio
 from hbpt import synthgen as sg
 
@@ -57,14 +58,6 @@ def test_rgb_to_yuv_black_and_white():
     for rgb, yuv in (((0, 0, 0), (0, 128, 128)), ((255, 255, 255), (255, 128, 128))):
         img = np.array([[rgb]], dtype=np.uint8)
         assert tuple(iio.rgb_to_yuv_image(img)[0, 0]) == yuv
-
-
-def test_rgb_yuv_round_trip_within_2():
-    rng = np.random.default_rng(0)
-    rgb = rng.integers(0, 256, size=(1000, 1, 3)).astype(np.uint8)
-    back = iio.yuv_to_rgb_image(iio.rgb_to_yuv_image(rgb))
-    err = np.abs(back.astype(int) - rgb.astype(int))
-    assert err.max() <= 2
 
 
 def test_scalar_matches_vectorized():
@@ -125,16 +118,22 @@ def test_rgb_to_yuv_synthgen_frames():
         assert np.array_equal(f.yuv, _reference_rgb_to_yuv_image(f.rgb))
 
 
+def _read_sequence(directory, pattern="frame_*.ppm"):
+    """Every frame of a directory, as the scene-learning reader decodes them."""
+    paths = iio.frame_paths(directory, pattern)
+    return cli._learn_set(paths, len(paths))
+
+
 def test_load_sequence_empty_dir(tmp_path):
     with pytest.raises(FileNotFoundError, match="no files match"):
-        iio.load_frame_sequence(tmp_path, "frame_*.ppm")
+        iio.frame_paths(tmp_path, "frame_*.ppm")
 
 
 def test_load_sequence_identical_frames(tmp_path):
     rgb = np.full((24, 32, 3), 77, np.uint8)
     for i in range(30):
         iio.write_ppm(tmp_path / f"frame_{i:06d}.ppm", rgb)
-    frames = iio.load_frame_sequence(tmp_path)
+    frames = _read_sequence(tmp_path)
     assert len(frames) == 30
     assert [f.index for f in frames] == list(range(30))
     assert all(f.width == 32 and f.height == 24 for f in frames)
@@ -143,28 +142,28 @@ def test_load_sequence_identical_frames(tmp_path):
 def test_load_sequence_numeric_ordering(tmp_path):
     for i in (10, 2, 1):
         iio.write_ppm(tmp_path / f"frame_{i}.ppm", np.full((4, 4, 3), i, np.uint8))
-    frames = iio.load_frame_sequence(tmp_path)
+    frames = _read_sequence(tmp_path)
     assert [f.rgb[0, 0, 0] for f in frames] == [1, 2, 10]
 
 
 def test_load_sequence_decode_failure_names_file(tmp_path):
     (tmp_path / "frame_000000.ppm").write_bytes(b"not a ppm")
     with pytest.raises(ValueError, match="frame_000000.ppm"):
-        iio.load_frame_sequence(tmp_path)
+        iio.read_frame(tmp_path / "frame_000000.ppm", 0)
 
 
 def test_load_sequence_dimension_mismatch_names_frame(tmp_path):
     iio.write_ppm(tmp_path / "frame_000000.ppm", np.zeros((4, 4, 3), np.uint8))
     iio.write_ppm(tmp_path / "frame_000001.ppm", np.zeros((4, 5, 3), np.uint8))
-    with pytest.raises(ValueError, match="frame_000001"):
-        iio.load_frame_sequence(tmp_path)
+    with pytest.raises(ValueError, match="frame_000001.ppm: 5x4 vs 4x4"):
+        _read_sequence(tmp_path)
 
 
 def test_reloaded_walker_frames_match_generator(tmp_path):
     sc = sg.Scenario("walker", frames=34)
     frames, _, _ = sg.generate_scenario(sc)
     sg.write_scenario(sc, tmp_path)
-    loaded = iio.load_frame_sequence(tmp_path)
+    loaded = _read_sequence(tmp_path)
     assert len(loaded) == 34
     for a, b in zip(frames, loaded):
         assert np.array_equal(a.yuv, b.yuv)
@@ -295,8 +294,8 @@ def test_png_round_trip(tmp_path, channels):
     shape = (9, 13) if channels == 1 else (9, 13, channels)
     px = rng.integers(0, 256, size=shape).astype(np.uint8)
     _write_png(tmp_path / "frame_000000.png", px)
-    frames = iio.load_frame_sequence(tmp_path, "frame_*.png")
-    assert np.array_equal(frames[0].rgb, _as_rgb(px))
+    frame = iio.read_frame(tmp_path / "frame_000000.png", 0)
+    assert np.array_equal(frame.rgb, _as_rgb(px))
 
 
 def _check_png_against_reference(path, px, filters):
@@ -387,12 +386,10 @@ def test_corrupt_png_raises_value_error(tmp_path, data, message):
     with pytest.raises(ValueError, match=message):
         iio.read_png(path)
     with pytest.raises(ValueError, match="cannot decode .*frame_000000.png"):
-        iio.load_frame_sequence(tmp_path, "frame_*.png")
+        iio.read_frame(path, 0)
 
 
 def test_truncated_png_frame_fails_track_cleanly(tmp_path, capsys):
-    from hbpt import cli
-
     indir = tmp_path / "in"
     indir.mkdir()
     data = _good_png()
@@ -428,7 +425,7 @@ def _pgm16_bytes(w=4, h=3):
 def test_decode_error_names_file_once(tmp_path, name, data, reason):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(ValueError) as info:
-        iio.load_frame_sequence(tmp_path, "frame_*" + name[-4:])
+        iio.read_frame(tmp_path / name, 0)
     message = str(info.value)
     assert message.startswith(f"cannot decode {tmp_path / name}: {reason}")
     assert message.count(name) == 1
@@ -485,8 +482,6 @@ def test_corrupt_pgm_raises_value_error(tmp_path, data, message):
     ids=["payload", "header"],
 )
 def test_truncated_ppm_frame_fails_track_cleanly(tmp_path, capsys, data, message):
-    from hbpt import cli
-
     indir = tmp_path / "in"
     indir.mkdir()
     (indir / "frame_000000.ppm").write_bytes(_ppm_bytes())
@@ -503,13 +498,11 @@ def test_truncated_ppm_frame_fails_track_cleanly(tmp_path, capsys, data, message
     ids=["payload", "header"],
 )
 def test_truncated_depth_pgm_is_rejected(tmp_path, data, message):
-    from hbpt import cli
-
     (tmp_path / "depth_000000.pgm").write_bytes(_pgm16_bytes())
     (tmp_path / "depth_000001.pgm").write_bytes(data)
     bad = tmp_path / "depth_000001.pgm"
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
-        cli._load_depths(tmp_path, 2)
+        [iio.load_depth_raster(p) for p in cli._depth_paths(tmp_path, 2)]
 
 
 def test_depth_raster_constant(tmp_path):
@@ -553,7 +546,7 @@ def test_write_unannotated_is_byte_preserving(tmp_path):
     rgb = rng.integers(0, 256, size=(20, 30, 3)).astype(np.uint8)
     src = tmp_path / "frame_000000.ppm"
     iio.write_ppm(src, rgb)
-    frame = iio.load_frame_sequence(tmp_path)[0]
+    frame = iio.read_frame(src, 0)
     out = tmp_path / "copy.ppm"
     iio.write_annotated_frame(frame, [], out)
     assert out.read_bytes() == src.read_bytes()

@@ -251,35 +251,6 @@ def test_contour_chains_closed_and_adjacent():
                 assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= 1
 
 
-def test_rectangle_approximates_to_4_points():
-    m = np.zeros((12, 16), bool)
-    m[3:9, 4:13] = True
-    c = mo.extract_contours(m)[0]
-    approx = mo.approximate_contour(c)
-    assert len(approx) == 4
-    assert set(approx) == {(4, 3), (12, 3), (12, 8), (4, 8)}
-
-
-def test_diagonal_staircase_approximates_to_2_points():
-    m = np.zeros((9, 9), bool)
-    for i in range(6):
-        m[1 + i, 1 + i] = True
-    c = mo.extract_contours(m)[0]
-    assert mo.approximate_contour(c) == [(1, 1), (6, 6)]
-
-
-def test_approximation_rerasterizes_to_chain():
-    rng = np.random.default_rng(6)
-    checked = 0
-    for _ in range(200):
-        m = rng.random((18, 18)) < rng.uniform(0.2, 0.6)
-        for c in mo.extract_contours(m):
-            approx = mo.approximate_contour(c)
-            assert set(mo.rasterize_polyline(approx)) == set(c.points)
-            checked += 1
-    assert checked >= 200
-
-
 # ---------------------------------------------------------------------------
 # convex hull
 
@@ -307,14 +278,6 @@ def test_hull_matches_extreme_edge_oracle():
         got = mo.convex_hull(pts)
         expect = extreme_edge_hull_oracle(pts)
         assert got == expect, (trial, pts)
-
-
-def test_hull_contains_all_inputs():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        pts = [tuple(p) for p in rng.integers(0, 40, size=(30, 2))]
-        hull = mo.convex_hull(pts)
-        assert all(mo.hull_contains(hull, p) for p in pts)
 
 
 def test_hull_starts_at_lowest_then_leftmost():
@@ -372,13 +335,3 @@ def test_refine_fills_holes_and_filters_small():
     refined = mo.refine_mask(m, min_area=50)
     assert refined[9, 9]
     assert not refined[23:29, 23:29].any()
-
-
-# ---------------------------------------------------------------------------
-# PBM serialization
-
-def test_pbm_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    m = rng.random((11, 19)) < 0.5
-    mo.save_mask_pbm(tmp_path / "m.pbm", m)
-    assert np.array_equal(mo.load_mask_pbm(tmp_path / "m.pbm"), m)

@@ -1,4 +1,5 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,13 @@ def test_scene_load_rejects_bad_magic(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"NOTSCENE" + b"\0" * 16)
     with pytest.raises(ValueError, match="scene model"):
         sm.load_scene(tmp_path / "x.bin")
+
+
+def test_scene_load_rejects_bad_dimensions(tmp_path):
+    path = tmp_path / "x.bin"
+    path.write_bytes(sm._MAGIC + struct.pack("<iiif", -4, 3, 30, 4.0) + b"\0" * 288)
+    with pytest.raises(ValueError, match=r"x.bin: bad scene dimensions -4x3$"):
+        sm.load_scene(path)
 
 
 # ---------------------------------------------------------------------------
