@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blobmodel import GaussianBlob, fit_blob
-from .maskops import connected_components, fill_holes
+from .maskops import connected_components, fill_holes, largest_component
 
 PART_LABELS = ("head", "torso", "armL", "armR", "leg1", "leg2", "leg3", "leg4")
 DEFAULT_MIN_PART_AREA = 15
@@ -96,9 +96,9 @@ def _largest_filled_component(mask, origin):
     ``mask`` is cropped to a box whose top-left pixel sits at ``origin``.
     """
     comps = connected_components(mask)
-    if comps.count == 0:
+    best = largest_component(comps)
+    if best is None:
         return None
-    best = max(range(comps.count), key=lambda i: comps.stats[i].area)
     x, y, w, h = comps.stats[best].bbox
     sub = fill_holes(comps.labels[y : y + h, x : x + w] == best + 1)
     sy, sx = np.nonzero(sub)

@@ -3,7 +3,8 @@
 ``track`` wires the full pipeline: scene learning, foreground detection and
 refinement, person tracking, torso-relative part modeling, scene adaptation
 and activity recognition, writing blobs.jsonl, events.json and metrics.json.
-``baseline`` is the same run with the contour-vertex labeler switched on.
+``baseline`` is the same run with the contour-vertex labeler switched on; it
+labels the same person component the part model uses.
 Frames and depth rasters are decoded one at a time as the loop reaches them,
 apart from the scene-learning frames, which are decoded first and then fed
 to the loop.
@@ -75,27 +76,14 @@ def _part_record(model):
     return {label: blob.to_dict() for label, blob in model.blobs.items()}
 
 
-def _label_silhouette(sil, bbox):
-    """Contour-vertex part labels for one silhouette mask, or None.
-
-    ``sil`` holds one 8-connected component; the labeler runs on its crop to
-    the component's bounding box ``bbox`` (x, y, w, h).
-    """
-    x, y, w, h = bbox
-    crop = sil[y : y + h, x : x + w]
-    centroid, _, _ = bl.silhouette_geometry(crop, (x, y))
-    contour = mo.extract_contours(crop, (x, y))[0]
-    if len(contour.points) < 3:
-        return None
-    vertices = bl.hull_vertices(contour)
-    return bl.label_parts_by_distance(vertices, centroid, crop).to_dict()
-
-
 def run_pipeline(cfg):
     """Run the full tracking pipeline; returns the path of the output dir."""
     check_ranges(cfg)
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
+    # a run that fails must not leave an earlier run's results looking like its own
+    for name in ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl"):
+        (outdir / name).unlink(missing_ok=True)
     stage_ms = defaultdict(float)
 
     def timed(stage, fn, *args, **kwargs):
@@ -147,10 +135,14 @@ def run_pipeline(cfg):
         )
         comps = timed("components", mo.connected_components, refined)
         refined_mask = ForegroundMask(frame.width, frame.height, refined)
+        # the person component: the largest one, or None on an empty mask
+        largest = mo.largest_component(comps)
+        component = None if largest is None else comps.stats[largest]
 
         t = time.perf_counter()
+        silhouette = None if component is None else comps.labels == largest + 1
         if person is None:
-            person = tr.detect_person(comps, frame, person_min_area)
+            person = tr.detect_person(component, silhouette, frame, person_min_area)
             if person is not None:
                 particles = tr.init_particles(person, cfg.particles_n, cfg.seed)
         else:
@@ -159,24 +151,21 @@ def run_pipeline(cfg):
                 particles,
                 frame,
                 refined_mask,
+                component,
                 sigma_xy=cfg.sigma_xy,
                 sigma_scale=cfg.sigma_scale,
                 iou_gate=cfg.iou_gate,
-                components=comps if comps.count else None,
             )
         stage_ms["track"] += (time.perf_counter() - t) * 1e3
 
         disc = None
-        silhouette = None
         t = time.perf_counter()
-        if person is not None and comps.count:
-            largest = max(range(comps.count), key=lambda i: comps.stats[i].area)
-            silhouette = comps.labels == largest + 1
-            sil_bbox = comps.stats[largest].bbox
-            if person.bbox[2] >= 2:
-                disc = tr.torso_from_person(person)
-        if disc is not None and silhouette is not None:
-            partition = bp.partition_regions(silhouette, disc, sil_bbox)
+        if person is None:
+            silhouette = None  # no labels; the scene update keeps out the whole mask
+        elif silhouette is not None and person.bbox[2] >= 2:
+            disc = tr.torso_from_person(person)
+        if disc is not None:
+            partition = bp.partition_regions(silhouette, disc, component.bbox)
             part_model = bp.build_part_model(
                 partition, frame, part_model, cfg.min_part_area, frame_index=fi
             )
@@ -185,7 +174,7 @@ def run_pipeline(cfg):
         stage_ms["parts"] += (time.perf_counter() - t) * 1e3
 
         t = time.perf_counter()
-        if person is not None and silhouette is not None:
+        if silhouette is not None:
             update_mask = ForegroundMask(frame.width, frame.height, silhouette)
         else:
             update_mask = refined_mask
@@ -225,7 +214,7 @@ def run_pipeline(cfg):
 
         if cfg.baseline_mode:
             labels = (
-                timed("baseline", _label_silhouette, silhouette, sil_bbox)
+                timed("baseline", bl.label_silhouette, silhouette, component)
                 if silhouette is not None
                 else None
             )

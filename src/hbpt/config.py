@@ -117,6 +117,9 @@ def _coerce(attr, value):
         if not _is_number(value):
             raise ValueError(f"expects a number, got {value!r}")
         return float(value)
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"expects a string, got {value!r}")
     elif kind is list:
         if not isinstance(value, list) or value and (
             len(value) != 4 or not all(_is_number(v) for v in value)

@@ -1,6 +1,6 @@
-"""Binary mask machinery: box morphology, connected components, outer
-contours, convex hulls, and the dilate/erode/dilate silhouette refinement
-step."""
+"""Binary mask machinery: box morphology, connected components and the
+choice of the largest one, convex hulls, and the dilate/erode/dilate
+silhouette refinement step."""
 
 from dataclasses import dataclass
 
@@ -8,10 +8,6 @@ import numpy as np
 from scipy import ndimage
 
 _STRUCT8 = np.ones((3, 3), dtype=bool)
-
-# Moore neighborhood, clockwise starting east, as (dx, dy)
-_MOORE = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-_DIR_CODE = {d: i for i, d in enumerate(_MOORE)}
 
 
 @dataclass
@@ -26,12 +22,6 @@ class LabeledComponents:
     labels: np.ndarray  # (h, w) int32, 0 = background
     count: int
     stats: list  # ComponentStats, index i -> label i+1
-
-
-@dataclass
-class Contour:
-    points: list  # [(x, y)] closed 8-connected chain
-    component: int = 0  # label in the source component raster
 
 
 def morph(mask, op, se=(3, 3), iterations=1):
@@ -90,71 +80,11 @@ def connected_components(mask, connectivity=8):
     return LabeledComponents(labels=labels, count=int(count), stats=stats)
 
 
-def _trace_boundary(region, start):
-    """Clockwise Moore boundary trace from the region's topmost-leftmost pixel.
-
-    The walk keeps a backtrack cell (the background cell examined just before
-    the current pixel was found). States (pixel, backtrack) are finite and the
-    transition is deterministic, so the walk settles in a cycle covering the
-    boundary; that cycle is the chain. 1-px-wide limbs are walked on both
-    sides, so points may repeat within the chain.
-    """
-    h, w = region.shape
-    sx, sy = start
-
-    def is_fg(x, y):
-        return 0 <= x < w and 0 <= y < h and region[y, x]
-
-    px, py = sx, sy
-    bx, by = sx - 1, sy  # start was entered from the west by scan order
-    seen = {}
-    pixels = []
-    while True:
-        state = (px, py, bx, by)
-        if state in seen:
-            cycle = pixels[seen[state] :]
-            break
-        seen[state] = len(pixels)
-        pixels.append((px, py))
-        bdir = _DIR_CODE[(bx - px, by - py)]
-        found = None
-        for k in range(1, 9):
-            d = (bdir + k) % 8
-            dx, dy = _MOORE[d]
-            nx, ny = px + dx, py + dy
-            if is_fg(nx, ny):
-                pdx, pdy = _MOORE[(bdir + k - 1) % 8]
-                found = (nx, ny, px + pdx, py + pdy)
-                break
-        if found is None:
-            return [(sx, sy)]  # isolated pixel
-        px, py, bx, by = found
-    j = min(range(len(cycle)), key=lambda t: (cycle[t][1], cycle[t][0]))
-    return cycle[j:] + cycle[:j]
-
-
-def extract_contours(mask, origin=(0, 0)):
-    """Outer contour of each 8-connected component, in label order.
-
-    A component sitting inside another component's hole is a component of
-    its own, so it gets its own outer contour. Points are shifted by the
-    integer ``origin``, the frame position of ``mask[0, 0]`` when ``mask`` is
-    a crop.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    comps = connected_components(mask, connectivity=8)
-    ox, oy = origin
-    contours = []
-    for i in range(comps.count):
-        x, y, w, h = comps.stats[i].bbox
-        sub = comps.labels[y : y + h, x : x + w] == i + 1
-        ys, xs = np.nonzero(sub)
-        k = np.lexsort((xs, ys))[0]  # topmost, then leftmost
-        chain = _trace_boundary(sub, (int(xs[k]), int(ys[k])))
-        dx, dy = x + ox, y + oy
-        points = [(cx + dx, cy + dy) for cx, cy in chain]
-        contours.append(Contour(points=points, component=i + 1))
-    return contours
+def largest_component(components):
+    """Index of the largest component, the first one on ties; None when there is none."""
+    if not components.count:
+        return None
+    return max(range(components.count), key=lambda i: components.stats[i].area)
 
 
 def _cross(o, a, b):
@@ -206,9 +136,9 @@ def fill_holes(mask):
 def refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
     """Consolidate a noisy silhouette into few large filled components.
 
-    Dilate, erode, dilate with the box element, then keep the filled interior
-    of every outer contour whose area clears ``min_area`` (default 0.5% of
-    the frame).
+    Dilate, erode, dilate with the box element, then keep every 8-connected
+    component, holes filled, whose filled area clears ``min_area`` (default
+    0.5% of the frame).
     """
     mask = np.asarray(mask, dtype=bool)
     if min_area is None:

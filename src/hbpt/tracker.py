@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maskops import connected_components
-
 N_BINS = 16  # joint 4x4 quantization of (U, V)
 
 
@@ -83,21 +81,20 @@ def back_project(frame, hist):
 # ---------------------------------------------------------------------------
 # detection
 
-def detect_person(components, frame, min_area):
-    """Promote the largest component of sufficient area to the person blob."""
-    best = None
-    for i in range(components.count):
-        s = components.stats[i]
-        if s.area >= min_area and (best is None or s.area > components.stats[best].area):
-            best = i
-    if best is None:
+def detect_person(component, silhouette, frame, min_area):
+    """Promote the person component to the person blob when its area reaches
+    ``min_area``.
+
+    ``component`` is the ``ComponentStats`` of the largest foreground
+    component, or None when there is none; ``silhouette`` is its pixel mask.
+    """
+    if component is None or component.area < min_area:
         return None
-    s = components.stats[best]
-    bins = uv_bin_plane(frame)[components.labels == best + 1]
+    bins = uv_bin_plane(frame)[silhouette]
     return PersonBlob(
-        bbox=s.bbox,
-        centroid=s.centroid,
-        area=s.area,
+        bbox=component.bbox,
+        centroid=component.centroid,
+        area=component.area,
         ref_hist=hist16_of_bins(bins),
         confidence=1.0,
         velocity=(0.0, 0.0),
@@ -248,23 +245,24 @@ def mspf_track(
     particles,
     frame,
     fg,
+    component,
     sigma_xy=5.0,
     sigma_scale=0.02,
     iou_gate=0.3,
-    components=None,
 ):
     """One tracking step: propagate, weight, resample, refine, fuse.
 
     Particle windows are scored by Bhattacharyya similarity between their
     foreground-masked UV histogram and the reference histogram. The best
     particle is refined by mean shift over the foreground-masked
-    backprojection, then fused with the largest foreground component when
-    their boxes overlap enough. An empty foreground coasts the previous state
-    at its last velocity and decays confidence by 0.8 per frame.
+    backprojection, then fused with ``component``, the ``ComponentStats`` of
+    the largest foreground component, when their boxes overlap enough. With
+    no component (``None``, an empty foreground) the previous state coasts
+    at its last velocity and confidence decays by 0.8 per frame.
     """
     if fg.bits.shape != (frame.height, frame.width):
         raise ValueError("foreground mask does not match frame dimensions")
-    if not fg.bits.any():
+    if component is None:
         return _shift_blob(prev, frame.width, frame.height), particles
 
     n = particles.states.shape[0]
@@ -309,21 +307,15 @@ def mspf_track(
         ey = wy + (wh - 1) / 2.0
     est_bbox, est_centroid = win, (ex, ey)
 
-    if components is None:
-        components = connected_components(fg.bits)
-    largest = max(range(components.count), key=lambda i: components.stats[i].area)
-    comp = components.stats[largest]
-    if _rect_iou(est_bbox, comp.bbox) > iou_gate:
+    if _rect_iou(est_bbox, component.bbox) > iou_gate:
         centroid = (
-            (est_centroid[0] + comp.centroid[0]) / 2.0,
-            (est_centroid[1] + comp.centroid[1]) / 2.0,
+            (est_centroid[0] + component.centroid[0]) / 2.0,
+            (est_centroid[1] + component.centroid[1]) / 2.0,
         )
-        bbox = comp.bbox
-        area = comp.area
+        bbox = component.bbox
     else:
         centroid = est_centroid
         bbox = est_bbox
-        area = comp.area
 
     counts = np.bincount(
         masked_plane[bbox[1] : bbox[1] + bbox[3], bbox[0] : bbox[0] + bbox[2]].ravel(),
@@ -335,7 +327,7 @@ def mspf_track(
     out = PersonBlob(
         bbox=bbox,
         centroid=centroid,
-        area=area,
+        area=component.area,
         ref_hist=prev.ref_hist,
         confidence=conf,
         velocity=(centroid[0] - prev.centroid[0], centroid[1] - prev.centroid[1]),

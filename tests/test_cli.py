@@ -17,6 +17,7 @@ from hbpt import synthgen as sg
 from hbpt.config import PipelineConfig, load_config, parse_config_text
 
 from conftest import read_jsonl
+from test_baseline import labels_of
 from test_bodyparts import _reference_build_part_model, _reference_partition_regions
 
 
@@ -95,6 +96,10 @@ def test_config_converts_numbers_to_field_type():
         ("box.rect = [1, 2]", "box.rect expects"),
         ("box.rect = [1, 2, 3, x]", "box.rect expects"),
         ("box.rect = 5", "box.rect expects"),
+        ("input = 2.5", "input expects a string, got 2.5"),
+        ("output = [1, 2]", "output expects a string, got [1, 2]"),
+        ("pattern = true", "pattern expects a string, got True"),
+        ("scene.file = []", "scene.file expects a string, got []"),
     ],
 )
 def test_config_rejects_wrong_types(line, message):
@@ -308,6 +313,19 @@ def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line,
     assert not (out / "blobs.jsonl").exists()
 
 
+@pytest.mark.parametrize("key", ["input", "output", "pattern", "scene.file"])
+def test_track_rejects_non_string_config(tmp_path, capsys, key):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"seed = 1\n{key} = 5\n")
+    rc = cli.main(
+        ["track", "--input", str(tmp_path), "--output", str(tmp_path / "out"),
+         "--config", str(cfg_path)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: line 2: {key} expects a string, got 5\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_baseline_rejects_out_of_range_config(tmp_path, capsys, scenario_dir):
     """``baseline``, and ``learn`` likewise, stop before writing anything."""
     indir, _ = scenario_dir("walker", frames=32, seed=12)
@@ -413,6 +431,22 @@ def test_track_fails_on_bad_frame_after_learn_set(tmp_path, capsys, scenario_dir
     assert not (out / "blobs.jsonl").exists()
 
 
+def test_failed_run_leaves_no_earlier_results(tmp_path, capsys, scenario_dir):
+    """A run that stops mid-loop removes the results of an earlier run first."""
+    src, _ = scenario_dir("walker", frames=60, seed=12)
+    out = tmp_path / "out"
+    results = ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl")
+    assert cli.main(["baseline", "--input", str(src), "--output", str(out)]) == 0
+    assert all((out / name).exists() for name in results)
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    bad = indir / "frame_000050.ppm"
+    bad.write_bytes(bad.read_bytes()[:-7])
+    assert cli.main(["baseline", "--input", str(indir), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot decode {bad}: truncated PPM payload\n"
+    assert not [name for name in results if (out / name).exists()]
+
+
 def _track_with_scene(tmp_path, indir, scene_file):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text(f'scene.file = "{scene_file}"\n')
@@ -513,16 +547,72 @@ def test_metrics_write_stage_times_the_output_files(tmp_path, scenario_dir, monk
 
 
 # ---------------------------------------------------------------------------
-# contour labeler on the silhouette crop against the full-frame computation
+# baseline labeler against the contour-tracing reference
+
+# Moore neighbourhood, clockwise starting east, as (dx, dy)
+_MOORE = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+_DIR_CODE = {d: i for i, d in enumerate(_MOORE)}
+
+
+def _reference_trace_boundary(region, start):
+    """Clockwise Moore boundary trace from the region's topmost-leftmost pixel.
+
+    The walk keeps a backtrack cell (the background cell examined just before
+    the current pixel was found). States (pixel, backtrack) are finite and the
+    transition is deterministic, so the walk settles in a cycle covering the
+    boundary; that cycle is the chain. 1-px-wide limbs are walked on both
+    sides, so points may repeat within the chain.
+    """
+    h, w = region.shape
+    sx, sy = start
+
+    def is_fg(x, y):
+        return 0 <= x < w and 0 <= y < h and region[y, x]
+
+    px, py = sx, sy
+    bx, by = sx - 1, sy  # start was entered from the west by scan order
+    seen = {}
+    pixels = []
+    while True:
+        state = (px, py, bx, by)
+        if state in seen:
+            cycle = pixels[seen[state] :]
+            break
+        seen[state] = len(pixels)
+        pixels.append((px, py))
+        bdir = _DIR_CODE[(bx - px, by - py)]
+        found = None
+        for k in range(1, 9):
+            d = (bdir + k) % 8
+            dx, dy = _MOORE[d]
+            nx, ny = px + dx, py + dy
+            if is_fg(nx, ny):
+                pdx, pdy = _MOORE[(bdir + k - 1) % 8]
+                found = (nx, ny, px + pdx, py + pdy)
+                break
+        if found is None:
+            return [(sx, sy)]  # isolated pixel
+        px, py, bx, by = found
+    j = min(range(len(cycle)), key=lambda t: (cycle[t][1], cycle[t][0]))
+    return cycle[j:] + cycle[:j]
+
 
 def _reference_label_silhouette(sil):
-    """Labels computed over the whole frame."""
-    centroid, _, _ = bl.silhouette_geometry(sil)
-    contour = mo.extract_contours(sil)[0]
-    if len(contour.points) < 3:
+    """The contour-tracing labeler: Moore-trace the outer contour of the single
+    component in ``sil``, take the convex hull of the contour points, and
+    label it around the mean of the silhouette's pixel coordinates."""
+    ys, xs = np.nonzero(sil)
+    x0, y0 = int(xs.min()), int(ys.min())
+    bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
+    crop = sil[y0 : y0 + bh, x0 : x0 + bw]
+    cys, cxs = np.nonzero(crop)
+    k = np.lexsort((cxs, cys))[0]  # topmost, then leftmost
+    chain = _reference_trace_boundary(crop, (int(cxs[k]), int(cys[k])))
+    if len(chain) < 3:
         return None
-    vertices = bl.hull_vertices(contour)
-    return bl.label_parts_by_distance(vertices, centroid, sil).to_dict()
+    hull = mo.convex_hull([(cx + x0, cy + y0) for cx, cy in chain])
+    centroid = (float(xs.mean()), float(ys.mean()))
+    return bl.label_parts_by_distance(hull, centroid, bw, bh).to_dict()
 
 
 def _silhouettes():
@@ -556,12 +646,61 @@ def _silhouettes():
 def test_label_silhouette_crop_matches_full_frame():
     seen = set()
     for name, sil in _silhouettes():
-        comps = mo.connected_components(sil)
-        assert comps.count == 1, name
-        got = cli._label_silhouette(sil, comps.stats[0].bbox)
+        got = labels_of(sil)
         assert got == _reference_label_silhouette(sil), name
         seen.add(got is None)
     assert seen == {True, False}  # degenerate contours are covered too
+
+
+def _one_component(m):
+    """The largest 8-connected component of ``m``, or None when ``m`` is empty."""
+    comps = mo.connected_components(m)
+    best = mo.largest_component(comps)
+    return None if best is None else comps.labels == best + 1
+
+
+def _random_silhouettes(kind, rng, count=250, shape=(18, 22)):
+    h, w = shape
+    for _ in range(count):
+        m = np.zeros(shape, bool)
+        if kind == "speck":  # 1-3 px, often on the frame edge
+            y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+            m[y, x] = True
+            for _ in range(int(rng.integers(0, 3))):
+                dy, dx = rng.integers(-1, 2, 2)
+                m[min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)] = True
+        elif kind == "line":  # 1-px-wide walks, walked on both sides by a tracer
+            y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+            for _ in range(int(rng.integers(1, 40))):
+                m[y, x] = True
+                dy, dx = rng.integers(-1, 2, 2)
+                y, x = min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)
+        elif kind == "ring":  # boxes with holes, notches and 1-px walls
+            y0, x0 = int(rng.integers(0, h - 4)), int(rng.integers(0, w - 4))
+            y1, x1 = int(rng.integers(y0 + 3, h + 1)), int(rng.integers(x0 + 3, w + 1))
+            t = int(rng.integers(1, 3))
+            m[y0:y1, x0:x1] = True
+            m[y0 + t : y1 - t, x0 + t : x1 - t] = False
+            m[y0:y1, x0:x1] &= rng.random((y1 - y0, x1 - x0)) < rng.uniform(0.8, 1.0)
+        elif kind == "edge":  # dense blobs cut by the frame edge
+            m = rng.random(shape) < rng.uniform(0.5, 0.8)
+            m[int(rng.integers(2, h)) :, :] = False
+            m[:, : int(rng.integers(0, w - 2))] = False
+        else:  # random blobs
+            m = rng.random(shape) < rng.uniform(0.2, 0.7)
+        m = _one_component(m)
+        if m is not None:
+            yield m
+
+
+@pytest.mark.parametrize("kind", ["speck", "line", "ring", "edge", "blob"])
+def test_label_silhouette_matches_contour_reference(kind):
+    rng = np.random.default_rng(["speck", "line", "ring", "edge", "blob"].index(kind))
+    n = 0
+    for sil in _random_silhouettes(kind, rng):
+        assert labels_of(sil) == _reference_label_silhouette(sil)
+        n += 1
+    assert n >= 200
 
 
 def _reference_part_model(partition, frame, prev=None, min_part_area=15, frame_index=None):
@@ -586,7 +725,7 @@ def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, sc
     got = run("crop")
     monkeypatch.setattr(bp, "partition_regions", _reference_partition_regions)
     monkeypatch.setattr(bp, "build_part_model", _reference_part_model)
-    monkeypatch.setattr(cli, "_label_silhouette", lambda sil, bbox: _reference_label_silhouette(sil))
+    monkeypatch.setattr(bl, "label_silhouette", lambda sil, comp: _reference_label_silhouette(sil))
     want = run("full")
     assert got == want
     records = read_jsonl(tmp_path / "crop" / "blobs.jsonl")

@@ -202,53 +202,17 @@ def test_component_stats_consistent_with_raster():
             assert s.centroid == (xs.mean(), ys.mean())
 
 
-# ---------------------------------------------------------------------------
-# contours
-
-def test_square_contour_hierarchy():
-    m = np.zeros((12, 12), bool)
-    m[2:8, 3:9] = True
-    cs = mo.extract_contours(m)
-    assert len(cs) == 1
-    assert cs[0].component == 1
-
-
-def test_blob_inside_hole_is_top_level():
-    m = np.zeros((16, 16), bool)
-    m[1:14, 1:14] = True
-    m[3:12, 3:12] = False
-    m[6:9, 6:9] = True
-    cs = mo.extract_contours(m)
-    assert len(cs) == 2
-    assert [c.component for c in cs] == [1, 2]
-    # outer chains run on foreground pixels; no hole chain is reported
-    assert all(m[y, x] for c in cs for x, y in c.points)
-
-
-def test_contours_of_crop_shift_by_origin():
-    rng = np.random.default_rng(8)
-    for _ in range(40):
-        m = np.zeros((30, 40), bool)
-        m[5:25, 8:33] = rng.random((20, 25)) < rng.uniform(0.3, 0.7)
-        if not m.any():
-            continue
-        ys, xs = np.nonzero(m)
-        x0, y0 = int(xs.min()), int(ys.min())
-        crop = m[y0 : ys.max() + 1, x0 : xs.max() + 1]
-        full = mo.extract_contours(m)
-        got = mo.extract_contours(crop, (x0, y0))
-        assert [c.points for c in got] == [c.points for c in full]
-        assert [c.component for c in got] == [c.component for c in full]
-
-
-def test_contour_chains_closed_and_adjacent():
-    rng = np.random.default_rng(5)
-    for _ in range(60):
-        m = rng.random((15, 15)) < rng.uniform(0.25, 0.6)
-        for c in mo.extract_contours(m):
-            pts = c.points
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= 1
+def test_largest_component_first_on_ties():
+    assert mo.largest_component(mo.connected_components(np.zeros((5, 5), bool))) is None
+    m = np.zeros((8, 12), bool)
+    m[0:2, 9:11] = True  # area 4, label 1 (first in scan order)
+    m[5:7, 0:2] = True  # area 4, label 3
+    m[3, 4:7] = True  # area 3, label 2
+    comps = mo.connected_components(m)
+    assert [s.area for s in comps.stats] == [4, 3, 4]
+    assert mo.largest_component(comps) == 0
+    m[7, 0] = True  # the last component grows to 5
+    assert mo.largest_component(mo.connected_components(m)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,15 @@ def _square_person_frame(size=31, left=40, top=30, w=120, h=90):
     return frame, ForegroundMask(w, h, fg)
 
 
+def _person_component(mask):
+    """Stats and pixel mask of the mask's largest component, or (None, None)."""
+    comps = mo.connected_components(mask)
+    best = mo.largest_component(comps)
+    if best is None:
+        return None, None
+    return comps.stats[best], comps.labels == best + 1
+
+
 # ---------------------------------------------------------------------------
 # histograms and backprojection
 
@@ -82,17 +91,15 @@ def test_back_project_separates_patch_from_scene():
 # detection
 
 def test_detect_person_no_components():
-    comps = mo.connected_components(np.zeros((10, 10), bool))
     frame, _ = _square_person_frame()
-    assert tr.detect_person(comps, frame, 50) is None
+    assert tr.detect_person(*_person_component(np.zeros((10, 10), bool)), frame, 50) is None
 
 
 def test_detect_person_too_small():
     m = np.zeros((10, 10), bool)
     m[2:4, 2:4] = True
-    comps = mo.connected_components(m)
     frame = frame_from_rgb(np.zeros((10, 10, 3), np.uint8))
-    assert tr.detect_person(comps, frame, 50) is None
+    assert tr.detect_person(*_person_component(m), frame, 50) is None
 
 
 def test_detect_person_centroid_matches_flood_fill_oracle():
@@ -100,8 +107,7 @@ def test_detect_person_centroid_matches_flood_fill_oracle():
     frame = frames[32]
     model = sm.learn_scene(frames[:30])
     refined = mo.refine_mask(sm.detect_foreground(model, frame).bits, 300)
-    comps = mo.connected_components(refined)
-    person = tr.detect_person(comps, frame, 700)
+    person = tr.detect_person(*_person_component(refined), frame, 700)
     assert person is not None
     labels, count = flood_fill_oracle(refined[::1, ::1])
     areas = [(labels == i + 1).sum() for i in range(count)]
@@ -162,11 +168,11 @@ def test_mean_shift_weight_sum_non_decreasing():
 
 def test_mspf_static_noiseless_fixed_point():
     frame, fg = _square_person_frame()
-    comps = mo.connected_components(fg.bits)
-    person = tr.detect_person(comps, frame, 100)
+    component, silhouette = _person_component(fg.bits)
+    person = tr.detect_person(component, silhouette, frame, 100)
     particles = tr.init_particles(person, n=20, seed=3)
     out, particles = tr.mspf_track(
-        person, particles, frame, fg, sigma_xy=0.0, sigma_scale=0.0
+        person, particles, frame, fg, component, sigma_xy=0.0, sigma_scale=0.0
     )
     assert out.bbox == person.bbox
     assert out.centroid == person.centroid
@@ -184,11 +190,12 @@ def test_mspf_deterministic_with_seed():
         for f in frames[30:]:
             refined = mo.refine_mask(sm.detect_foreground(model, f).bits, 300)
             fg = ForegroundMask(f.width, f.height, refined)
+            component, silhouette = _person_component(refined)
             if person is None:
-                person = tr.detect_person(mo.connected_components(refined), f, 700)
+                person = tr.detect_person(component, silhouette, f, 700)
                 particles = tr.init_particles(person, 50, seed=11)
             else:
-                person, particles = tr.mspf_track(person, particles, f, fg)
+                person, particles = tr.mspf_track(person, particles, f, fg, component)
             outs.append((person.bbox, person.centroid, person.confidence))
         return outs, particles.states.copy()
 
@@ -200,23 +207,24 @@ def test_mspf_deterministic_with_seed():
 
 def test_mspf_resampled_weights_uniform():
     frame, fg = _square_person_frame()
-    person = tr.detect_person(mo.connected_components(fg.bits), frame, 100)
+    component, silhouette = _person_component(fg.bits)
+    person = tr.detect_person(component, silhouette, frame, 100)
     particles = tr.init_particles(person, n=32, seed=0)
-    _, particles = tr.mspf_track(person, particles, frame, fg)
+    _, particles = tr.mspf_track(person, particles, frame, fg, component)
     assert (particles.weights == 1.0 / 32).all()
     assert particles.weights.sum() == pytest.approx(1.0)
 
 
 def test_mspf_coasting_on_empty_foreground():
     frame, fg = _square_person_frame()
-    person = tr.detect_person(mo.connected_components(fg.bits), frame, 100)
+    person = tr.detect_person(*_person_component(fg.bits), frame, 100)
     person.velocity = (2.0, -1.0)
     person.confidence = 1.0
     particles = tr.init_particles(person, n=10, seed=0)
     empty = ForegroundMask(frame.width, frame.height, np.zeros_like(fg.bits))
     cur = person
     for k in range(1, 6):
-        cur, particles = tr.mspf_track(cur, particles, frame, empty)
+        cur, particles = tr.mspf_track(cur, particles, frame, empty, None)
         assert cur.velocity == (2.0, -1.0)
         assert cur.centroid == (person.centroid[0] + 2.0 * k, person.centroid[1] - 1.0 * k)
         assert cur.confidence == pytest.approx(0.8**k)
@@ -285,21 +293,21 @@ def test_uv_bin_plane_is_uint8_and_matches_int64_reference():
 
 
 def _walker_steps(frames=60):
-    """(prev, particles, frame, fg, comps) for each tracked walker frame."""
+    """(prev, particles, frame, fg, component) for each tracked walker frame."""
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=frames, seed=4))
     model = sm.learn_scene(frames[:30])
     person = particles = None
     for f in frames[30:]:
         refined = mo.refine_mask(sm.detect_foreground(model, f).bits, 300)
-        comps = mo.connected_components(refined)
+        component, silhouette = _person_component(refined)
         fg = ForegroundMask(f.width, f.height, refined)
         if person is None:
-            person = tr.detect_person(comps, f, 700)
+            person = tr.detect_person(component, silhouette, f, 700)
             if person is not None:
                 particles = tr.init_particles(person, 40, seed=9)
             continue
-        yield person, copy.deepcopy(particles), f, fg, comps
-        person, particles = tr.mspf_track(person, particles, f, fg, components=comps)
+        yield person, copy.deepcopy(particles), f, fg, component
+        person, particles = tr.mspf_track(person, particles, f, fg, component)
 
 
 def test_particle_weights_match_int64_plane():
@@ -331,16 +339,16 @@ def test_mspf_track_matches_int64_where_reference(monkeypatch):
 
     monkeypatch.setattr(tr, "mean_shift", spy)
     compared = 0
-    for prev, particles, frame, fg, comps in _walker_steps():
+    for prev, particles, frame, fg, component in _walker_steps():
         twin = copy.deepcopy(particles)
         seen.clear()
-        out, parts = tr.mspf_track(prev, particles, frame, fg, components=comps)
+        out, parts = tr.mspf_track(prev, particles, frame, fg, component)
         (wimg,) = seen
         want = np.where(fg.bits, prev.ref_hist[_reference_uv_bin_plane(frame)], 0.0)
         assert wimg.dtype == np.float64 and wimg.tobytes() == want.tobytes()
         with monkeypatch.context() as m:
             m.setattr(tr, "uv_bin_plane", _reference_uv_bin_plane)
-            ref_out, ref_parts = tr.mspf_track(prev, twin, frame, fg, components=comps)
+            ref_out, ref_parts = tr.mspf_track(prev, twin, frame, fg, component)
         for key in ("bbox", "centroid", "area", "confidence", "velocity"):
             assert getattr(out, key) == getattr(ref_out, key)
         assert parts.states.tobytes() == ref_parts.states.tobytes()
