@@ -84,6 +84,8 @@ def run_pipeline(cfg):
     # a run that fails must not leave an earlier run's results looking like its own
     for name in ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl"):
         (outdir / name).unlink(missing_ok=True)
+    for path in outdir.glob("out_*.ppm"):
+        path.unlink()
     stage_ms = defaultdict(float)
 
     def timed(stage, fn, *args, **kwargs):
@@ -112,6 +114,12 @@ def run_pipeline(cfg):
             raise ValueError(
                 f"{cfg.scene_file}: scene is {model.width}x{model.height}, "
                 f"frames are {size[0]}x{size[1]}"
+            )
+        # the file stores var_floor as float32
+        if np.float32(cfg.var_floor) != np.float32(model.var_floor):
+            raise ValueError(
+                f"{cfg.scene_file}: scene was learned with scene.var_floor = "
+                f"{model.var_floor:g}, the config sets {cfg.var_floor:g}"
             )
     else:
         model = timed("learn", sm.learn_scene, head, cfg.var_floor)

@@ -1,6 +1,7 @@
 """Flat key=value pipeline configuration with module-documented defaults.
 
-Config files hold one ``key = value`` pair per line ('#' starts a comment).
+Config files hold one ``key = value`` pair per line ('#' starts a comment,
+except inside a quoted value).
 Values may be numbers, true/false, quoted strings or [a, b, c] number lists.
 Unknown keys are rejected. CLI flags override file values.
 """
@@ -128,11 +129,23 @@ def _coerce(attr, value):
     return value
 
 
+def _strip_comment(raw, lineno):
+    """The line up to its comment: a '#' outside a quoted value starts one."""
+    key, eq, value = raw.partition("=")
+    body = value.lstrip()
+    if "#" in key or body[:1] not in ("'", '"'):
+        return raw.split("#", 1)[0].strip()
+    end = body.find(body[0], 1)
+    if end < 0:
+        raise ValueError(f"line {lineno}: unterminated quote in {raw!r}")
+    return (key + eq + body[: end + 1] + body[end + 1 :].split("#", 1)[0]).strip()
+
+
 def parse_config_text(text, base=None):
     """Apply key=value lines to a config, rejecting unknown keys."""
     cfg = base if base is not None else PipelineConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw, lineno)
         if not line:
             continue
         if "=" not in line:

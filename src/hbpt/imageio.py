@@ -489,19 +489,17 @@ _FONT = {
 def draw_text(img, origin, text, color):
     """Tiny 3x5 uppercase/digit font; unknown glyphs are skipped."""
     x0, y0 = int(round(origin[0])), int(round(origin[1]))
+    xs, ys = [], []
     for ch in text.upper():
         glyph = _FONT.get(ch)
         if glyph is not None:
             for dy, row in enumerate(glyph):
                 for dx, bit in enumerate(row):
                     if bit == "1":
-                        _put_pixels(
-                            img,
-                            np.array([x0 + dx]),
-                            np.array([y0 + dy]),
-                            color,
-                        )
+                        xs.append(x0 + dx)
+                        ys.append(y0 + dy)
         x0 += 4
+    _put_pixels(img, np.array(xs, dtype=int), np.array(ys, dtype=int), color)
 
 
 def render_overlays(rgb, overlays):

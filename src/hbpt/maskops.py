@@ -53,15 +53,36 @@ def morph(mask, op, se=(3, 3), iterations=1):
     return out
 
 
+def _foreground_box(mask, my=0, mx=0):
+    """(y0, y1, x0, x1) of the mask's foreground bounding box grown by ``my``
+    rows and ``mx`` columns and clipped to the frame; None for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return None
+    h, w = mask.shape
+    y0, y1 = max(int(rows[0]) - my, 0), min(int(rows[-1]) + 1 + my, h)
+    cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
+    x0, x1 = max(int(cols[0]) - mx, 0), min(int(cols[-1]) + 1 + mx, w)
+    return y0, y1, x0, x1
+
+
 def connected_components(mask, connectivity=8):
-    """Label maximal connected regions and compute per-component stats."""
+    """Label maximal connected regions and compute per-component stats.
+
+    Only the foreground's bounding box is labelled. Labels follow the raster
+    order of each component's first pixel, which a crop does not change.
+    """
     structure = _STRUCT8 if connectivity == 8 else None
-    labels, count = ndimage.label(mask, structure=structure)
-    labels = labels.astype(np.int32)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    y0, y1, x0, x1 = _foreground_box(mask) or (0, 0, 0, 0)
+    view = labels[y0:y1, x0:x1]
+    count = ndimage.label(mask[y0:y1, x0:x1], structure=structure, output=view)
     stats = []
     if count:
-        ys, xs = np.nonzero(labels)
-        vals = labels[ys, xs]
+        ys, xs = np.nonzero(view)
+        vals = view[ys, xs]
+        ys += y0  # frame coordinates as ints, so the centroid means stay exact
+        xs += x0
         order = np.argsort(vals, kind="stable")
         ys, xs, vals = ys[order], xs[order], vals[order]
         bounds = np.searchsorted(vals, np.arange(1, count + 2))
@@ -143,16 +164,29 @@ def refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
     mask = np.asarray(mask, dtype=bool)
     if min_area is None:
         min_area = int(round(0.005 * mask.size))
-    if not mask.any():
-        return np.zeros_like(mask)
-    m = morph(mask, "dilate", se, iterations)
+    out = np.zeros_like(mask)
+    # Work on the foreground's bounding box grown by 2*r*iterations + 1 px
+    # (r = se // 2 per axis) and clipped at the frame edge, where the crop is
+    # padded as the frame is. The first dilation reaches r*iterations past
+    # the box, so after it no foreground lies within the erosion's reach
+    # (r*iterations) of a crop edge inside the frame. The erosion keeps only
+    # pixels the dilation set, and their windows stay inside the crop, so its
+    # neutral (foreground) padding there acts exactly like the frame's real
+    # background. The last dilation ends 2*r*iterations past the box, inside
+    # the crop.
+    my, mx = (2 * (s // 2) * iterations + 1 for s in se)
+    box = _foreground_box(mask, my, mx)
+    if box is None:
+        return out
+    y0, y1, x0, x1 = box
+    m = morph(mask[y0:y1, x0:x1], "dilate", se, iterations)
     m = morph(m, "erode", se, iterations)
     m = morph(m, "dilate", se, iterations)
     comps = connected_components(m, connectivity=8)
-    out = np.zeros_like(mask)
+    crop = out[y0:y1, x0:x1]
     for i in range(comps.count):
         x, y, w, h = comps.stats[i].bbox
         sub = fill_holes(comps.labels[y : y + h, x : x + w] == i + 1)
         if int(sub.sum()) >= min_area:
-            out[y : y + h, x : x + w] |= sub
+            crop[y : y + h, x : x + w] |= sub
     return out

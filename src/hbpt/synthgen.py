@@ -146,19 +146,26 @@ def _part_primitives(pose):
 
 
 def _stamp(mask_or_img, prim, ox, oy, value):
+    """Draw one primitive at offset (ox, oy), clipped to the frame."""
     kind = prim[0]
     if kind == "rect":
         _, x0, y0, x1, y1 = prim
-        sl = np.s_[oy + y0 : oy + y1, ox + x0 : ox + x1]
-        mask_or_img[sl] = value
+        x0, y0, x1, y1 = ox + x0, oy + y0, ox + x1, oy + y1
+        shape = None
     else:
         _, cx, cy, r = prim
+        x0, y0, x1, y1 = ox + cx - r, oy + cy - r, ox + cx + r + 1, oy + cy + r + 1
         ys, xs = np.mgrid[-r : r + 1, -r : r + 1]
-        disc = xs * xs + ys * ys <= r * r
-        sl = np.s_[oy + cy - r : oy + cy + r + 1, ox + cx - r : ox + cx + r + 1]
-        region = mask_or_img[sl]
-        region[disc] = value
-        mask_or_img[sl] = region
+        shape = xs * xs + ys * ys <= r * r
+    h, w = mask_or_img.shape[:2]
+    cx0, cy0, cx1, cy1 = max(x0, 0), max(y0, 0), min(x1, w), min(y1, h)
+    if cx0 >= cx1 or cy0 >= cy1:
+        return
+    sl = np.s_[cy0:cy1, cx0:cx1]
+    if shape is None:
+        mask_or_img[sl] = value
+    else:
+        mask_or_img[sl][shape[cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0]] = value
 
 
 def render_person_mask(mask, ox, oy, pose):
@@ -206,11 +213,12 @@ def _hand_tip(script):
 
 
 def _truth_for_frame(sc, f, mask, script, box):
-    entry = {"frame": f, "person_visible": script is not None}
+    # a figure scripted wholly outside the frame is not visible
+    entry = {"frame": f, "person_visible": script is not None and bool(mask.any())}
     if box is not None:
         entry["box_rect"] = list(box["rect"])
         entry["box_opened"] = box["opened"]
-    if script is None:
+    if not entry["person_visible"]:
         return entry
     ys, xs = np.nonzero(mask)
     cx, cy = float(xs.mean()), float(ys.mean())

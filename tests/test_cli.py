@@ -107,6 +107,24 @@ def test_config_rejects_wrong_types(line, message):
         parse_config_text("seed = 1\n" + line)
 
 
+def test_config_hash_inside_quotes_is_kept():
+    cfg = parse_config_text(
+        'output = "runs/#3"  # third run\n'
+        "pattern = 'frame_#*.ppm'\n"
+        "input = data # a comment\n"
+        '# scene.file = "unterminated\n'
+    )
+    assert cfg.output == "runs/#3"
+    assert cfg.pattern == "frame_#*.ppm"
+    assert cfg.input == "data"
+    assert cfg.scene_file == ""
+
+
+def test_config_rejects_unterminated_quote():
+    with pytest.raises(ValueError, match=r"^line 2: unterminated quote in 'output = \"runs/#3'$"):
+        parse_config_text('seed = 1\noutput = "runs/#3')
+
+
 # ---------------------------------------------------------------------------
 # CLI wiring
 
@@ -473,6 +491,59 @@ def test_track_rejects_scene_of_other_size(tmp_path, capsys, scenario_dir):
     err = capsys.readouterr().err
     assert err == f"error: {scene_file}: scene is 160x120, frames are 320x240\n"
     assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
+def test_track_rejects_var_floor_other_than_the_scene_file(tmp_path, capsys, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    scene_file = tmp_path / "scene.bin"
+    model = sm.SceneModel(np.zeros((240, 320, 3)), np.full((240, 320, 3), 9.0), 30, 9.0)
+    sm.save_scene(model, scene_file)
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(f'scene.file = "{scene_file}"\n')
+    assert _track(indir, tmp_path / "out", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {scene_file}: scene was learned with scene.var_floor = 9, "
+        "the config sets 4\n"
+    )
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
+    cfg.write_text(f'scene.file = "{scene_file}"\nscene.var_floor = 9\n')
+    assert _track(indir, tmp_path / "out", "--config", str(cfg)) == 0
+
+
+def test_track_removes_overlays_of_an_earlier_run(tmp_path, scenario_dir):
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    out = tmp_path / "out"
+    assert _track(indir, out, "--overlays") == 0
+    assert len(list(out.glob("out_*.ppm"))) == 32
+    (out / "notes.txt").write_text("kept")
+    assert _track(indir, out) == 0
+    assert not list(out.glob("out_*.ppm"))
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+def test_track_ends_when_the_person_leaves_the_frame(tmp_path, monkeypatch):
+    """A walker leaving through the right edge: no tracked record carries a
+    centroid outside the frame, and the frames after the exit are untracked."""
+
+    def exit_right(sc, f):
+        if f < sc.learn_frames:
+            return None
+        return {"ox": 200 + 6 * (f - sc.learn_frames), "oy": 100, "pose": "down"}
+
+    monkeypatch.setattr(sg, "_person_script", exit_right)
+    indir = tmp_path / "in"
+    truth = sg.write_scenario(sg.Scenario("walker", frames=80, seed=5), indir)
+    visible = [e["frame"] for e in truth["per_frame"] if e["person_visible"]]
+    assert visible == list(range(30, visible[-1] + 1)) and visible[-1] < 60
+    assert _track(indir, tmp_path / "out", "--overlays") == 0
+    records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
+    for rec in records:
+        if rec["tracked"]:
+            x, y = rec["person"]["centroid"]
+            assert 0 <= x <= 319 and 0 <= y <= 239, rec["frame"]
+    assert all(r["tracked"] for r in records[35:45])
+    assert not any(r["tracked"] for r in records[60:])
 
 
 # ---------------------------------------------------------------------------

@@ -585,3 +585,36 @@ def test_ellipse_overlay_within_1px_of_analytic(tmp_path):
     # and the analytic boundary is covered by drawn pixels
     for px, py in zip(ex[::50], ey[::50]):
         assert np.hypot(xs - px, ys - py).min() <= 1.0 + 1e-6
+
+
+def _reference_draw_text(img, origin, text, color):
+    """One pixel write per set glyph bit."""
+    x0, y0 = int(round(origin[0])), int(round(origin[1]))
+    for ch in text.upper():
+        glyph = iio._FONT.get(ch)
+        if glyph is not None:
+            for dy, row in enumerate(glyph):
+                for dx, bit in enumerate(row):
+                    if bit == "1":
+                        iio._put_pixels(img, np.array([x0 + dx]), np.array([y0 + dy]), color)
+        x0 += 4
+
+
+def test_draw_text_matches_per_pixel_reference(monkeypatch):
+    """Byte-identical to the per-pixel writes, with one _put_pixels call per label."""
+    rng = np.random.default_rng(9)
+    chars = "".join(iio._FONT) + "?z"
+    calls = []
+    put_pixels = iio._put_pixels
+    for _ in range(200):
+        text = "".join(rng.choice(list(chars), size=int(rng.integers(0, 6))))
+        origin = (rng.uniform(-12, 30), rng.uniform(-8, 22))
+        img = rng.integers(0, 256, size=(16, 24, 3)).astype(np.uint8)
+        want = img.copy()
+        _reference_draw_text(want, origin, text, (250, 1, 128))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(iio, "_put_pixels", lambda *args: calls.append(1) or put_pixels(*args))
+            iio.draw_text(img, origin, text, (250, 1, 128))
+        assert img.tobytes() == want.tobytes(), (text, origin)
+        assert len(calls) == 1

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from hbpt import maskops as mo
+from hbpt import scene as sm
+from hbpt import synthgen as sg
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +302,141 @@ def test_refine_fills_holes_and_filters_small():
     refined = mo.refine_mask(m, min_area=50)
     assert refined[9, 9]
     assert not refined[23:29, 23:29].any()
+
+
+# ---------------------------------------------------------------------------
+# the bounding-box-cropped labelling and refinement against the full-frame
+# code they replace
+
+def _reference_connected_components(mask, connectivity=8):
+    structure = mo._STRUCT8 if connectivity == 8 else None
+    labels, count = ndimage.label(mask, structure=structure)
+    labels = labels.astype(np.int32)
+    stats = []
+    if count:
+        ys, xs = np.nonzero(labels)
+        vals = labels[ys, xs]
+        order = np.argsort(vals, kind="stable")
+        ys, xs, vals = ys[order], xs[order], vals[order]
+        bounds = np.searchsorted(vals, np.arange(1, count + 2))
+        for i in range(count):
+            sy = ys[bounds[i] : bounds[i + 1]]
+            sx = xs[bounds[i] : bounds[i + 1]]
+            x0, x1 = int(sx.min()), int(sx.max())
+            y0, y1 = int(sy.min()), int(sy.max())
+            stats.append(
+                mo.ComponentStats(
+                    area=int(sx.size),
+                    bbox=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
+                    centroid=(float(sx.mean()), float(sy.mean())),
+                )
+            )
+    return mo.LabeledComponents(labels=labels, count=int(count), stats=stats)
+
+
+def _reference_refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
+    mask = np.asarray(mask, dtype=bool)
+    if min_area is None:
+        min_area = int(round(0.005 * mask.size))
+    if not mask.any():
+        return np.zeros_like(mask)
+    m = mo.morph(mask, "dilate", se, iterations)
+    m = mo.morph(m, "erode", se, iterations)
+    m = mo.morph(m, "dilate", se, iterations)
+    comps = _reference_connected_components(m, connectivity=8)
+    out = np.zeros_like(mask)
+    for i in range(comps.count):
+        x, y, w, h = comps.stats[i].bbox
+        sub = mo.fill_holes(comps.labels[y : y + h, x : x + w] == i + 1)
+        if int(sub.sum()) >= min_area:
+            out[y : y + h, x : x + w] |= sub
+    return out
+
+
+def _edge_masks(rng):
+    """Empty, full and random masks, among them blobs touching each frame edge
+    and specks one pixel in from it."""
+    yield np.zeros((30, 40), bool)
+    yield np.ones((30, 40), bool)
+    yield np.ones((1, 1), bool)
+    for _ in range(40):
+        h, w = (int(v) for v in rng.integers(6, 48, 2))
+        m = rng.random((h, w)) < rng.choice([0.03, 0.2, 0.5, 0.85])
+        yield m
+        for edge in range(4):
+            blob = np.zeros((h, w), bool)
+            y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+            blob[max(y - 3, 0) : y + 4, max(x - 4, 0) : x + 5] = True
+            if edge == 0:
+                blob[0, x] = True
+            elif edge == 1:
+                blob[h - 1, x] = True
+            elif edge == 2:
+                blob[y, 0] = True
+            else:
+                blob[y, w - 1] = True
+            speck = rng.random((h, w)) < 0.02
+            yield blob | speck
+
+
+def _same_components(got, want):
+    assert got.count == want.count
+    assert got.labels.dtype == want.labels.dtype == np.int32
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert [(s.area, s.bbox, s.centroid) for s in got.stats] == [
+        (s.area, s.bbox, s.centroid) for s in want.stats
+    ]
+
+
+def test_connected_components_match_full_frame_reference():
+    rng = np.random.default_rng(21)
+    for m in _edge_masks(rng):
+        for connectivity in (4, 8):
+            _same_components(
+                mo.connected_components(m, connectivity),
+                _reference_connected_components(m, connectivity),
+            )
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+@pytest.mark.parametrize("se", [1, 3, 5])
+def test_refine_mask_matches_full_frame_reference(se, iterations):
+    rng = np.random.default_rng(22 + se + iterations)
+    for m in _edge_masks(rng):
+        min_area = int(rng.integers(1, 30))
+        for area in (min_area, None):
+            got = mo.refine_mask(m, area, (se, se), iterations)
+            want = _reference_refine_mask(m, area, (se, se), iterations)
+            assert got.tobytes() == want.tobytes()
+            _same_components(
+                mo.connected_components(got), _reference_connected_components(want)
+            )
+
+
+def test_cropped_mask_ops_match_reference_on_carry_box():
+    frames, _, _ = sg.generate_scenario(sg.Scenario("carry_box", frames=120, seed=3))
+    model = sm.learn_scene(frames[:30])
+    for f in frames[30:]:
+        fg = sm.detect_foreground(model, f).bits
+        refined = mo.refine_mask(fg, 384)
+        assert refined.tobytes() == _reference_refine_mask(fg, 384).tobytes()
+        _same_components(
+            mo.connected_components(refined), _reference_connected_components(refined)
+        )
+        sm.update_scene(model, f, sm.ForegroundMask(f.width, f.height, refined), 0.05)
+
+
+def test_label_passes_are_counted_through_the_module_attribute(monkeypatch):
+    calls = []
+    label = ndimage.label
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counted)
+    m = np.zeros((20, 30), bool)
+    m[4:9, 6:12] = True
+    mo.connected_components(m)
+    mo.connected_components(np.zeros((20, 30), bool))
+    assert calls == [(5, 6), (0, 0)]

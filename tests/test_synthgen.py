@@ -175,3 +175,53 @@ def test_generated_truth_matches_full_frame_reference():
     _, _, truth = sg.generate_scenario(sc)
     want = [_reference_truth_for_frame(sc, *args) for args in _scenario_masks(sc)]
     assert json.dumps(truth["per_frame"]) == json.dumps(want)
+
+
+def _reference_stamp(img, prim, ox, oy, value):
+    """Stamp on a canvas padded far enough that nothing leaves it, then crop."""
+    pad = 200
+    big = np.zeros((img.shape[0] + 2 * pad, img.shape[1] + 2 * pad) + img.shape[2:], img.dtype)
+    big[pad:-pad, pad:-pad] = img
+    kind = prim[0]
+    if kind == "rect":
+        _, x0, y0, x1, y1 = prim
+        big[pad + oy + y0 : pad + oy + y1, pad + ox + x0 : pad + ox + x1] = value
+    else:
+        _, cx, cy, r = prim
+        ys, xs = np.mgrid[-r : r + 1, -r : r + 1]
+        disc = xs * xs + ys * ys <= r * r
+        y0, x0 = pad + oy + cy - r, pad + ox + cx - r
+        big[y0 : y0 + 2 * r + 1, x0 : x0 + 2 * r + 1][disc] = value
+    img[...] = big[pad:-pad, pad:-pad]
+
+
+@pytest.mark.parametrize("prim", [sg._HEAD, sg._TORSO, sg._ARM_R_EXT, ("disc", 0, 0, 1)])
+def test_stamp_clips_primitives_at_every_edge(prim):
+    h, w = 40, 50
+    for ox in range(-50, 100, 3):
+        for oy in range(-120, 50, 7):
+            for shape, value in (((h, w), True), ((h, w, 3), (9, 8, 7))):
+                got = np.zeros(shape, np.uint8 if len(shape) == 3 else bool)
+                want = got.copy()
+                sg._stamp(got, prim, ox, oy, value)
+                _reference_stamp(want, prim, ox, oy, value)
+                assert got.tobytes() == want.tobytes(), (ox, oy)
+
+
+def test_figure_leaving_the_frame_is_rendered_clipped_and_then_invisible(monkeypatch):
+    def exit_right(sc, f):
+        if f < sc.learn_frames:
+            return None
+        return {"ox": 250 + 10 * (f - sc.learn_frames), "oy": 150, "pose": "star"}
+
+    monkeypatch.setattr(sg, "_person_script", exit_right)
+    sc = sg.Scenario("walker", frames=45, seed=5)
+    _, _, truth = sg.generate_scenario(sc)
+    visible = [e["person_visible"] for e in truth["per_frame"]]
+    # ox 360 at frame 41 still shows the extended left arm (x 315-319)
+    assert visible == [False] * 30 + [True] * 12 + [False] * 3
+    last = truth["per_frame"][41]
+    assert last["bbox"][0] == 315 and last["bbox"][0] + last["bbox"][2] == 320
+    # while the legs show they are cut at the frame's bottom edge (oy + 114 > 240)
+    assert all(e["bbox"][1] + e["bbox"][3] == 240 for e in truth["per_frame"][30:38])
+    assert "person_centroid" not in truth["per_frame"][44]

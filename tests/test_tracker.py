@@ -354,3 +354,80 @@ def test_mspf_track_matches_int64_where_reference(monkeypatch):
         assert parts.states.tobytes() == ref_parts.states.tobytes()
         compared += 1
     assert compared >= 20
+
+
+# ---------------------------------------------------------------------------
+# integral-histogram particle weights against the per-particle loop they replace
+
+def _reference_particle_weights(plane, states, ref_size, sqrt_ref):
+    height, width = plane.shape
+    weights = np.zeros(len(states))
+    for i, state in enumerate(states):
+        x, y, w, h = tr._state_rect(state, ref_size, width, height)
+        counts = np.bincount(plane[y : y + h, x : x + w].ravel(), minlength=tr.N_BINS)[
+            : tr.N_BINS
+        ]
+        total = counts.sum()
+        if total:
+            weights[i] = float((np.sqrt(counts / total) * sqrt_ref).sum())
+    return weights
+
+
+def _reference_hists(rng, prev):
+    """The tracked reference, one with a single bin and one with all 16 bins."""
+    one = np.zeros(tr.N_BINS)
+    one[int(rng.integers(tr.N_BINS))] = 1.0
+    full = rng.random(tr.N_BINS) + 0.01
+    return prev.ref_hist, one, full / full.sum()
+
+
+def test_particle_weights_match_per_particle_reference():
+    rng = np.random.default_rng(17)
+    steps = 0
+    for prev, particles, frame, _, _ in _walker_steps(50):
+        plane = tr.uv_bin_plane(frame)
+        states = particles.states + rng.normal(0.0, 8.0, particles.states.shape)
+        states[:, 2] = np.clip(states[:, 2], 0.2, 3.0)
+        states[::7, 0] = -40.0  # windows clipped at the left border
+        states[1::7, 1] = frame.height + 15.0  # and at the bottom one
+        states[2::7, 2] = 0.2
+        states[3::7, 2] = 3.0  # wider than the frame is high
+        states[4::7, :2] = np.round(states[4::7, :2]) + 0.5  # rounding ties
+        for ref in _reference_hists(rng, prev):
+            sqrt_ref = np.sqrt(ref)
+            for ref_size in (particles.ref_size, (1, 1), (frame.width * 2, 3)):
+                got = tr._particle_weights(plane, states, ref_size, sqrt_ref)
+                want = _reference_particle_weights(plane, states, ref_size, sqrt_ref)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        steps += 1
+    assert steps >= 10
+
+
+def test_particle_weights_on_a_tiny_frame():
+    rng = np.random.default_rng(18)
+    plane = rng.integers(0, tr.N_BINS, size=(3, 2)).astype(np.uint8)
+    states = np.column_stack(
+        [rng.uniform(-2, 4, 30), rng.uniform(-2, 5, 30), rng.uniform(0.2, 3.0, 30)]
+    )
+    sqrt_ref = np.sqrt(np.full(tr.N_BINS, 1.0 / tr.N_BINS))
+    got = tr._particle_weights(plane, states, (2, 3), sqrt_ref)
+    assert got.tobytes() == _reference_particle_weights(plane, states, (2, 3), sqrt_ref).tobytes()
+
+
+def test_coasting_out_of_the_frame_ends_the_track():
+    frame, fg = _square_person_frame()
+    empty = ForegroundMask(fg.width, fg.height, np.zeros_like(fg.bits))
+    particles = tr.init_particles(
+        tr.PersonBlob(bbox=(100, 30, 20, 40), centroid=(110.0, 50.0), area=800,
+                      ref_hist=np.full(16, 1 / 16)), 10, seed=1
+    )
+    for velocity, inside in (((9.0, 0.0), True), ((10.5, 0.0), False), ((0.0, -51.0), False)):
+        prev = tr.PersonBlob(
+            bbox=(100, 30, 20, 40), centroid=(110.0, 50.0), area=800,
+            ref_hist=np.full(16, 1 / 16), velocity=velocity,
+        )
+        person, parts = tr.mspf_track(prev, particles, frame, empty, None)
+        if inside:
+            assert person.centroid == (119.0, 50.0) and parts is particles
+        else:
+            assert person is None and parts is None
