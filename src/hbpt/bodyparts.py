@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blobmodel import GaussianBlob, fit_blob
-from .maskops import connected_components, fill_holes, largest_component
+from .maskops import fill_holes_many, largest_components
 
 PART_LABELS = ("head", "torso", "armL", "armR", "leg1", "leg2", "leg3", "leg4")
 DEFAULT_MIN_PART_AREA = 15
@@ -90,39 +90,33 @@ def partition_regions(silhouette, torso, bbox=None):
     return RegionPartition(masks=masks, bbox=bbox)
 
 
-def _largest_filled_component(mask, origin):
-    """Frame pixels of the region's largest component with its holes filled.
-
-    ``mask`` is cropped to a box whose top-left pixel sits at ``origin``.
-    """
-    comps = connected_components(mask)
-    best = largest_component(comps)
-    if best is None:
-        return None
-    x, y, w, h = comps.stats[best].bbox
-    sub = fill_holes(comps.labels[y : y + h, x : x + w] == best + 1)
-    sy, sx = np.nonzero(sub)
-    return np.column_stack([sx + (x + origin[0]), sy + (y + origin[1])])
-
-
 def build_part_model(
     partition, frame, prev=None, min_part_area=DEFAULT_MIN_PART_AREA, frame_index=None
 ):
     """Fit one blob per populated region; starved regions lose their blob.
 
-    A region whose silhouette pixels fall below ``min_part_area`` contributes
-    nothing this frame; when it refills, a fresh blob is fitted. The torso is
-    refitted every frame from the central region.
+    A region's pixels are its largest 8-connected component with its holes
+    filled. A region whose silhouette pixels, or whose filled component's,
+    fall below ``min_part_area`` contributes nothing this frame; when it
+    refills, a fresh blob is fitted. The torso is refitted every frame from
+    the central region. All regions are labelled in one pass and hole-filled
+    in one more.
     """
+    labels = [l for l in PART_LABELS if int(partition.masks[l].sum()) >= min_part_area]
+    found = [
+        (label, comp)
+        for label, comp in zip(labels, largest_components([partition.masks[l] for l in labels]))
+        if comp is not None
+    ]
+    filled = fill_holes_many([comp for _, (_, _, comp) in found])
+    ox, oy = partition.bbox[:2]
     blobs = {}
     part_pixels = {}
-    for label in PART_LABELS:
-        mask = partition.masks[label]
-        if int(mask.sum()) < min_part_area:
+    for (label, (y, x, _)), sub in zip(found, filled):
+        sy, sx = np.nonzero(sub)
+        if sy.size < min_part_area:
             continue
-        pixels = _largest_filled_component(mask, partition.bbox[:2])
-        if pixels is None or pixels.shape[0] < min_part_area:
-            continue
+        pixels = np.column_stack([sx + (x + ox), sy + (y + oy)])
         blobs[label] = fit_blob(pixels, frame, label=label)
         part_pixels[label] = pixels
     if frame_index is None:

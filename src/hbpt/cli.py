@@ -136,7 +136,9 @@ def run_pipeline(cfg):
     for fi in range(n):
         # the read-ahead frames go first; each is dropped once stepped
         frame = head.popleft() if head else timed("load", iio.read_frame, paths[fi], fi, size)
-        depth = timed("load", iio.load_depth_raster, depth_paths[fi]) if depth_paths else None
+        depth = (
+            timed("load", iio.load_depth_raster, depth_paths[fi], size) if depth_paths else None
+        )
         fg = timed("foreground", sm.detect_foreground, model, frame, cfg.tau)
         refined = timed(
             "refine", mo.refine_mask, fg.bits, refine_min_area, se, cfg.mask_iterations

@@ -10,6 +10,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,21 @@ class Frame:
             raise ValueError("frame dimensions must be positive")
         if self.yuv.shape != (self.height, self.width, 3):
             raise ValueError("yuv raster does not match frame dimensions")
+
+    @cached_property
+    def uv_bins(self):
+        """Per-pixel joint UV bin index in 0..15 (4x4 bins, edges at 0, 64,
+        128, 192, 256), uint8 and read-only.
+
+        Computed on first use and kept: frames are not changed after decode,
+        and person tracking, box tracking and their histograms all read it.
+        """
+        u = self.yuv[:, :, 1] >> 6
+        v = self.yuv[:, :, 2] >> 6
+        u <<= 2
+        u |= v
+        u.flags.writeable = False
+        return u
 
 
 @dataclass
@@ -409,11 +425,17 @@ def read_frame(path, index, size=None):
     )
 
 
-def load_depth_raster(path):
-    """Load one 16-bit PGM depth raster; values outside 1..10000 mm become 0."""
+def load_depth_raster(path, size=None):
+    """Load one 16-bit PGM depth raster; values outside 1..10000 mm become 0.
+
+    Raises ValueError naming the file when, given the frames' ``size`` =
+    (width, height), its dimensions differ.
+    """
     z = read_pgm16(path)
-    z[z > DEPTH_MAX_MM] = 0
     h, w = z.shape
+    if size is not None and (w, h) != tuple(size):
+        raise ValueError(f"dimension mismatch in {path}: {w}x{h} vs {size[0]}x{size[1]}")
+    z[z > DEPTH_MAX_MM] = 0
     return DepthRaster(width=w, height=h, z=z)
 
 

@@ -1,6 +1,10 @@
 """Binary mask machinery: box morphology, connected components and the
-choice of the largest one, convex hulls, and the dilate/erode/dilate
-silhouette refinement step."""
+choice of the largest one, hole filling, convex hulls, and the silhouette
+refinement step (one dilation, which equals the paper's dilate/erode/dilate).
+
+A list of crops is labelled in one pass over a mosaic of them
+(``fill_holes_many``, ``largest_components``) rather than one pass per crop.
+"""
 
 from dataclasses import dataclass
 
@@ -154,39 +158,103 @@ def fill_holes(mask):
     return filled
 
 
+def _mosaic(masks):
+    """Stack the masks top to bottom into one zeroed mosaic.
+
+    Mask k sits at rows ``tops[k]`` to ``tops[k] + h_k``, columns 1 to
+    ``1 + w_k``. Row 0, column 0, the last row and the row between two masks
+    stay empty, so every mask has a 1-px empty frame, and no 8-connected
+    component spans two masks. Returns (mosaic, tops).
+    """
+    heights = [m.shape[0] for m in masks]
+    tops = np.cumsum([1] + [h + 1 for h in heights[:-1]]).tolist()
+    width = max(m.shape[1] for m in masks) + 2
+    mosaic = np.zeros((sum(heights) + len(masks) + 1, width), dtype=bool)
+    for m, top in zip(masks, tops):
+        mosaic[top : top + m.shape[0], 1 : 1 + m.shape[1]] = m
+    return mosaic, tops
+
+
+def fill_holes_many(masks):
+    """``fill_holes`` of each mask, from one labelling of their mosaic.
+
+    Every mask's 1-px empty frame joins column 0 of the mosaic, so all the
+    background that reaches a mask's border is one component, the one at
+    [0, 0]; every other background component is a hole. Returns views into
+    one array, one per mask.
+    """
+    if not masks:
+        return []
+    mosaic, tops = _mosaic(masks)
+    bg_labels, _ = ndimage.label(~mosaic)
+    filled = bg_labels != bg_labels[0, 0]
+    return [filled[t : t + m.shape[0], 1 : 1 + m.shape[1]] for m, t in zip(masks, tops)]
+
+
+def largest_components(masks):
+    """The largest 8-connected component of each mask, the first in raster
+    order on ties, from one labelling of all the masks.
+
+    Each mask is cropped to its foreground bounding box and the crops are
+    labelled as one mosaic. Labels follow raster order, so the labels of a
+    crop are one run, numbered as a labelling of the crop alone would number
+    them. Returns one ``(y, x, component)`` per mask: ``component`` is a bool
+    crop whose top-left pixel is row ``y``, column ``x`` of the mask, or None
+    for an empty mask.
+    """
+    boxes = [_foreground_box(m) for m in masks]
+    crops = [m[b[0] : b[1], b[2] : b[3]] for m, b in zip(masks, boxes) if b is not None]
+    if not crops:
+        return [None] * len(masks)
+    mosaic, tops = _mosaic(crops)
+    labels, _ = ndimage.label(mosaic, structure=_STRUCT8)
+    areas = np.bincount(labels.ravel())
+    picked = iter(zip(crops, tops))
+    out = []
+    lo = 1
+    for box in boxes:
+        if box is None:
+            out.append(None)
+            continue
+        crop, top = next(picked)
+        sub = labels[top : top + crop.shape[0], 1 : 1 + crop.shape[1]]
+        hi = int(sub.max())
+        best = lo + int(np.argmax(areas[lo : hi + 1]))
+        out.append((box[0], box[2], sub == best))
+        lo = hi + 1
+    return out
+
+
 def refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
     """Consolidate a noisy silhouette into few large filled components.
 
-    Dilate, erode, dilate with the box element, then keep every 8-connected
-    component, holes filled, whose filled area clears ``min_area`` (default
-    0.5% of the frame).
+    Dilate with the box element, then keep every 8-connected component,
+    holes filled, whose filled area clears ``min_area`` (default 0.5% of the
+    frame). The paper dilates, erodes and dilates again; that is the same
+    mask, because ``morph``'s dilation and erosion are an adjoint pair, for
+    which dilate-erode-dilate equals one dilation.
     """
     mask = np.asarray(mask, dtype=bool)
     if min_area is None:
         min_area = int(round(0.005 * mask.size))
     out = np.zeros_like(mask)
-    # Work on the foreground's bounding box grown by 2*r*iterations + 1 px
-    # (r = se // 2 per axis) and clipped at the frame edge, where the crop is
-    # padded as the frame is. The first dilation reaches r*iterations past
-    # the box, so after it no foreground lies within the erosion's reach
-    # (r*iterations) of a crop edge inside the frame. The erosion keeps only
-    # pixels the dilation set, and their windows stay inside the crop, so its
-    # neutral (foreground) padding there acts exactly like the frame's real
-    # background. The last dilation ends 2*r*iterations past the box, inside
-    # the crop.
-    my, mx = (2 * (s // 2) * iterations + 1 for s in se)
+    # Work on the foreground's bounding box grown by the dilation's reach,
+    # r*iterations px (r = se // 2 per axis), and clipped at the frame. Past
+    # an inner crop edge there is no foreground within that reach, so the
+    # crop's background padding there acts as the frame's real background.
+    my, mx = ((s // 2) * iterations for s in se)
     box = _foreground_box(mask, my, mx)
     if box is None:
         return out
     y0, y1, x0, x1 = box
-    m = morph(mask[y0:y1, x0:x1], "dilate", se, iterations)
-    m = morph(m, "erode", se, iterations)
-    m = morph(m, "dilate", se, iterations)
-    comps = connected_components(m, connectivity=8)
+    comps = connected_components(morph(mask[y0:y1, x0:x1], "dilate", se, iterations))
+    subs = []
+    for i, s in enumerate(comps.stats):
+        x, y, w, h = s.bbox
+        subs.append(comps.labels[y : y + h, x : x + w] == i + 1)
     crop = out[y0:y1, x0:x1]
-    for i in range(comps.count):
-        x, y, w, h = comps.stats[i].bbox
-        sub = fill_holes(comps.labels[y : y + h, x : x + w] == i + 1)
+    for s, sub in zip(comps.stats, fill_holes_many(subs)):
         if int(sub.sum()) >= min_area:
+            x, y, w, h = s.bbox
             crop[y : y + h, x : x + w] |= sub
     return out

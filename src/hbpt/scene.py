@@ -14,6 +14,10 @@ DEFAULT_ALPHA = 0.05
 
 _MAGIC = b"HBPTSCN1"
 
+# Pixels per block of the full-frame passes: a block's float64 temporaries
+# (384 KB each) stay in cache from one numpy op to the next.
+_BLOCK_PIXELS = 16384
+
 
 @dataclass
 class SceneModel:
@@ -70,13 +74,25 @@ def detect_foreground(model, frame, tau=DEFAULT_TAU):
     """Flag pixels whose squared Mahalanobis distance over Y,U,V exceeds tau^2."""
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
-    q = frame.yuv.astype(np.float64)  # x, then d = x - mean, d*d, d*d/var
-    q -= model.mean
-    q *= q
-    q /= model.var
-    dist2 = q[:, :, 0] + q[:, :, 1]  # the order of np.sum(q, axis=2)
-    dist2 += q[:, :, 2]
-    return ForegroundMask(width=model.width, height=model.height, bits=dist2 > tau * tau)
+    x = frame.yuv.reshape(-1, 3)
+    mean = model.mean.reshape(-1, 3)
+    var = model.var.reshape(-1, 3)
+    bits = np.empty(x.shape[0], dtype=bool)
+    q = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3))  # d = x - mean, d*d, d*d/var
+    dist2 = np.empty(q.shape[0])
+    tau2 = tau * tau
+    for s in range(0, x.shape[0], _BLOCK_PIXELS):
+        e = min(s + _BLOCK_PIXELS, x.shape[0])
+        qb, db = q[: e - s], dist2[: e - s]
+        np.subtract(x[s:e], mean[s:e], out=qb)
+        qb *= qb
+        qb /= var[s:e]
+        np.add(qb[:, 0], qb[:, 1], out=db)  # the order of np.sum(q, axis=1)
+        db += qb[:, 2]
+        np.greater(db, tau2, out=bits[s:e])
+    return ForegroundMask(
+        width=model.width, height=model.height, bits=bits.reshape(model.height, model.width)
+    )
 
 
 def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
@@ -84,8 +100,8 @@ def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
 
     mean <- (1-a)*mean + a*x, var <- (1-a)*var + a*(x-mean)^2, then the
     variance floor is re-applied. ``model.mean`` and ``model.var`` are updated
-    in place over the whole frame, and the foreground pixels' values, saved
-    beforehand, are written back, so they are left untouched.
+    in place over the whole frame, block by block, and the foreground pixels'
+    values, saved beforehand, are written back, so they are left untouched.
     """
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
@@ -101,16 +117,23 @@ def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
     var = model.var.reshape(-1, 3)
     saved_mean = np.take(mean, rows, axis=0)
     saved_var = np.take(var, rows, axis=0)
-    x = frame.yuv.reshape(-1, 3).astype(np.float64)
-    ax = x * alpha  # a*x, then a*d*d
-    mean *= 1.0 - alpha
-    mean += ax
-    d = np.subtract(x, mean, out=x)
-    np.multiply(d, alpha, out=ax)
-    ax *= d
-    var *= 1.0 - alpha
-    var += ax
-    np.maximum(var, model.var_floor, out=var)
+    x = frame.yuv.reshape(-1, 3)
+    d = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3))  # x, then x - mean
+    ad = np.empty_like(d)  # a*x, then (a*d)*d
+    keep = 1.0 - alpha
+    for s in range(0, x.shape[0], _BLOCK_PIXELS):
+        e = min(s + _BLOCK_PIXELS, x.shape[0])
+        db, adb, mb, vb = d[: e - s], ad[: e - s], mean[s:e], var[s:e]
+        np.copyto(db, x[s:e])
+        np.multiply(db, alpha, out=adb)
+        mb *= keep
+        mb += adb
+        db -= mb
+        np.multiply(db, alpha, out=adb)
+        adb *= db
+        vb *= keep
+        vb += adb
+        np.maximum(vb, model.var_floor, out=vb)
     mean[rows] = saved_mean
     var[rows] = saved_var
     model.frames_seen += 1

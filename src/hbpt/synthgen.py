@@ -195,13 +195,24 @@ def _render_person(rgb, mask, script):
         _stamp(mask, prim, ox, oy, True)
 
 
+def _clip_rect(rect, shape):
+    """(y0, y1, x0, x1) of rect = (x, y, w, h) clipped to a frame of ``shape``."""
+    x, y, w, h = rect
+    return max(y, 0), min(y + h, shape[0]), max(x, 0), min(x + w, shape[1])
+
+
 def _render_box(rgb, box):
-    x, y, w, h = box["rect"]
+    """Draw the checkered box, clipped to the frame; the checker is anchored
+    at the box origin wherever that lies."""
+    x, y, _, _ = box["rect"]
+    y0, y1, x0, x1 = _clip_rect(box["rect"], rgb.shape)
+    if y0 >= y1 or x0 >= x1:
+        return
     pal = (BOX_OPEN_A, BOX_OPEN_B) if box["opened"] else (BOX_A, BOX_B)
-    ys, xs = np.mgrid[0:h, 0:w]
+    ys, xs = np.mgrid[y0 - y : y1 - y, x0 - x : x1 - x]
     checker = ((xs // 3) + (ys // 3)) % 2
     tile = np.where(checker[..., None] == 0, pal[0], pal[1])
-    rgb[y : y + h, x : x + w] = tile
+    rgb[y0:y1, x0:x1] = tile
 
 
 def _hand_tip(script):
@@ -304,8 +315,8 @@ def generate_scenario(scenario):
         if with_depth:
             z = np.full((h, w), BG_DEPTH_MM, dtype=np.int32)
             if box is not None:
-                bx, by, bw, bh = box["rect"]
-                z[by : by + bh, bx : bx + bw] = BOX_DEPTH_MM
+                y0, y1, x0, x1 = _clip_rect(box["rect"], z.shape)
+                z[y0:y1, x0:x1] = BOX_DEPTH_MM
             if script is not None:
                 z[mask] = PERSON_DEPTH_MM
             depths.append(DepthRaster(width=w, height=h, z=z))

@@ -43,12 +43,9 @@ class ParticleSet:
 # histograms
 
 def uv_bin_plane(frame):
-    """Per-pixel joint UV bin index in 0..15 (bin edges at 0,64,128,192,256), uint8."""
-    u = frame.yuv[:, :, 1] >> 6
-    v = frame.yuv[:, :, 2] >> 6
-    u <<= 2
-    u |= v
-    return u
+    """Per-pixel joint UV bin index in 0..15 (bin edges at 0,64,128,192,256),
+    uint8; the frame's cached, read-only ``Frame.uv_bins``."""
+    return frame.uv_bins
 
 
 def hist16_of_bins(bins):
@@ -75,7 +72,7 @@ def back_project(frame, hist):
     hist = np.asarray(hist, dtype=np.float64)
     if hist.shape != (N_BINS,) or abs(hist.sum() - 1.0) > 1e-6:
         raise ValueError("backprojection needs a normalized 16-bin histogram")
-    return hist[uv_bin_plane(frame)]
+    return hist.take(uv_bin_plane(frame))
 
 
 # ---------------------------------------------------------------------------

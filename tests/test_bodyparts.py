@@ -341,3 +341,35 @@ def test_crop_matches_reference_at_min_part_area(area):
     mask[22 + ys, 58 + xs] = True  # 3 rows of 5 (or 14 px) right of the disc
     model = assert_crop_matches_reference(mask, disc, min_part_area=15)
     assert ("armR" in model.blobs) == (area >= 15)
+
+
+def _random_silhouettes(rng, count=60, shape=(60, 80)):
+    """Blocks with holes and specks, fragmented noise, thin strokes, some at
+    the frame edge."""
+    h, w = shape
+    for i in range(count):
+        mask = np.zeros(shape, bool)
+        for _ in range(int(rng.integers(1, 6))):
+            y, x = int(rng.integers(-5, h)), int(rng.integers(-5, w))
+            bh, bw = (int(v) for v in rng.integers(1, 30, 2))
+            mask[max(y, 0) : y + bh, max(x, 0) : x + bw] = True
+        kind = i % 3
+        if kind == 0:
+            mask &= rng.random(shape) > 0.1  # pepper holes
+        elif kind == 1:
+            mask |= rng.random(shape) < 0.05  # specks
+        else:
+            mask ^= rng.random(shape) < 0.3
+        if mask.any():
+            yield mask
+
+
+def test_build_part_model_matches_reference_on_random_silhouettes():
+    rng = np.random.default_rng(41)
+    for mask in _random_silhouettes(rng):
+        ys, xs = np.nonzero(mask)
+        cx = float(rng.uniform(xs.min(), xs.max() + 1))
+        cy = float(rng.uniform(ys.min(), ys.max() + 1))
+        disc = TorsoDisc(center=(cx, cy), radius=float(rng.uniform(1.0, 15.0)))
+        for min_part_area in (0, 1, 15, 40):
+            assert_crop_matches_reference(mask, disc, min_part_area)

@@ -802,3 +802,43 @@ def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, sc
     records = read_jsonl(tmp_path / "crop" / "blobs.jsonl")
     assert sum(len(r["parts"]) == 6 for r in records) == 30
     assert got[2] == got[3]
+
+
+# ---------------------------------------------------------------------------
+# depth rasters of the wrong size, and the number of labelling passes
+
+def _box_config(tmp_path, truth):
+    box = truth["box"]
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"box.rect = {box['rect']}\nbox.ref_frame = {box['ref_frame']}\n")
+    return cfg
+
+
+def test_track_rejects_depth_rasters_of_the_wrong_size(tmp_path, capsys, scenario_dir):
+    src, truth = scenario_dir("carry_box", frames=40, seed=3)
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    for path in indir.glob("depth_*.pgm"):
+        z = iio.load_depth_raster(path).z
+        iio.write_pgm16(path, z[::2, ::2])
+    assert _track(indir, tmp_path / "out", "--config", str(_box_config(tmp_path, truth))) == 1
+    err = capsys.readouterr().err
+    want = f"error: dimension mismatch in {indir / 'depth_000000.pgm'}: 160x120 vs 320x240\n"
+    assert err == want
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
+def test_track_labels_at_most_five_times_per_frame(tmp_path, monkeypatch, scenario_dir):
+    indir, truth = scenario_dir("carry_box", frames=40, seed=3)
+    calls = []
+    label = mo.ndimage.label
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(mo.ndimage, "label", counted)
+    assert _track(indir, tmp_path / "out", "--config", str(_box_config(tmp_path, truth))) == 0
+    records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
+    assert sum(r["tracked"] for r in records) >= 5  # the part model ran
+    assert len(calls) <= 5 * len(records), len(calls) / len(records)

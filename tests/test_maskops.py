@@ -440,3 +440,112 @@ def test_label_passes_are_counted_through_the_module_attribute(monkeypatch):
     mo.connected_components(m)
     mo.connected_components(np.zeros((20, 30), bool))
     assert calls == [(5, 6), (0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# one labelling pass over a mosaic of crops against one pass per crop, and
+# the single dilation against the dilate/erode/dilate it replaces
+
+def _hole_crops(rng):
+    """Random masks of many sizes, C-shapes, nested rings and 1x1 crops."""
+    for _ in range(30):
+        h, w = (int(v) for v in rng.integers(1, 24, 2))
+        yield rng.random((h, w)) < rng.choice([0.1, 0.4, 0.6, 0.9])
+    yield np.ones((1, 1), bool)
+    yield np.zeros((1, 1), bool)
+    yield np.zeros((4, 9), bool)
+    yield np.ones((3, 2), bool)
+    c = np.zeros((9, 8), bool)  # open to the right: no hole
+    c[1:8, 1:7] = True
+    c[3:6, 3:8] = False
+    yield c
+    closed = c.copy()
+    closed[3:6, 6] = True  # the C closed: a 3x3 hole
+    yield closed
+    rings = np.zeros((15, 15), bool)  # rings around rings around a dot
+    for r in range(0, 7, 2):
+        rings[r : 15 - r, r : 15 - r] = r % 4 == 0
+    yield rings
+    edge = np.ones((6, 6), bool)  # a hole reaching the crop border is no hole
+    edge[2:4, 0:3] = False
+    yield edge
+
+
+def test_fill_holes_many_matches_fill_holes_per_crop():
+    rng = np.random.default_rng(31)
+    crops = list(_hole_crops(rng))
+    assert mo.fill_holes_many([]) == []
+    for batch in (crops, crops[::-1], crops[-8:], crops[:1]):
+        got = mo.fill_holes_many(batch)
+        assert len(got) == len(batch)
+        for m, g in zip(batch, got):
+            want = mo.fill_holes(m)
+            assert g.shape == m.shape and g.dtype == bool
+            assert np.array_equal(g, want)
+    rings = crops[-2]
+    assert not rings.all() and mo.fill_holes_many([rings])[0].all()
+
+
+def _reference_largest_components(masks):
+    """One labelling pass per mask."""
+    out = []
+    for m in masks:
+        comps = mo.connected_components(m)
+        best = mo.largest_component(comps)
+        if best is None:
+            out.append(None)
+            continue
+        x, y, w, h = comps.stats[best].bbox
+        out.append((y, x, comps.labels[y : y + h, x : x + w] == best + 1))
+    return out
+
+
+def _same_largest(got, want, masks):
+    """The same component pixels; each crop lies in its mask, holds the
+    component's bounding box and nothing of any other component."""
+    assert len(got) == len(want)
+    for g, w, m in zip(got, want, masks):
+        if w is None:
+            assert g is None
+            continue
+        (gy, gx, gc), (wy, wx, wc) = g, w
+        ys, xs = np.nonzero(gc)
+        assert gc.dtype == bool
+        assert gy + gc.shape[0] <= m.shape[0] and gx + gc.shape[1] <= m.shape[1]
+        assert np.array_equal(ys + gy, np.nonzero(wc)[0] + wy)
+        assert np.array_equal(xs + gx, np.nonzero(wc)[1] + wx)
+
+
+def test_largest_components_match_per_mask_labelling():
+    rng = np.random.default_rng(32)
+    masks = list(_hole_crops(rng))
+    tie = np.zeros((6, 12), bool)  # two 4-px blobs: the first in raster order wins
+    tie[1:3, 7:9] = True
+    tie[3:5, 1:3] = True
+    masks.append(tie)
+    for batch in (masks, masks[::-1], [np.zeros((5, 5), bool)], [tie]):
+        _same_largest(mo.largest_components(batch), _reference_largest_components(batch), batch)
+    ((y, x, comp),) = mo.largest_components([tie])
+    assert (y, x) == (1, 1) and comp[0:2, 6:8].all()
+
+
+_RECT_SES = [(1, 1), (1, 3), (3, 1), (3, 3), (5, 3), (3, 5), (5, 5), (7, 5), (5, 7)]
+
+
+@pytest.mark.parametrize("se", _RECT_SES)
+def test_one_dilation_equals_dilate_erode_dilate(se):
+    rng = np.random.default_rng(33 + se[0] * 10 + se[1])
+    for m in _edge_masks(rng):
+        for iterations in (1, 2, 3):
+            once = mo.morph(m, "dilate", se, iterations)
+            three = mo.morph(mo.morph(once, "erode", se, iterations), "dilate", se, iterations)
+            assert once.tobytes() == three.tobytes()
+
+
+@pytest.mark.parametrize("se", [(7, 5), (5, 7), (1, 3)])
+def test_refine_mask_matches_three_pass_reference_rectangular_se(se):
+    rng = np.random.default_rng(34 + se[0] + se[1])
+    for m in _edge_masks(rng):
+        for iterations in (1, 3):
+            got = mo.refine_mask(m, 10, se, iterations)
+            assert got.tobytes() == _reference_refine_mask(m, 10, se, iterations).tobytes()

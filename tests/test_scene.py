@@ -316,3 +316,15 @@ def test_scene_model_arrays_are_contiguous_float64():
     frame = flat_frame((10, 20, 30), width=5, height=4)
     sm.update_scene(model, frame, ForegroundMask(5, 4, np.zeros((4, 5), bool)), alpha=0.5)
     assert (model.mean[..., 0] == 0.5 * frame.yuv[0, 0, 0]).all()
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (2, 1)])
+def test_scene_passes_match_reference_at_block_boundaries(blocks, extra):
+    """Frames of exactly one block, one block and a pixel, two blocks and a pixel."""
+    n = blocks * sm._BLOCK_PIXELS + extra
+    h = {(1, 0): 128, (1, 1): 5, (2, 1): 3}[blocks, extra]
+    assert n % h == 0
+    rng = np.random.default_rng(n)
+    frames = _random_frames(rng, 5, w=n // h, h=h)
+    model = sm.learn_scene(frames[:3], var_floor=4.0)
+    _assert_scene_passes_match(model, frames[3:], alpha=0.05, tau=4.0)

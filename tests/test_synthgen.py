@@ -225,3 +225,46 @@ def test_figure_leaving_the_frame_is_rendered_clipped_and_then_invisible(monkeyp
     # while the legs show they are cut at the frame's bottom edge (oy + 114 > 240)
     assert all(e["bbox"][1] + e["bbox"][3] == 240 for e in truth["per_frame"][30:38])
     assert "person_centroid" not in truth["per_frame"][44]
+
+
+def _reference_render_box(rgb, box):
+    """Draw the whole box on a canvas padded far enough that nothing leaves it, then crop."""
+    pad = 64
+    big = np.zeros((rgb.shape[0] + 2 * pad, rgb.shape[1] + 2 * pad, 3), rgb.dtype)
+    big[pad:-pad, pad:-pad] = rgb
+    x, y, w, h = box["rect"]
+    pal = (sg.BOX_OPEN_A, sg.BOX_OPEN_B) if box["opened"] else (sg.BOX_A, sg.BOX_B)
+    ys, xs = np.mgrid[0:h, 0:w]
+    checker = ((xs // 3) + (ys // 3)) % 2
+    big[pad + y : pad + y + h, pad + x : pad + x + w] = np.where(
+        checker[..., None] == 0, pal[0], pal[1]
+    )
+    rgb[...] = big[pad:-pad, pad:-pad]
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [(310, 112, 24, 20), (-6, 112, 24, 20), (100, -7, 24, 20), (100, 230, 24, 20),
+     (-30, -25, 24, 20), (320, 50, 24, 20), (-5, 225, 331, 20)],
+    ids=["right", "left", "top", "bottom", "outside-top-left", "outside-right", "wide"],
+)
+def test_render_box_clips_at_the_frame_edge(rect):
+    for opened in (False, True):
+        box = {"rect": rect, "opened": opened}
+        got = np.full((240, 320, 3), 7, np.uint8)
+        want = got.copy()
+        sg._render_box(got, box)
+        _reference_render_box(want, box)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_depth_of_a_box_at_the_frame_edge_is_clipped(monkeypatch):
+    rects = [(310, 112, 24, 20), (-6, 112, 24, 20), (100, -7, 24, 20), (100, 230, 24, 20)]
+    monkeypatch.setattr(sg, "_box_script", lambda sc, f: {"rect": rects[f % 4], "opened": False})
+    sc = sg.Scenario("carry_box", frames=8, seed=2)
+    _, depths, _ = sg.generate_scenario(sc)
+    for f, d in enumerate(depths[:4]):  # no figure in the learning frames
+        want = np.full((240, 320), sg.BG_DEPTH_MM, np.int32)
+        x, y, w, h = rects[f]
+        want[max(y, 0) : y + h, max(x, 0) : x + w] = sg.BOX_DEPTH_MM
+        assert np.array_equal(d.z, want), rects[f]

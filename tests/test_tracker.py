@@ -292,6 +292,18 @@ def test_uv_bin_plane_is_uint8_and_matches_int64_reference():
     assert set(np.unique(tr.uv_bin_plane(frame))) == set(range(16))
 
 
+def test_uv_bin_plane_is_cached_on_the_frame():
+    frame, _ = _square_person_frame()
+    plane = tr.uv_bin_plane(frame)
+    assert tr.uv_bin_plane(frame) is plane and frame.uv_bins is plane
+    assert not plane.flags.writeable
+    hist = tr.color_hist16(frame, (40, 30, 31, 31))
+    weights = tr.back_project(frame, hist)
+    assert weights.dtype == np.float64
+    assert weights.tobytes() == hist[_reference_uv_bin_plane(frame)].tobytes()
+    assert frame.uv_bins is plane
+
+
 def _walker_steps(frames=60):
     """(prev, particles, frame, fg, component) for each tracked walker frame."""
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=frames, seed=4))
