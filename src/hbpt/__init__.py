@@ -2,31 +2,3 @@
 and activity events from recorded color (and optional depth) sequences."""
 
 __version__ = "0.1.0"
-
-from .imageio import DepthRaster, Frame, OverlayItem
-from .scene import ForegroundMask, SceneModel
-from .blobmodel import GaussianBlob
-from .tracker import ParticleSet, PersonBlob, TorsoDisc
-from .bodyparts import BodyPartModel, RegionPartition
-from .activity import ActivityEvent, ActivityState, BoxRegion, ObjectTrack
-from .config import PipelineConfig
-
-__all__ = [
-    "ActivityEvent",
-    "ActivityState",
-    "BodyPartModel",
-    "BoxRegion",
-    "DepthRaster",
-    "ForegroundMask",
-    "Frame",
-    "GaussianBlob",
-    "ObjectTrack",
-    "OverlayItem",
-    "ParticleSet",
-    "PersonBlob",
-    "PipelineConfig",
-    "RegionPartition",
-    "SceneModel",
-    "TorsoDisc",
-    "__version__",
-]

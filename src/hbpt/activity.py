@@ -7,20 +7,11 @@ non-qualifying frame. Open and Carry are gated on a prior Approach.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tracker import back_project, color_hist16, mean_shift
-
-DEFAULT_D_XY = 30.0  # px
-DEFAULT_Z_GATE = 300.0  # mm between hand and box
-DEFAULT_APPROACH_FRAMES = 3
-DEFAULT_THETA_OPEN = 0.4
-DEFAULT_OPEN_FRAMES = 5
-DEFAULT_CARRY_FRAMES = 5
-DEFAULT_CARRY_MIN_DISP = 1.0  # px per frame
-DEFAULT_CARRY_Z_RATE = 200.0  # mm per frame
 
 _PHASES = {"Idle": 0, "Approached": 1, "Opened": 2, "Carrying": 3}
 
@@ -170,21 +161,13 @@ def depth_at(depth, point, win=5):
     return float(np.median(vals))
 
 
-def detect_approach(
-    model,
-    box,
-    depth,
-    state,
-    frame_index=0,
-    d_xy=DEFAULT_D_XY,
-    z_gate=DEFAULT_Z_GATE,
-    frames_required=DEFAULT_APPROACH_FRAMES,
-):
+def detect_approach(model, box, depth, state, frame_index, cfg):
     """Fire Approach after a sustained hand-near-box condition.
 
-    The hand must stay within ``d_xy`` of the tracked rectangle for
-    ``frames_required`` consecutive frames; with depth available, the hand
-    and box must also sit within ``z_gate`` millimeters of each other.
+    The hand must stay within ``cfg.d_xy`` px of the tracked rectangle for
+    ``cfg.approach_frames`` consecutive frames; with depth available, the
+    hand and box must also sit within ``cfg.z_gate_mm`` millimeters of each
+    other.
     """
     if state.reached("Approached"):
         return None
@@ -193,7 +176,7 @@ def detect_approach(
         state.approach_streak = 0
         return None
     dist = _point_rect_distance(hand, box.tracked_rect)
-    ok = dist <= d_xy
+    ok = dist <= cfg.d_xy
     z_hand = z_box = None
     depth_used = False
     if ok and depth is not None:
@@ -201,9 +184,11 @@ def detect_approach(
         z_hand = depth_at(depth, _hand_depth_sample(model, hand))
         z_box = depth_at(depth, (bx + bw / 2.0, by + bh / 2.0))
         depth_used = True
-        ok = z_hand is not None and z_box is not None and abs(z_hand - z_box) <= z_gate
+        ok = (
+            z_hand is not None and z_box is not None and abs(z_hand - z_box) <= cfg.z_gate_mm
+        )
     state.approach_streak = state.approach_streak + 1 if ok else 0
-    if state.approach_streak < frames_required:
+    if state.approach_streak < cfg.approach_frames:
         return None
     state.advance("Approached")
     payload = {
@@ -216,51 +201,36 @@ def detect_approach(
     return ActivityEvent(
         kind="Approach",
         frame_index=frame_index,
-        confidence=max(0.0, 1.0 - dist / (d_xy + 1.0)),
+        confidence=max(0.0, 1.0 - dist / (cfg.d_xy + 1.0)),
         payload=payload,
     )
 
 
-def detect_open(
-    box,
-    frame,
-    state,
-    frame_index=0,
-    theta_open=DEFAULT_THETA_OPEN,
-    frames_required=DEFAULT_OPEN_FRAMES,
-):
-    """Fire Open after a sustained histogram divergence inside the box rect."""
+def detect_open(box, frame, state, frame_index, cfg):
+    """Fire Open once the box rect's histogram has stayed more than
+    ``cfg.theta_open`` from its reference for ``cfg.open_frames`` frames."""
     if not state.reached("Approached") or state.reached("Opened"):
         return None
     d = hist_distance(color_hist16(frame, box.tracked_rect), box.ref_hist)
-    state.open_streak = state.open_streak + 1 if d > theta_open else 0
-    if state.open_streak < frames_required:
+    state.open_streak = state.open_streak + 1 if d > cfg.theta_open else 0
+    if state.open_streak < cfg.open_frames:
         return None
     state.advance("Opened")
     return ActivityEvent(
         kind="Open",
         frame_index=frame_index,
         confidence=min(1.0, d),
-        payload={"hist_distance": d, "threshold": theta_open},
+        payload={"hist_distance": d, "threshold": cfg.theta_open},
     )
 
 
-def detect_carry(
-    model,
-    track,
-    depth,
-    state,
-    frame_index=0,
-    d_xy=DEFAULT_D_XY,
-    min_disp=DEFAULT_CARRY_MIN_DISP,
-    z_rate=DEFAULT_CARRY_Z_RATE,
-    frames_required=DEFAULT_CARRY_FRAMES,
-):
+def detect_carry(model, track, depth, state, frame_index, cfg):
     """Fire Carry when the tracked object keeps moving with the hand.
 
-    Needs a sustained run of frames where the object centroid moved more than
-    ``min_disp`` pixels, the hand stayed within ``d_xy`` of it, and (with
-    depth) hand and object depth changed together within ``z_rate`` mm/frame.
+    Needs ``cfg.carry_frames`` frames in a row where the object centroid
+    moved more than ``cfg.carry_min_disp`` pixels, the hand stayed within
+    ``cfg.d_xy`` of it, and (with depth) hand and object depth changed
+    together within ``cfg.carry_z_rate_mm`` mm per frame.
     """
     if not state.reached("Approached") or state.phase == "Carrying":
         return None
@@ -280,22 +250,22 @@ def detect_carry(
             centroid[0] - track.prev_centroid[0], centroid[1] - track.prev_centroid[1]
         )
         hand_dist = math.hypot(hand[0] - centroid[0], hand[1] - centroid[1])
-        ok = disp > min_disp and hand_dist <= d_xy
+        ok = disp > cfg.carry_min_disp and hand_dist <= cfg.d_xy
         if ok and depth is not None:
             have_all = None not in (z_hand, z_obj, state.prev_z_hand, state.prev_z_obj)
             if have_all:
                 dz = (z_obj - state.prev_z_obj) - (z_hand - state.prev_z_hand)
-                ok = abs(dz) <= z_rate
+                ok = abs(dz) <= cfg.carry_z_rate_mm
     state.prev_z_hand = z_hand
     state.prev_z_obj = z_obj
     state.carry_streak = state.carry_streak + 1 if ok else 0
-    if state.carry_streak < frames_required:
+    if state.carry_streak < cfg.carry_frames:
         return None
     state.advance("Carrying")
     return ActivityEvent(
         kind="Carry",
         frame_index=frame_index,
-        confidence=min(1.0, disp / (min_disp + 1.0)),
+        confidence=min(1.0, disp / (cfg.carry_min_disp + 1.0)),
         payload={"displacement_px": disp, "hand_distance_px": hand_dist},
     )
 
@@ -517,40 +487,14 @@ class ActivityMonitor:
             self.track.prev_centroid = prev_centroid
 
         if model is not None and model.torso is not None:
-            ev = detect_approach(
-                model,
-                self.box,
-                depth,
-                self.state,
-                frame_index=frame_index,
-                d_xy=cfg.d_xy,
-                z_gate=cfg.z_gate_mm,
-                frames_required=cfg.approach_frames,
-            )
+            ev = detect_approach(model, self.box, depth, self.state, frame_index, cfg)
             if ev:
                 fired.append(ev)
                 self.track = seed_object_points(self.box.tracked_rect)
-            ev = detect_open(
-                self.box,
-                frame,
-                self.state,
-                frame_index=frame_index,
-                theta_open=cfg.theta_open,
-                frames_required=cfg.open_frames,
-            )
+            ev = detect_open(self.box, frame, self.state, frame_index, cfg)
             if ev:
                 fired.append(ev)
-            ev = detect_carry(
-                model,
-                self.track,
-                depth,
-                self.state,
-                frame_index=frame_index,
-                d_xy=cfg.d_xy,
-                min_disp=cfg.carry_min_disp,
-                z_rate=cfg.carry_z_rate_mm,
-                frames_required=cfg.carry_frames,
-            )
+            ev = detect_carry(model, self.track, depth, self.state, frame_index, cfg)
             if ev:
                 fired.append(ev)
         else:

@@ -21,7 +21,6 @@ class GaussianBlob:
     color_mean: tuple  # (Y, U, V)
     area: int
     label: str = ""
-    m: int = 2  # observation dimension
 
     def to_dict(self):
         return {

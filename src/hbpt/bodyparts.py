@@ -7,7 +7,7 @@ eight blobs per frame; emptied regions lose their blob and regain a fresh one
 when pixels return.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .blobmodel import GaussianBlob, fit_blob
 from .maskops import fill_holes_many, largest_components
 
 PART_LABELS = ("head", "torso", "armL", "armR", "leg1", "leg2", "leg3", "leg4")
-DEFAULT_MIN_PART_AREA = 15
 
 
 @dataclass
@@ -27,15 +26,14 @@ class RegionPartition:
 @dataclass
 class BodyPartModel:
     blobs: dict  # label -> GaussianBlob, at most 8
-    frame_index: int = 0
-    part_pixels: dict = field(default_factory=dict)  # label -> (n, 2) int array
+    part_pixels: dict  # label -> (n, 2) int array
 
     @property
     def torso(self):
         return self.blobs.get("torso")
 
 
-def partition_regions(silhouette, torso, bbox=None):
+def partition_regions(silhouette, torso, bbox):
     """Split the silhouette into the 8 torso-relative part regions.
 
     central: inside the disc. head: above the disc top, within the disc's
@@ -44,22 +42,12 @@ def partition_regions(silhouette, torso, bbox=None):
     bounding-box bottom, split into a 2x2 grid at the disc center x and the
     vertical midpoint.
 
-    ``bbox`` must cover the silhouette (it is computed when None). The region
-    masks are cropped to it: each is (h, w) with its origin at (x, y).
+    ``silhouette`` is an (H, W) bool mask and ``bbox`` = (x, y, w, h) must
+    cover it. The region masks are cropped to ``bbox``: each is (h, w) with
+    its origin at (x, y).
     """
-    sil = silhouette.bits if hasattr(silhouette, "bits") else np.asarray(silhouette)
-    if bbox is None:
-        ys, xs = np.nonzero(sil)
-        if xs.size == 0:
-            raise ValueError("cannot partition an empty silhouette")
-        bbox = (
-            int(xs.min()),
-            int(ys.min()),
-            int(xs.max() - xs.min() + 1),
-            int(ys.max() - ys.min() + 1),
-        )
     bx, by, bw, bh = bbox
-    sil = sil[by : by + bh, bx : bx + bw].astype(bool)
+    sil = silhouette[by : by + bh, bx : bx + bw]
     if not sil.any():
         raise ValueError("cannot partition an empty silhouette")
     cx, cy = torso.center
@@ -90,9 +78,7 @@ def partition_regions(silhouette, torso, bbox=None):
     return RegionPartition(masks=masks, bbox=bbox)
 
 
-def build_part_model(
-    partition, frame, prev=None, min_part_area=DEFAULT_MIN_PART_AREA, frame_index=None
-):
+def build_part_model(partition, frame, min_part_area):
     """Fit one blob per populated region; starved regions lose their blob.
 
     A region's pixels are its largest 8-connected component with its holes
@@ -119,9 +105,7 @@ def build_part_model(
         pixels = np.column_stack([sx + (x + ox), sy + (y + oy)])
         blobs[label] = fit_blob(pixels, frame, label=label)
         part_pixels[label] = pixels
-    if frame_index is None:
-        frame_index = prev.frame_index + 1 if prev is not None else 0
-    return BodyPartModel(blobs=blobs, frame_index=frame_index, part_pixels=part_pixels)
+    return BodyPartModel(blobs=blobs, part_pixels=part_pixels)
 
 
 def detect_starfish(model, torso):

@@ -30,7 +30,6 @@ from . import synthgen as sg
 from . import tracker as tr
 from .blobmodel import blob_ellipse
 from .config import PipelineConfig, check_box, check_ranges, load_config
-from .scene import ForegroundMask
 
 
 def _depth_paths(directory, n_frames):
@@ -128,7 +127,6 @@ def run_pipeline(cfg):
 
     person = None
     particles = None
-    part_model = None
     se = (cfg.mask_se, cfg.mask_se)
     records = []
     baseline_records = []
@@ -144,7 +142,6 @@ def run_pipeline(cfg):
             "refine", mo.refine_mask, fg.bits, refine_min_area, se, cfg.mask_iterations
         )
         comps = timed("components", mo.connected_components, refined)
-        refined_mask = ForegroundMask(frame.width, frame.height, refined)
         # the person component: the largest one, or None on an empty mask
         largest = mo.largest_component(comps)
         component = None if largest is None else comps.stats[largest]
@@ -156,16 +153,7 @@ def run_pipeline(cfg):
             if person is not None:
                 particles = tr.init_particles(person, cfg.particles_n, cfg.seed)
         else:
-            person, particles = tr.mspf_track(
-                person,
-                particles,
-                frame,
-                refined_mask,
-                component,
-                sigma_xy=cfg.sigma_xy,
-                sigma_scale=cfg.sigma_scale,
-                iou_gate=cfg.iou_gate,
-            )
+            person, particles = tr.mspf_track(person, particles, frame, refined, component, cfg)
         stage_ms["track"] += (time.perf_counter() - t) * 1e3
 
         disc = None
@@ -176,19 +164,13 @@ def run_pipeline(cfg):
             disc = tr.torso_from_person(person)
         if disc is not None:
             partition = bp.partition_regions(silhouette, disc, component.bbox)
-            part_model = bp.build_part_model(
-                partition, frame, part_model, cfg.min_part_area, frame_index=fi
-            )
+            part_model = bp.build_part_model(partition, frame, cfg.min_part_area)
         else:
             part_model = None
         stage_ms["parts"] += (time.perf_counter() - t) * 1e3
 
         t = time.perf_counter()
-        if silhouette is not None:
-            update_mask = ForegroundMask(frame.width, frame.height, silhouette)
-        else:
-            update_mask = refined_mask
-        sm.update_scene(model, frame, update_mask, cfg.alpha)
+        sm.update_scene(model, frame, refined if silhouette is None else silhouette, cfg.alpha)
         stage_ms["scene_update"] += (time.perf_counter() - t) * 1e3
 
         t = time.perf_counter()
@@ -381,15 +363,15 @@ def _add_common(p):
 
 def _build_config(args):
     cfg = PipelineConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = load_config(args.config, base=cfg)
-    if getattr(args, "input", None):
+    if args.input:
         cfg.input = args.input
-    if getattr(args, "output", None):
+    if args.output:
         cfg.output = args.output
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "overlays", False):
+    if args.overlays:
         cfg.emit_overlays = True
     return cfg
 

@@ -1,4 +1,5 @@
-"""Flat key=value pipeline configuration with module-documented defaults.
+"""Flat key=value pipeline configuration. ``PipelineConfig`` holds the only
+default of every setting; the pipeline's stages take their settings from it.
 
 Config files hold one ``key = value`` pair per line ('#' starts a comment,
 except inside a quoted value).
@@ -182,6 +183,30 @@ def check_ranges(cfg):
         raise ValueError(f"mask.iterations must be at least 1, got {cfg.mask_iterations}")
     if cfg.particles_n < 1:
         raise ValueError(f"particles.n must be at least 1, got {cfg.particles_n}")
+    for key in ("mask.min_area_frac", "person.min_area_frac"):
+        value = getattr(cfg, _KEY_MAP[key])
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{key} must lie in [0, 1], got {value}")
+    for key in ("particles.iou_gate", "activity.theta_open"):
+        value = getattr(cfg, _KEY_MAP[key])
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{key} must lie in [0, 1), got {value}")
+    for key in ("activity.approach_frames", "activity.open_frames", "activity.carry_frames"):
+        value = getattr(cfg, _KEY_MAP[key])
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
+    for key in (
+        "parts.min_area",
+        "particles.sigma_xy",
+        "particles.sigma_scale",
+        "activity.d_xy",
+        "activity.z_gate_mm",
+        "activity.carry_min_disp",
+        "activity.carry_z_rate_mm",
+    ):
+        value = getattr(cfg, _KEY_MAP[key])
+        if not value >= 0:
+            raise ValueError(f"{key} must not be negative, got {value}")
 
 
 def check_box(cfg, width, height, frames):

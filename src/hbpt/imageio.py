@@ -34,7 +34,6 @@ class Frame:
     height: int
     yuv: np.ndarray  # (h, w, 3) uint8
     rgb: np.ndarray  # (h, w, 3) uint8, kept for byte-preserving writes
-    source_path: str = ""
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -387,7 +386,7 @@ def frame_sort_key(path):
     return (int(nums[-1]) if nums else 0, path.name)
 
 
-def frame_paths(directory, pattern="frame_*.ppm"):
+def frame_paths(directory, pattern):
     """Paths of the frames matching ``pattern``, ordered by numeric filename index.
 
     Raises if the directory is missing or nothing matches.
@@ -421,7 +420,6 @@ def read_frame(path, index, size=None):
         height=h,
         yuv=rgb_to_yuv_image(rgb),
         rgb=rgb,
-        source_path=str(path),
     )
 
 

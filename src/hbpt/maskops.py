@@ -28,7 +28,7 @@ class LabeledComponents:
     stats: list  # ComponentStats, index i -> label i+1
 
 
-def morph(mask, op, se=(3, 3), iterations=1):
+def morph(mask, op, se, iterations):
     """Apply box dilation or erosion over the window clipped to the frame.
 
     Out-of-frame cells are neutral for each op (background for dilation, so
@@ -70,17 +70,16 @@ def _foreground_box(mask, my=0, mx=0):
     return y0, y1, x0, x1
 
 
-def connected_components(mask, connectivity=8):
-    """Label maximal connected regions and compute per-component stats.
+def connected_components(mask):
+    """Label maximal 8-connected regions and compute per-component stats.
 
     Only the foreground's bounding box is labelled. Labels follow the raster
     order of each component's first pixel, which a crop does not change.
     """
-    structure = _STRUCT8 if connectivity == 8 else None
     labels = np.zeros(mask.shape, dtype=np.int32)
     y0, y1, x0, x1 = _foreground_box(mask) or (0, 0, 0, 0)
     view = labels[y0:y1, x0:x1]
-    count = ndimage.label(mask[y0:y1, x0:x1], structure=structure, output=view)
+    count = ndimage.label(mask[y0:y1, x0:x1], structure=_STRUCT8, output=view)
     stats = []
     if count:
         ys, xs = np.nonzero(view)
@@ -225,18 +224,16 @@ def largest_components(masks):
     return out
 
 
-def refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
+def refine_mask(mask, min_area, se, iterations):
     """Consolidate a noisy silhouette into few large filled components.
 
     Dilate with the box element, then keep every 8-connected component,
-    holes filled, whose filled area clears ``min_area`` (default 0.5% of the
-    frame). The paper dilates, erodes and dilates again; that is the same
-    mask, because ``morph``'s dilation and erosion are an adjoint pair, for
-    which dilate-erode-dilate equals one dilation.
+    holes filled, whose filled area clears ``min_area``. The paper dilates,
+    erodes and dilates again; that is the same mask, because ``morph``'s
+    dilation and erosion are an adjoint pair, for which dilate-erode-dilate
+    equals one dilation.
     """
     mask = np.asarray(mask, dtype=bool)
-    if min_area is None:
-        min_area = int(round(0.005 * mask.size))
     out = np.zeros_like(mask)
     # Work on the foreground's bounding box grown by the dilation's reach,
     # r*iterations px (r = se // 2 per axis), and clipped at the frame. Past

@@ -7,11 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_LEARN_FRAMES = 30
-DEFAULT_VAR_FLOOR = 4.0
-DEFAULT_TAU = 4.0
-DEFAULT_ALPHA = 0.05
-
 _MAGIC = b"HBPTSCN1"
 
 # Pixels per block of the full-frame passes: a block's float64 temporaries
@@ -47,7 +42,7 @@ class ForegroundMask:
     bits: np.ndarray  # (h, w) bool
 
 
-def learn_scene(frames, var_floor=DEFAULT_VAR_FLOOR):
+def learn_scene(frames, var_floor):
     """Accumulate per-pixel mean and population variance over person-free frames."""
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames to learn a scene, got {len(frames)}")
@@ -70,7 +65,7 @@ def learn_scene(frames, var_floor=DEFAULT_VAR_FLOOR):
     return SceneModel(mean=mean, var=var, frames_seen=len(frames), var_floor=var_floor)
 
 
-def detect_foreground(model, frame, tau=DEFAULT_TAU):
+def detect_foreground(model, frame, tau):
     """Flag pixels whose squared Mahalanobis distance over Y,U,V exceeds tau^2."""
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
@@ -95,8 +90,8 @@ def detect_foreground(model, frame, tau=DEFAULT_TAU):
     )
 
 
-def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
-    """Blend the visible (non-foreground) pixels into the model in place.
+def update_scene(model, frame, fg, alpha):
+    """Blend the pixels outside the bool mask ``fg`` into the model in place.
 
     mean <- (1-a)*mean + a*x, var <- (1-a)*var + a*(x-mean)^2, then the
     variance floor is re-applied. ``model.mean`` and ``model.var`` are updated
@@ -105,12 +100,12 @@ def update_scene(model, frame, fg, alpha=DEFAULT_ALPHA):
     """
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
-    if fg.bits.shape != model.mean.shape[:2]:
+    if fg.shape != model.mean.shape[:2]:
         raise ValueError("mask dimensions do not match scene model")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    rows = np.flatnonzero(fg.bits)
-    if rows.size == fg.bits.size:
+    rows = np.flatnonzero(fg)
+    if rows.size == fg.size:
         return model
     # (h*w, 3) views of the model's C-contiguous arrays
     mean = model.mean.reshape(-1, 3)

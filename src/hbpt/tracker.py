@@ -7,7 +7,7 @@ the tracked person blob.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,20 +33,12 @@ class TorsoDisc:
 @dataclass
 class ParticleSet:
     states: np.ndarray  # (n, 3): x, y, scale
-    weights: np.ndarray  # (n,)
     rng: np.random.Generator
-    seed: int
     ref_size: tuple  # (w, h) of the person bbox at init
 
 
 # ---------------------------------------------------------------------------
 # histograms
-
-def uv_bin_plane(frame):
-    """Per-pixel joint UV bin index in 0..15 (bin edges at 0,64,128,192,256),
-    uint8; the frame's cached, read-only ``Frame.uv_bins``."""
-    return frame.uv_bins
-
 
 def hist16_of_bins(bins):
     """Normalized 16-bin histogram of a flat array of bin indices."""
@@ -64,7 +56,7 @@ def color_hist16(frame, rect):
         raise ValueError("histogram rect is empty")
     if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
         raise ValueError("histogram rect is outside the frame")
-    return hist16_of_bins(uv_bin_plane(frame)[y : y + h, x : x + w])
+    return hist16_of_bins(frame.uv_bins[y : y + h, x : x + w])
 
 
 def back_project(frame, hist):
@@ -72,7 +64,7 @@ def back_project(frame, hist):
     hist = np.asarray(hist, dtype=np.float64)
     if hist.shape != (N_BINS,) or abs(hist.sum() - 1.0) > 1e-6:
         raise ValueError("backprojection needs a normalized 16-bin histogram")
-    return hist.take(uv_bin_plane(frame))
+    return hist.take(frame.uv_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +79,7 @@ def detect_person(component, silhouette, frame, min_area):
     """
     if component is None or component.area < min_area:
         return None
-    bins = uv_bin_plane(frame)[silhouette]
+    bins = frame.uv_bins[silhouette]
     return PersonBlob(
         bbox=component.bbox,
         centroid=component.centroid,
@@ -171,7 +163,7 @@ def mean_shift(weights, window, max_iter=20, eps=1.0, trace=None):
 # ---------------------------------------------------------------------------
 # particle filter + mean shift
 
-def init_particles(person, n=100, seed=0):
+def init_particles(person, n, seed):
     """Seed n particles at the person centroid with unit scale."""
     states = np.zeros((n, 3), dtype=np.float64)
     states[:, 0] = person.centroid[0]
@@ -179,9 +171,7 @@ def init_particles(person, n=100, seed=0):
     states[:, 2] = 1.0
     return ParticleSet(
         states=states,
-        weights=np.full(n, 1.0 / n),
         rng=np.random.default_rng(seed),
-        seed=seed,
         ref_size=(person.bbox[2], person.bbox[3]),
     )
 
@@ -262,29 +252,22 @@ def _particle_weights(plane, states, ref_size, sqrt_ref):
     return terms.sum(axis=1)
 
 
-def mspf_track(
-    prev,
-    particles,
-    frame,
-    fg,
-    component,
-    sigma_xy=5.0,
-    sigma_scale=0.02,
-    iou_gate=0.3,
-):
+def mspf_track(prev, particles, frame, fg, component, cfg):
     """One tracking step: propagate, weight, resample, refine, fuse.
 
-    Particle windows are scored by Bhattacharyya similarity between their
-    foreground-masked UV histogram and the reference histogram. The best
-    particle is refined by mean shift over the foreground-masked
-    backprojection, then fused with ``component``, the ``ComponentStats`` of
-    the largest foreground component, when their boxes overlap enough. With
-    no component (``None``, an empty foreground) the previous state coasts
-    at its last velocity and confidence decays by 0.8 per frame; a coast
-    that carries the centroid out of the frame ends the track and returns
-    (None, None).
+    Particles take Gaussian steps of ``cfg.sigma_xy`` px and
+    ``cfg.sigma_scale`` in scale, and their windows are scored by
+    Bhattacharyya similarity between their UV histogram and the reference
+    histogram. The best particle is refined by mean shift over the
+    backprojection masked by ``fg``, the (h, w) bool foreground mask, then
+    fused with ``component``, the ``ComponentStats`` of the largest
+    foreground component, when their boxes' IoU exceeds ``cfg.iou_gate``.
+    With no component (``None``, an empty foreground) the previous state
+    coasts at its last velocity and confidence decays by 0.8 per frame; a
+    coast that carries the centroid out of the frame ends the track and
+    returns (None, None).
     """
-    if fg.bits.shape != (frame.height, frame.width):
+    if fg.shape != (frame.height, frame.width):
         raise ValueError("foreground mask does not match frame dimensions")
     if component is None:
         coast = _shift_blob(prev, frame.width, frame.height)
@@ -296,6 +279,7 @@ def mspf_track(
     n = particles.states.shape[0]
     rng = particles.rng
     states = particles.states
+    sigma_xy, sigma_scale = cfg.sigma_xy, cfg.sigma_scale
     states[:, 0] += rng.normal(0.0, sigma_xy, n) if sigma_xy > 0 else 0.0
     states[:, 1] += rng.normal(0.0, sigma_xy, n) if sigma_xy > 0 else 0.0
     states[:, 2] += rng.normal(0.0, sigma_scale, n) if sigma_scale > 0 else 0.0
@@ -303,8 +287,8 @@ def mspf_track(
     np.clip(states[:, 1], 0, frame.height - 1, out=states[:, 1])
     np.clip(states[:, 2], 0.2, 3.0, out=states[:, 2])
 
-    plane = uv_bin_plane(frame)
-    masked_plane = np.where(fg.bits, plane, N_BINS)  # bin 16 = off-silhouette
+    plane = frame.uv_bins
+    masked_plane = np.where(fg, plane, N_BINS)  # bin 16 = off-silhouette
     ref = prev.ref_hist
     sqrt_ref = np.sqrt(ref)
     weights = _particle_weights(plane, states, particles.ref_size, sqrt_ref)
@@ -315,7 +299,6 @@ def mspf_track(
     positions = (rng.random() + np.arange(n)) / n
     idx = np.searchsorted(np.cumsum(probs), positions)
     particles.states = states[np.minimum(idx, n - 1)].copy()
-    particles.weights = np.full(n, 1.0 / n)
 
     # mean-shift refinement of the best particle over the masked backprojection;
     # the window takes the tracked person's current size so a wandering scale
@@ -325,7 +308,7 @@ def mspf_track(
     win0 = _state_rect(seed, (prev.bbox[2], prev.bbox[3]), frame.width, frame.height)
     win, _, _ = mean_shift(wimg, win0)
     wx, wy, ww, wh = win
-    sub = fg.bits[wy : wy + wh, wx : wx + ww]
+    sub = fg[wy : wy + wh, wx : wx + ww]
     total = sub.sum()
     if total > 0:  # evidence centroid inside the converged window
         ex = float((sub.sum(axis=0) * np.arange(wx, wx + ww)).sum() / total)
@@ -335,7 +318,7 @@ def mspf_track(
         ey = wy + (wh - 1) / 2.0
     est_bbox, est_centroid = win, (ex, ey)
 
-    if _rect_iou(est_bbox, component.bbox) > iou_gate:
+    if _rect_iou(est_bbox, component.bbox) > cfg.iou_gate:
         centroid = (
             (est_centroid[0] + component.centroid[0]) / 2.0,
             (est_centroid[1] + component.centroid[1]) / 2.0,

@@ -254,8 +254,8 @@ def test_criterion_6_numerical_checks():
     close_ok = True
     for _ in range(200):
         m = rng.random((22, 22)) < rng.uniform(0.2, 0.65)
-        c1 = mo.morph(mo.morph(m, "dilate"), "erode")
-        c2 = mo.morph(mo.morph(c1, "dilate"), "erode")
+        c1 = mo.morph(mo.morph(m, "dilate", (3, 3), 1), "erode", (3, 3), 1)
+        c2 = mo.morph(mo.morph(c1, "dilate", (3, 3), 1), "erode", (3, 3), 1)
         close_ok &= bool((c1 == c2).all()) and bool((m <= c1).all())
 
     ok = quad_ok and ms_ok and close_ok

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hbpt import activity as act
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob
-from hbpt.config import PipelineConfig
+from hbpt.config import PipelineConfig, parse_config_text
 from hbpt.imageio import DepthRaster
 
 from conftest import frame_from_rgb
+
+CFG = PipelineConfig()  # the pipeline's default settings
 
 
 def scene_with_box(box_color=(220, 200, 40), rect=(30, 20, 16, 12), w=120, h=90):
@@ -38,7 +41,7 @@ def stub_model(torso_mu=(60.0, 60.0), hand=(40, 30), arm="armR"):
         part_pixels[arm] = np.array(px, dtype=int)
     from hbpt.bodyparts import BodyPartModel
 
-    return BodyPartModel(blobs=blobs, frame_index=0, part_pixels=part_pixels)
+    return BodyPartModel(blobs=blobs, part_pixels=part_pixels)
 
 
 def flat_depth(z, w=120, h=90):
@@ -154,7 +157,7 @@ def test_approach_fires_after_sustained_contact():
     state = act.ActivityState()
     events = []
     for i in range(4):
-        ev = act.detect_approach(model, box, None, state, frame_index=i)
+        ev = act.detect_approach(model, box, None, state, i, CFG)
         if ev:
             events.append(ev)
     assert [e.frame_index for e in events] == [2]  # third consecutive frame
@@ -175,7 +178,7 @@ def test_approach_depth_gate_blocks_distant_hand():
     depth = DepthRaster(width=120, height=90, z=z)
     state = act.ActivityState()
     for i in range(10):
-        assert act.detect_approach(model, box, depth, state, frame_index=i) is None
+        assert act.detect_approach(model, box, depth, state, i, CFG) is None
     assert state.phase == "Idle"
 
 
@@ -186,7 +189,7 @@ def test_approach_depth_gate_passes_same_plane():
     depth = flat_depth(2000)
     state = act.ActivityState()
     events = [
-        act.detect_approach(model, box, depth, state, frame_index=i) for i in range(3)
+        act.detect_approach(model, box, depth, state, i, CFG) for i in range(3)
     ]
     fired = [e for e in events if e]
     assert len(fired) == 1
@@ -201,13 +204,13 @@ def test_approach_streak_resets_on_gap():
     near = stub_model(hand=(rect[0] - 5, rect[1] + 4))
     far = stub_model(hand=(rect[0] - 80, rect[1] + 4))
     state = act.ActivityState()
-    assert act.detect_approach(near, box, None, state, frame_index=0) is None
-    assert act.detect_approach(near, box, None, state, frame_index=1) is None
-    assert act.detect_approach(far, box, None, state, frame_index=2) is None  # resets
+    assert act.detect_approach(near, box, None, state, 0, CFG) is None
+    assert act.detect_approach(near, box, None, state, 1, CFG) is None
+    assert act.detect_approach(far, box, None, state, 2, CFG) is None  # resets
     assert state.approach_streak == 0
-    assert act.detect_approach(near, box, None, state, frame_index=3) is None
-    assert act.detect_approach(near, box, None, state, frame_index=4) is None
-    ev = act.detect_approach(near, box, None, state, frame_index=5)
+    assert act.detect_approach(near, box, None, state, 3, CFG) is None
+    assert act.detect_approach(near, box, None, state, 4, CFG) is None
+    ev = act.detect_approach(near, box, None, state, 5, CFG)
     assert ev is not None and ev.kind == "Approach"
 
 
@@ -225,7 +228,7 @@ def test_open_requires_prior_approach():
     state = act.ActivityState()
     changed = _opened_frame(rect)
     for i in range(20):
-        assert act.detect_open(box, changed, state, frame_index=i) is None
+        assert act.detect_open(box, changed, state, i, CFG) is None
     assert state.phase == "Idle"
 
 
@@ -235,13 +238,13 @@ def test_open_fires_after_sustained_change():
     state = act.ActivityState()
     state.advance("Approached")
     changed = _opened_frame(rect)
-    events = [act.detect_open(box, changed, state, frame_index=i) for i in range(6)]
+    events = [act.detect_open(box, changed, state, i, CFG) for i in range(6)]
     fired = [e for e in events if e]
     assert len(fired) == 1
     assert fired[0].frame_index == 4  # fifth consecutive frame
     assert state.phase == "Opened"
     # no re-fire afterwards
-    assert act.detect_open(box, changed, state, frame_index=9) is None
+    assert act.detect_open(box, changed, state, 9, CFG) is None
 
 
 def test_open_ignores_unchanged_box():
@@ -250,7 +253,7 @@ def test_open_ignores_unchanged_box():
     state = act.ActivityState()
     state.advance("Approached")
     for i in range(50):
-        assert act.detect_open(box, frame, state, frame_index=i) is None
+        assert act.detect_open(box, frame, state, i, CFG) is None
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +611,7 @@ def test_carry_fires_on_sustained_joint_motion():
     for i in range(7):
         _advance_track(track, 3.0, 0.0)
         model = stub_model(torso_mu=(70.0 + 3 * i, 60.0), hand=(48 + 3 * (i + 1), 44))
-        ev = act.detect_carry(model, track, None, state, frame_index=i)
+        ev = act.detect_carry(model, track, None, state, i, CFG)
         if ev:
             events.append(ev)
     assert [e.frame_index for e in events] == [4]
@@ -622,7 +625,7 @@ def test_carry_requires_motion():
     model = stub_model(hand=(48, 44))
     for i in range(20):
         track.prev_centroid = track.centroid  # static object
-        assert act.detect_carry(model, track, None, state, frame_index=i) is None
+        assert act.detect_carry(model, track, None, state, i, CFG) is None
 
 
 def test_carry_requires_hand_nearby():
@@ -632,7 +635,7 @@ def test_carry_requires_hand_nearby():
     model = stub_model(hand=(110, 5))  # permanently > 30 px from the object row
     for i in range(20):
         _advance_track(track, 3.0, 0.0)
-        assert act.detect_carry(model, track, None, state, frame_index=i) is None
+        assert act.detect_carry(model, track, None, state, i, CFG) is None
 
 
 def test_carry_gated_without_approach():
@@ -641,7 +644,7 @@ def test_carry_gated_without_approach():
     model = stub_model(hand=(48, 44))
     for i in range(10):
         _advance_track(track, 3.0, 0.0)
-        assert act.detect_carry(model, track, None, state, frame_index=i) is None
+        assert act.detect_carry(model, track, None, state, i, CFG) is None
     assert state.phase == "Idle"
 
 
@@ -661,7 +664,7 @@ def test_carry_depth_rate_gate():
         z = np.full((90, 160), 2000, np.int32)
         z[int(cy) - 2 : int(cy) + 3, int(cx) - 2 : int(cx) + 3] = zs[i]
         depth = DepthRaster(width=160, height=90, z=z)
-        assert act.detect_carry(model, track, depth, state, frame_index=i) is None
+        assert act.detect_carry(model, track, depth, state, i, CFG) is None
     assert state.phase == "Approached"
 
 
@@ -688,14 +691,12 @@ def test_monitor_without_box_is_inert():
 # ---------------------------------------------------------------------------
 # monitor over a carry_box run
 
-@pytest.fixture(scope="module")
-def carry_monitor_calls(tmp_path_factory):
+def _monitor_calls(root, name, frames):
     """Config and the (frame_index, frame, model, depth) arguments of every
-    ActivityMonitor.process call in a short carry_box run."""
+    ActivityMonitor.process call in a short run of scenario ``name``."""
     from hbpt.cli import run_pipeline
 
-    root = tmp_path_factory.mktemp("carry_monitor")
-    truth = sg.write_scenario(sg.Scenario("carry_box", frames=112), root / "in")
+    truth = sg.write_scenario(sg.Scenario(name, frames=frames), root / "in")
     cfg = PipelineConfig(
         input=str(root / "in"),
         output=str(root / "out"),
@@ -713,6 +714,18 @@ def carry_monitor_calls(tmp_path_factory):
         mp.setattr(act.ActivityMonitor, "process", spy)
         run_pipeline(cfg)
     return cfg, calls
+
+
+@pytest.fixture(scope="module")
+def carry_monitor_calls(tmp_path_factory):
+    """The monitor calls of a short carry_box run."""
+    return _monitor_calls(tmp_path_factory.mktemp("carry_monitor"), "carry_box", 112)
+
+
+@pytest.fixture(scope="module")
+def open_monitor_calls(tmp_path_factory):
+    """The monitor calls of a short open_box run."""
+    return _monitor_calls(tmp_path_factory.mktemp("open_monitor"), "open_box", 112)
 
 
 def _replay(mon, calls, kill=None, after_call=None):
@@ -799,3 +812,75 @@ def test_monitor_skips_lk_without_alive_points(carry_monitor_calls, monkeypatch)
     assert lk_calls == []
     seeded = [f for f in frames if f[1] is not None]
     assert seeded and all(not any(alive) and centroid is None for _, alive, centroid in seeded)
+
+
+# ---------------------------------------------------------------------------
+# the recognizer and particle settings reach the stages through the config
+
+def _depth_ramp(calls, mm_per_px=5):
+    """The calls with depth growing to the right by ``mm_per_px`` per column,
+    so that hand and box, and the moves of hand and object, differ in depth."""
+    out = []
+    for frame_index, frame, model, depth in calls:
+        ramp = np.arange(depth.width, dtype=np.int32) * mm_per_px
+        z = np.where(depth.z > 0, depth.z + ramp, 0).astype(np.int32)
+        out.append((frame_index, frame, model, DepthRaster(depth.width, depth.height, z)))
+    return out
+
+
+def _tracked_persons(cfg):
+    """(bbox, centroid, confidence) of every mspf_track result of a run."""
+    from hbpt.cli import run_pipeline
+
+    seen = []
+    mspf_track = tr.mspf_track
+
+    def spy(*args, **kwargs):
+        person, particles = mspf_track(*args, **kwargs)
+        seen.append(person and (person.bbox, person.centroid, person.confidence))
+        return person, particles
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "mspf_track", spy)
+        run_pipeline(cfg)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "line, run",
+    [
+        ("activity.d_xy = 5", "carry"),
+        ("activity.z_gate_mm = 50", "carry"),
+        ("activity.approach_frames = 12", "carry"),
+        ("activity.carry_frames = 12", "carry"),
+        ("activity.carry_min_disp = 6", "carry"),
+        ("activity.carry_z_rate_mm = 1", "carry"),
+        # the box's histogram distance jumps from ~0 to ~1 when it opens, so
+        # theta_open shows in the Open event's threshold rather than its frame
+        ("activity.theta_open = 0.9", "open"),
+        ("activity.open_frames = 1", "open"),
+        ("particles.sigma_xy = 0", "track"),
+        ("particles.sigma_scale = 0", "track"),
+        ("particles.iou_gate = 0.95", "track"),
+    ],
+)
+def test_config_value_changes_what_the_stage_returns(
+    line, run, carry_monitor_calls, open_monitor_calls, scenario_dir, tmp_path
+):
+    """A non-default value set through a config file changes what
+    ActivityMonitor or mspf_track return on the same input."""
+    if run == "track":
+        indir, _ = scenario_dir("walker", frames=40, seed=12)
+        default = PipelineConfig(input=str(indir), output=str(tmp_path))
+        cfg = parse_config_text(line, base=copy.deepcopy(default))
+        want = _tracked_persons(default)
+        assert len(want) >= 5
+        assert _tracked_persons(cfg) != want
+        return
+    default, calls = carry_monitor_calls if run == "carry" else open_monitor_calls
+    if run == "carry":
+        calls = _depth_ramp(calls)
+    cfg = parse_config_text(line, base=copy.deepcopy(default))
+    want = _replay(act.ActivityMonitor(default), calls)
+    assert len([e for f in want for e in f[0]]) == 2  # Approach, then Carry or Open
+    assert _replay(act.ActivityMonitor(cfg), calls) != want

@@ -3,15 +3,29 @@ import pytest
 
 from hbpt import bodyparts as bp
 from hbpt.blobmodel import fit_blob
+from hbpt.config import PipelineConfig
 from hbpt.maskops import connected_components, fill_holes
 from hbpt.synthgen import render_person_mask
 from hbpt.tracker import TorsoDisc
 
 from conftest import frame_from_rgb
 
+MIN_PART_AREA = PipelineConfig().min_part_area
+
 
 def person_mask(pose, ox=160, oy=60, shape=(240, 320)):
     return render_person_mask(np.zeros(shape, dtype=bool), ox, oy, pose)
+
+
+def tight_bbox(mask):
+    """The silhouette's bounding box (x, y, w, h)."""
+    ys, xs = np.nonzero(mask)
+    return (
+        int(xs.min()),
+        int(ys.min()),
+        int(xs.max() - xs.min() + 1),
+        int(ys.max() - ys.min() + 1),
+    )
 
 
 def shoulder_disc(mask):
@@ -38,12 +52,12 @@ def in_frame(partition, label, shape):
 
 def test_partition_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        bp.partition_regions(np.zeros((10, 10), bool), TorsoDisc((5, 5), 2.0))
+        bp.partition_regions(np.zeros((10, 10), bool), TorsoDisc((5, 5), 2.0), (0, 0, 10, 10))
 
 
 def test_starfish_all_regions_nonempty_and_disjoint():
     mask = person_mask("star")
-    partition = bp.partition_regions(mask, shoulder_disc(mask))
+    partition = bp.partition_regions(mask, shoulder_disc(mask), tight_bbox(mask))
     total = np.zeros_like(mask)
     for label in bp.PART_LABELS:
         region = in_frame(partition, label, mask.shape)
@@ -56,7 +70,7 @@ def test_starfish_all_regions_nonempty_and_disjoint():
 def test_leg_grid_boundaries():
     mask = person_mask("down")
     disc = shoulder_disc(mask)
-    partition = bp.partition_regions(mask, disc)
+    partition = bp.partition_regions(mask, disc, tight_bbox(mask))
     cx, cy = disc.center
     r = disc.radius
     ys, xs = np.nonzero(mask)
@@ -78,8 +92,8 @@ def test_leg_grid_boundaries():
 def test_build_part_model_starfish_eight_blobs():
     mask = person_mask("star")
     frame = flat_frame_like(mask)
-    partition = bp.partition_regions(mask, shoulder_disc(mask))
-    model = bp.build_part_model(partition, frame)
+    partition = bp.partition_regions(mask, shoulder_disc(mask), tight_bbox(mask))
+    model = bp.build_part_model(partition, frame, MIN_PART_AREA)
     assert sorted(model.blobs) == sorted(bp.PART_LABELS)
     assert len(model.blobs) == 8
 
@@ -87,17 +101,18 @@ def test_build_part_model_starfish_eight_blobs():
 def test_build_part_model_arm_deletion_and_recreation():
     frame = flat_frame_like(person_mask("reach"))
     disc = shoulder_disc(person_mask("reach"))
-    present = bp.build_part_model(
-        bp.partition_regions(person_mask("reach"), disc), frame
-    )
+
+    def model_of(pose):
+        mask = person_mask(pose)
+        return bp.build_part_model(
+            bp.partition_regions(mask, disc, tight_bbox(mask)), frame, MIN_PART_AREA
+        )
+
+    present = model_of("reach")
     assert "armR" in present.blobs
-    hidden = bp.build_part_model(
-        bp.partition_regions(person_mask("reach_hidden"), disc), frame, prev=present
-    )
+    hidden = model_of("reach_hidden")
     assert "armR" not in hidden.blobs
-    back = bp.build_part_model(
-        bp.partition_regions(person_mask("reach"), disc), frame, prev=hidden
-    )
+    back = model_of("reach")
     assert "armR" in back.blobs
 
 
@@ -105,17 +120,16 @@ def test_central_only_pixels_give_torso_alone():
     mask = np.zeros((60, 60), bool)
     mask[25:36, 25:36] = True
     disc = TorsoDisc(center=(30.0, 30.0), radius=10.0)
-    partition = bp.partition_regions(mask, disc)
-    model = bp.build_part_model(partition, flat_frame_like(mask))
+    partition = bp.partition_regions(mask, disc, tight_bbox(mask))
+    model = bp.build_part_model(partition, flat_frame_like(mask), MIN_PART_AREA)
     assert list(model.blobs) == ["torso"]
 
 
 def test_blobs_meet_min_area_and_live_in_disc():
     mask = person_mask("star")
     disc = shoulder_disc(mask)
-    model = bp.build_part_model(
-        bp.partition_regions(mask, disc), flat_frame_like(mask), min_part_area=15
-    )
+    partition = bp.partition_regions(mask, disc, tight_bbox(mask))
+    model = bp.build_part_model(partition, flat_frame_like(mask), min_part_area=15)
     for label, blob in model.blobs.items():
         assert blob.area >= 15
     torso = model.blobs["torso"]
@@ -127,21 +141,24 @@ def test_blobs_meet_min_area_and_live_in_disc():
 def test_detect_starfish_true_on_star_pose():
     mask = person_mask("star")
     disc = shoulder_disc(mask)
-    model = bp.build_part_model(bp.partition_regions(mask, disc), flat_frame_like(mask))
+    partition = bp.partition_regions(mask, disc, tight_bbox(mask))
+    model = bp.build_part_model(partition, flat_frame_like(mask), MIN_PART_AREA)
     assert bp.detect_starfish(model, disc)
 
 
 def test_detect_starfish_false_with_arms_down():
     mask = person_mask("down")
     disc = shoulder_disc(mask)
-    model = bp.build_part_model(bp.partition_regions(mask, disc), flat_frame_like(mask))
+    partition = bp.partition_regions(mask, disc, tight_bbox(mask))
+    model = bp.build_part_model(partition, flat_frame_like(mask), MIN_PART_AREA)
     assert not bp.detect_starfish(model, disc)
 
 
 def test_detect_starfish_false_without_head():
     mask = person_mask("star")
     disc = shoulder_disc(mask)
-    model = bp.build_part_model(bp.partition_regions(mask, disc), flat_frame_like(mask))
+    partition = bp.partition_regions(mask, disc, tight_bbox(mask))
+    model = bp.build_part_model(partition, flat_frame_like(mask), MIN_PART_AREA)
     model.blobs.pop("head")
     assert not bp.detect_starfish(model, disc)
 
@@ -203,7 +220,7 @@ def _reference_largest_filled_component(mask):
     return np.column_stack([sx + x, sy + y])
 
 
-def _reference_build_part_model(partition, frame, min_part_area=bp.DEFAULT_MIN_PART_AREA):
+def _reference_build_part_model(partition, frame, min_part_area):
     """Blobs and pixels per label from full-frame region masks."""
     blobs, part_pixels = {}, {}
     for label in bp.PART_LABELS:
@@ -223,36 +240,27 @@ def textured_frame(shape, seed=0):
     return frame_from_rgb(rng.integers(0, 256, size=shape + (3,), dtype=np.uint8))
 
 
-def assert_crop_matches_reference(mask, disc, min_part_area=bp.DEFAULT_MIN_PART_AREA):
-    """Partition and part model equal the full-frame ones, with and without bbox."""
-    ys, xs = np.nonzero(mask)
-    tight = (
-        int(xs.min()),
-        int(ys.min()),
-        int(xs.max() - xs.min() + 1),
-        int(ys.max() - ys.min() + 1),
-    )
+def assert_crop_matches_reference(mask, disc, min_part_area=MIN_PART_AREA):
+    """Partition and part model equal the full-frame ones."""
+    tight = tight_bbox(mask)
     frame = textured_frame(mask.shape)
-    models = []
-    for bbox in (None, tight):
-        ref = _reference_partition_regions(mask, disc, bbox)
-        got = bp.partition_regions(mask, disc, bbox)
-        assert got.bbox == tight
-        for label in bp.PART_LABELS:
-            assert got.masks[label].shape == (tight[3], tight[2])
-            assert np.array_equal(in_frame(got, label, mask.shape), ref.masks[label]), label
-        ref_blobs, ref_pixels = _reference_build_part_model(ref, frame, min_part_area)
-        model = bp.build_part_model(got, frame, min_part_area=min_part_area)
-        assert {k: b.to_dict() for k, b in model.blobs.items()} == {
-            k: b.to_dict() for k, b in ref_blobs.items()
-        }
-        assert list(model.part_pixels) == list(ref_pixels)
-        for label, pixels in ref_pixels.items():
-            got_pixels = model.part_pixels[label]
-            assert got_pixels.dtype == pixels.dtype, label
-            assert np.array_equal(got_pixels, pixels), label
-        models.append(model)
-    return models[-1]
+    ref = _reference_partition_regions(mask, disc, tight)
+    got = bp.partition_regions(mask, disc, tight)
+    assert got.bbox == tight
+    for label in bp.PART_LABELS:
+        assert got.masks[label].shape == (tight[3], tight[2])
+        assert np.array_equal(in_frame(got, label, mask.shape), ref.masks[label]), label
+    ref_blobs, ref_pixels = _reference_build_part_model(ref, frame, min_part_area)
+    model = bp.build_part_model(got, frame, min_part_area=min_part_area)
+    assert {k: b.to_dict() for k, b in model.blobs.items()} == {
+        k: b.to_dict() for k, b in ref_blobs.items()
+    }
+    assert list(model.part_pixels) == list(ref_pixels)
+    for label, pixels in ref_pixels.items():
+        got_pixels = model.part_pixels[label]
+        assert got_pixels.dtype == pixels.dtype, label
+        assert np.array_equal(got_pixels, pixels), label
+    return model
 
 
 def truth_disc(mask):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -14,7 +15,7 @@ from hbpt import imageio as iio
 from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
-from hbpt.config import PipelineConfig, load_config, parse_config_text
+from hbpt.config import _KEY_MAP, PipelineConfig, load_config, parse_config_text
 
 from conftest import read_jsonl
 from test_baseline import labels_of
@@ -33,6 +34,12 @@ def test_config_defaults():
     assert cfg.d_xy == 30.0
     assert cfg.theta_open == 0.4
     assert cfg.min_part_area == 15
+
+
+def test_config_keys_name_every_field_once():
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert len(fields) == 31
+    assert sorted(_KEY_MAP.values()) == sorted(fields)
 
 
 def test_config_parsing_and_types(tmp_path):
@@ -270,7 +277,7 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
     calls = []
     real = mo.refine_mask
 
-    def spy(mask, min_area=None, se=(3, 3), iterations=1):
+    def spy(mask, min_area, se, iterations):
         calls.append((se, iterations))
         return real(mask, min_area, se, iterations)
 
@@ -314,6 +321,24 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = 500", "box.ref_frame"),
         ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = 32", "box.ref_frame"),
         ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = -1", "box.ref_frame"),
+        ("person.min_area_frac = 7", "person.min_area_frac"),
+        ("person.min_area_frac = -0.01", "person.min_area_frac"),
+        ("mask.min_area_frac = -1", "mask.min_area_frac"),
+        ("mask.min_area_frac = 1.5", "mask.min_area_frac"),
+        ("parts.min_area = -3", "parts.min_area"),
+        ("particles.sigma_xy = -1", "particles.sigma_xy"),
+        ("particles.sigma_scale = -0.02", "particles.sigma_scale"),
+        ("particles.iou_gate = 1", "particles.iou_gate"),
+        ("particles.iou_gate = -0.1", "particles.iou_gate"),
+        ("activity.approach_frames = 0", "activity.approach_frames"),
+        ("activity.open_frames = 0", "activity.open_frames"),
+        ("activity.carry_frames = -2", "activity.carry_frames"),
+        ("activity.theta_open = 1.0", "activity.theta_open"),
+        ("activity.theta_open = -0.4", "activity.theta_open"),
+        ("activity.d_xy = -30", "activity.d_xy"),
+        ("activity.z_gate_mm = -1", "activity.z_gate_mm"),
+        ("activity.carry_min_disp = -0.5", "activity.carry_min_disp"),
+        ("activity.carry_z_rate_mm = -200", "activity.carry_z_rate_mm"),
     ],
 )
 def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line, key):
@@ -774,9 +799,9 @@ def test_label_silhouette_matches_contour_reference(kind):
     assert n >= 200
 
 
-def _reference_part_model(partition, frame, prev=None, min_part_area=15, frame_index=None):
+def _reference_part_model(partition, frame, min_part_area):
     blobs, pixels = _reference_build_part_model(partition, frame, min_part_area)
-    return bp.BodyPartModel(blobs=blobs, frame_index=frame_index, part_pixels=pixels)
+    return bp.BodyPartModel(blobs=blobs, part_pixels=pixels)
 
 
 def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, scenario_dir):

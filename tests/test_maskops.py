@@ -114,13 +114,13 @@ def canonical_labels(labels):
 # morphology
 
 def test_dilate_empty_is_empty():
-    assert not mo.morph(np.zeros((8, 8), bool), "dilate").any()
+    assert not mo.morph(np.zeros((8, 8), bool), "dilate", (3, 3), 1).any()
 
 
 def test_dilate_single_pixel_makes_block():
     m = np.zeros((7, 7), bool)
     m[3, 3] = True
-    d = mo.morph(m, "dilate")
+    d = mo.morph(m, "dilate", (3, 3), 1)
     assert d.sum() == 9 and d[2:5, 2:5].all()
 
 
@@ -129,35 +129,35 @@ def test_morph_matches_window_filter_oracle():
     for trial in range(6):
         m = rng.random((64, 64)) < rng.uniform(0.2, 0.7)
         for op in ("dilate", "erode"):
-            assert np.array_equal(mo.morph(m, op), window_filter_oracle(m, op)), (trial, op)
+            assert np.array_equal(mo.morph(m, op, (3, 3), 1), window_filter_oracle(m, op)), (trial, op)
 
 
 def test_morph_rectangular_se_and_iterations():
     rng = np.random.default_rng(1)
     m = rng.random((20, 20)) < 0.5
     two = mo.morph(m, "dilate", (3, 5), 2)
-    step = mo.morph(mo.morph(m, "dilate", (3, 5)), "dilate", (3, 5))
+    step = mo.morph(mo.morph(m, "dilate", (3, 5), 1), "dilate", (3, 5), 1)
     assert np.array_equal(two, step)
     assert np.array_equal(
-        mo.morph(m, "erode", (1, 5)), window_filter_oracle(m, "erode", (1, 5))
+        mo.morph(m, "erode", (1, 5), 1), window_filter_oracle(m, "erode", (1, 5))
     )
 
 
 def test_morph_rejects_bad_args():
     m = np.zeros((4, 4), bool)
     with pytest.raises(ValueError):
-        mo.morph(m, "open")
+        mo.morph(m, "open", (3, 3), 1)
     with pytest.raises(ValueError):
-        mo.morph(m, "dilate", iterations=0)
+        mo.morph(m, "dilate", (3, 3), 0)
     with pytest.raises(ValueError):
-        mo.morph(m, "dilate", se=(2, 3))
+        mo.morph(m, "dilate", (2, 3), 1)
 
 
 def test_closing_properties():
     rng = np.random.default_rng(2)
 
     def close(m):
-        return mo.morph(mo.morph(m, "dilate"), "erode")
+        return mo.morph(mo.morph(m, "dilate", (3, 3), 1), "erode", (3, 3), 1)
 
     for _ in range(40):
         m = rng.random((24, 24)) < rng.uniform(0.2, 0.6)
@@ -259,14 +259,14 @@ def test_hull_starts_at_lowest_then_leftmost():
 # refinement
 
 def test_refine_empty_mask():
-    assert not mo.refine_mask(np.zeros((10, 10), bool), 1).any()
+    assert not mo.refine_mask(np.zeros((10, 10), bool), 1, (3, 3), 1).any()
 
 
 def test_refine_bridges_two_px_gap():
     m = np.zeros((20, 30), bool)
     m[5:15, 5:12] = True
     m[5:15, 14:20] = True  # 2 px gap
-    refined = mo.refine_mask(m, min_area=10)
+    refined = mo.refine_mask(m, 10, (3, 3), 1)
     assert mo.connected_components(refined).count == 1
 
 
@@ -278,7 +278,7 @@ def test_refine_fragmented_silhouette():
     clean[80:110, 30:42] = True
     clean[80:110, 48:60] = True
     frag = clean & (rng.random(clean.shape) > 0.25)  # speckle dropout
-    refined = mo.refine_mask(frag, min_area=40)
+    refined = mo.refine_mask(frag, 40, (3, 3), 1)
     assert mo.connected_components(refined).count == 1
     inter = (refined & clean).sum()
     union = (refined | clean).sum()
@@ -290,7 +290,7 @@ def test_refine_never_increases_components():
     for _ in range(30):
         m = rng.random((24, 24)) < rng.uniform(0.15, 0.5)
         before = mo.connected_components(m).count
-        after = mo.connected_components(mo.refine_mask(m, min_area=1)).count
+        after = mo.connected_components(mo.refine_mask(m, 1, (3, 3), 1)).count
         assert after <= before
 
 
@@ -299,7 +299,7 @@ def test_refine_fills_holes_and_filters_small():
     m[4:20, 4:20] = True
     m[8:12, 8:12] = False  # hole
     m[25, 25] = True  # speck below min_area
-    refined = mo.refine_mask(m, min_area=50)
+    refined = mo.refine_mask(m, 50, (3, 3), 1)
     assert refined[9, 9]
     assert not refined[23:29, 23:29].any()
 
@@ -308,9 +308,8 @@ def test_refine_fills_holes_and_filters_small():
 # the bounding-box-cropped labelling and refinement against the full-frame
 # code they replace
 
-def _reference_connected_components(mask, connectivity=8):
-    structure = mo._STRUCT8 if connectivity == 8 else None
-    labels, count = ndimage.label(mask, structure=structure)
+def _reference_connected_components(mask):
+    labels, count = ndimage.label(mask, structure=mo._STRUCT8)
     labels = labels.astype(np.int32)
     stats = []
     if count:
@@ -334,16 +333,14 @@ def _reference_connected_components(mask, connectivity=8):
     return mo.LabeledComponents(labels=labels, count=int(count), stats=stats)
 
 
-def _reference_refine_mask(mask, min_area=None, se=(3, 3), iterations=1):
+def _reference_refine_mask(mask, min_area, se, iterations):
     mask = np.asarray(mask, dtype=bool)
-    if min_area is None:
-        min_area = int(round(0.005 * mask.size))
     if not mask.any():
         return np.zeros_like(mask)
     m = mo.morph(mask, "dilate", se, iterations)
     m = mo.morph(m, "erode", se, iterations)
     m = mo.morph(m, "dilate", se, iterations)
-    comps = _reference_connected_components(m, connectivity=8)
+    comps = _reference_connected_components(m)
     out = np.zeros_like(mask)
     for i in range(comps.count):
         x, y, w, h = comps.stats[i].bbox
@@ -391,11 +388,7 @@ def _same_components(got, want):
 def test_connected_components_match_full_frame_reference():
     rng = np.random.default_rng(21)
     for m in _edge_masks(rng):
-        for connectivity in (4, 8):
-            _same_components(
-                mo.connected_components(m, connectivity),
-                _reference_connected_components(m, connectivity),
-            )
+        _same_components(mo.connected_components(m), _reference_connected_components(m))
 
 
 @pytest.mark.parametrize("iterations", [1, 2])
@@ -404,7 +397,8 @@ def test_refine_mask_matches_full_frame_reference(se, iterations):
     rng = np.random.default_rng(22 + se + iterations)
     for m in _edge_masks(rng):
         min_area = int(rng.integers(1, 30))
-        for area in (min_area, None):
+        # the second area is 0.5% of the frame, mask.min_area_frac's default
+        for area in (min_area, int(round(0.005 * m.size))):
             got = mo.refine_mask(m, area, (se, se), iterations)
             want = _reference_refine_mask(m, area, (se, se), iterations)
             assert got.tobytes() == want.tobytes()
@@ -415,15 +409,15 @@ def test_refine_mask_matches_full_frame_reference(se, iterations):
 
 def test_cropped_mask_ops_match_reference_on_carry_box():
     frames, _, _ = sg.generate_scenario(sg.Scenario("carry_box", frames=120, seed=3))
-    model = sm.learn_scene(frames[:30])
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
     for f in frames[30:]:
-        fg = sm.detect_foreground(model, f).bits
-        refined = mo.refine_mask(fg, 384)
-        assert refined.tobytes() == _reference_refine_mask(fg, 384).tobytes()
+        fg = sm.detect_foreground(model, f, tau=4.0).bits
+        refined = mo.refine_mask(fg, 384, (3, 3), 1)
+        assert refined.tobytes() == _reference_refine_mask(fg, 384, (3, 3), 1).tobytes()
         _same_components(
             mo.connected_components(refined), _reference_connected_components(refined)
         )
-        sm.update_scene(model, f, sm.ForegroundMask(f.width, f.height, refined), 0.05)
+        sm.update_scene(model, f, refined, 0.05)
 
 
 def test_label_passes_are_counted_through_the_module_attribute(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 
 from hbpt import scene as sm
 from hbpt import synthgen as sg
-from hbpt.scene import ForegroundMask
 
 from conftest import flat_frame, frame_from_rgb
 
@@ -56,15 +55,17 @@ def test_learn_matches_accumulation_oracle_exactly():
 
 def test_learn_errors():
     with pytest.raises(ValueError, match="at least 2"):
-        sm.learn_scene([flat_frame((0, 0, 0))])
+        sm.learn_scene([flat_frame((0, 0, 0))], var_floor=4.0)
     with pytest.raises(ValueError, match="mismatch"):
-        sm.learn_scene([flat_frame((0, 0, 0), width=8), flat_frame((0, 0, 0), width=9)])
+        sm.learn_scene(
+            [flat_frame((0, 0, 0), width=8), flat_frame((0, 0, 0), width=9)], var_floor=4.0
+        )
 
 
 def test_detect_mean_frame_is_empty():
     frames = [flat_frame((90, 120, 60), index=i) for i in range(5)]
-    model = sm.learn_scene(frames)
-    mask = sm.detect_foreground(model, frames[0])
+    model = sm.learn_scene(frames, var_floor=4.0)
+    mask = sm.detect_foreground(model, frames[0], tau=4.0)
     assert not mask.bits.any()
 
 
@@ -100,9 +101,9 @@ def test_detect_pasted_square_iou():
 
 def test_update_all_foreground_unchanged():
     frames = [flat_frame((90, 120, 60), index=i) for i in range(3)]
-    model = sm.learn_scene(frames)
+    model = sm.learn_scene(frames, var_floor=4.0)
     mean0, var0 = model.mean.copy(), model.var.copy()
-    fg = ForegroundMask(frames[0].width, frames[0].height, np.ones((30, 40), bool))
+    fg = np.ones((30, 40), bool)
     sm.update_scene(model, flat_frame((1, 2, 3)), fg, alpha=0.1)
     assert np.array_equal(model.mean, mean0)
     assert np.array_equal(model.var, var0)
@@ -110,9 +111,9 @@ def test_update_all_foreground_unchanged():
 
 def test_update_fixed_point_at_mean():
     frames = [flat_frame((90, 120, 60), index=i) for i in range(3)]
-    model = sm.learn_scene(frames)  # identical frames: var at floor, mean exact
+    model = sm.learn_scene(frames, var_floor=4.0)  # identical frames: var at floor, mean exact
     mean0, var0 = model.mean.copy(), model.var.copy()
-    fg = ForegroundMask(frames[0].width, frames[0].height, np.zeros((30, 40), bool))
+    fg = np.zeros((30, 40), bool)
     sm.update_scene(model, frames[0], fg, alpha=0.05)
     assert np.allclose(model.mean, mean0)
     assert np.array_equal(model.var, var0)
@@ -120,10 +121,10 @@ def test_update_fixed_point_at_mean():
 
 def test_update_geometric_decay():
     frames = [flat_frame((90, 120, 60), index=i) for i in range(3)]
-    model = sm.learn_scene(frames)
+    model = sm.learn_scene(frames, var_floor=4.0)
     stepped = flat_frame((120, 120, 60))  # Y steps by c
     c = float(stepped.yuv[0, 0, 0]) - model.mean[0, 0, 0]
-    fg = ForegroundMask(30, 40, np.zeros((30, 40), bool))
+    fg = np.zeros((30, 40), bool)
     alpha, k = 0.1, 12
     for _ in range(k):
         sm.update_scene(model, stepped, fg, alpha=alpha)
@@ -134,13 +135,12 @@ def test_update_geometric_decay():
 def test_update_never_touches_masked_pixels():
     rng = np.random.default_rng(13)
     frames = _random_frames(rng, 5)
-    model = sm.learn_scene(frames)
+    model = sm.learn_scene(frames, var_floor=4.0)
     for i in range(10):
         bits = rng.random((9, 12)) < 0.4
-        fg = ForegroundMask(12, 9, bits)
         mean0 = model.mean.copy()
         var0 = model.var.copy()
-        sm.update_scene(model, _random_frames(rng, 1)[0], fg, alpha=0.2)
+        sm.update_scene(model, _random_frames(rng, 1)[0], bits, alpha=0.2)
         assert np.array_equal(model.mean[bits], mean0[bits])
         assert np.array_equal(model.var[bits], var0[bits])
 
@@ -168,7 +168,7 @@ def test_illumination_step_compensated():
     alpha = 0.05
     model = sm.learn_scene(frames, var_floor=4.0)
     stepped_base = np.clip(base.astype(int) + 25, 0, 255).astype(np.uint8)
-    empty = ForegroundMask(40, 30, np.zeros((30, 40), bool))
+    empty = np.zeros((30, 40), bool)
     steps = int(np.ceil(3 / alpha))
     for i in range(steps):
         noisy = np.clip(stepped_base + rng.normal(0, 2, base.shape), 0, 255).astype(np.uint8)
@@ -182,7 +182,7 @@ def test_illumination_step_compensated():
 
 def test_scene_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(23)
-    model = sm.learn_scene(_random_frames(rng, 4))
+    model = sm.learn_scene(_random_frames(rng, 4), var_floor=4.0)
     path = tmp_path / "scene.bin"
     sm.save_scene(model, path)
     loaded = sm.load_scene(path)
@@ -259,14 +259,13 @@ def _assert_scene_passes_match(model, frames, alpha, tau, seed=0):
             trial = copy.deepcopy(model)
             mean, var, seen = _reference_update_scene(trial, frame, mask, alpha)
             before_mean, before_var = trial.mean.copy(), trial.var.copy()
-            fg = ForegroundMask(frame.width, frame.height, mask)
-            assert sm.update_scene(trial, frame, fg, alpha) is trial
+            assert sm.update_scene(trial, frame, mask, alpha) is trial
             assert trial.mean.tobytes() == mean.tobytes()
             assert trial.var.tobytes() == var.tobytes()
             assert trial.frames_seen == seen
             assert trial.mean[mask].tobytes() == before_mean[mask].tobytes()
             assert trial.var[mask].tobytes() == before_var[mask].tobytes()
-        sm.update_scene(model, frame, ForegroundMask(frame.width, frame.height, bits), alpha)
+        sm.update_scene(model, frame, bits, alpha)
 
 
 def test_detect_foreground_sums_channels_in_np_sum_order():
@@ -305,7 +304,7 @@ def test_scene_passes_match_reference_on_random_frames(shape):
 @pytest.mark.parametrize("name", ["walker", "carry_box"])
 def test_scene_passes_match_reference_on_synthgen(name):
     frames, _, _ = sg.generate_scenario(sg.Scenario(name, frames=80, seed=5))
-    model = sm.learn_scene(frames[:30])
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
     _assert_scene_passes_match(model, frames[30:80:5], alpha=0.05, tau=4.0)
 
 
@@ -314,7 +313,7 @@ def test_scene_model_arrays_are_contiguous_float64():
     model = sm.SceneModel(mean=mean, var=np.ones((4, 5, 3)), frames_seen=2, var_floor=1.0)
     assert model.mean.flags.c_contiguous and model.mean.dtype == np.float64
     frame = flat_frame((10, 20, 30), width=5, height=4)
-    sm.update_scene(model, frame, ForegroundMask(5, 4, np.zeros((4, 5), bool)), alpha=0.5)
+    sm.update_scene(model, frame, np.zeros((4, 5), bool), alpha=0.5)
     assert (model.mean[..., 0] == 0.5 * frame.yuv[0, 0, 0]).all()
 
 

@@ -33,9 +33,9 @@ def test_background_scenario_feeds_scene_learning():
     frames, depths, truth = sg.generate_scenario(sg.Scenario("background", frames=35))
     assert depths is None
     assert all(not e["person_visible"] for e in truth["per_frame"])
-    model = sm.learn_scene(frames[:30])
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
     for f in frames[30:]:
-        assert sm.detect_foreground(model, f).bits.mean() < 0.01
+        assert sm.detect_foreground(model, f, tau=4.0).bits.mean() < 0.01
 
 
 def test_walker_path_is_scripted_piecewise_linear():

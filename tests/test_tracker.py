@@ -7,10 +7,12 @@ from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
-from hbpt.scene import ForegroundMask
+from hbpt.config import PipelineConfig
 
 from conftest import frame_from_rgb
 from test_maskops import flood_fill_oracle
+
+CFG = PipelineConfig()  # the pipeline's default settings
 
 
 def _square_person_frame(size=31, left=40, top=30, w=120, h=90):
@@ -20,7 +22,7 @@ def _square_person_frame(size=31, left=40, top=30, w=120, h=90):
     frame = frame_from_rgb(rgb)
     fg = np.zeros((h, w), bool)
     fg[top : top + size, left : left + size] = True
-    return frame, ForegroundMask(w, h, fg)
+    return frame, fg
 
 
 def _person_component(mask):
@@ -59,7 +61,7 @@ def test_back_project_uniform_hist_constant():
 def test_back_project_single_bin_indicator():
     frame, fg = _square_person_frame()
     hist = np.zeros(16)
-    plane = tr.uv_bin_plane(frame)
+    plane = frame.uv_bins
     target_bin = plane[40, 50]  # inside the square
     hist[target_bin] = 1.0
     weights = tr.back_project(frame, hist)
@@ -77,10 +79,10 @@ def test_back_project_separates_patch_from_scene():
     frame = frames[32]
     truth_mask = None
     # histogram from the person bbox via foreground detection
-    model = sm.learn_scene(frames[:30])
-    fg = sm.detect_foreground(model, frame)
-    refined = mo.refine_mask(fg.bits, 300)
-    hist = tr.hist16_of_bins(tr.uv_bin_plane(frame)[refined])
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
+    fg = sm.detect_foreground(model, frame, tau=4.0)
+    refined = mo.refine_mask(fg.bits, 300, (3, 3), 1)
+    hist = tr.hist16_of_bins(frame.uv_bins[refined])
     weights = tr.back_project(frame, hist)
     inside = weights[refined].mean()
     outside = weights[~refined].mean()
@@ -105,8 +107,8 @@ def test_detect_person_too_small():
 def test_detect_person_centroid_matches_flood_fill_oracle():
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=33))
     frame = frames[32]
-    model = sm.learn_scene(frames[:30])
-    refined = mo.refine_mask(sm.detect_foreground(model, frame).bits, 300)
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
+    refined = mo.refine_mask(sm.detect_foreground(model, frame, tau=4.0).bits, 300, (3, 3), 1)
     person = tr.detect_person(*_person_component(refined), frame, 700)
     assert person is not None
     labels, count = flood_fill_oracle(refined[::1, ::1])
@@ -168,12 +170,11 @@ def test_mean_shift_weight_sum_non_decreasing():
 
 def test_mspf_static_noiseless_fixed_point():
     frame, fg = _square_person_frame()
-    component, silhouette = _person_component(fg.bits)
+    component, silhouette = _person_component(fg)
     person = tr.detect_person(component, silhouette, frame, 100)
     particles = tr.init_particles(person, n=20, seed=3)
-    out, particles = tr.mspf_track(
-        person, particles, frame, fg, component, sigma_xy=0.0, sigma_scale=0.0
-    )
+    cfg = PipelineConfig(sigma_xy=0.0, sigma_scale=0.0)
+    out, particles = tr.mspf_track(person, particles, frame, fg, component, cfg)
     assert out.bbox == person.bbox
     assert out.centroid == person.centroid
     assert out.confidence == pytest.approx(1.0)
@@ -182,20 +183,20 @@ def test_mspf_static_noiseless_fixed_point():
 
 def test_mspf_deterministic_with_seed():
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=45))
-    model = sm.learn_scene(frames[:30])
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
 
     def run():
         person = particles = None
         outs = []
         for f in frames[30:]:
-            refined = mo.refine_mask(sm.detect_foreground(model, f).bits, 300)
-            fg = ForegroundMask(f.width, f.height, refined)
+            fg = sm.detect_foreground(model, f, tau=4.0).bits
+            refined = mo.refine_mask(fg, 300, (3, 3), 1)
             component, silhouette = _person_component(refined)
             if person is None:
                 person = tr.detect_person(component, silhouette, f, 700)
                 particles = tr.init_particles(person, 50, seed=11)
             else:
-                person, particles = tr.mspf_track(person, particles, f, fg, component)
+                person, particles = tr.mspf_track(person, particles, f, refined, component, CFG)
             outs.append((person.bbox, person.centroid, person.confidence))
         return outs, particles.states.copy()
 
@@ -205,26 +206,16 @@ def test_mspf_deterministic_with_seed():
     assert np.array_equal(states1, states2)
 
 
-def test_mspf_resampled_weights_uniform():
-    frame, fg = _square_person_frame()
-    component, silhouette = _person_component(fg.bits)
-    person = tr.detect_person(component, silhouette, frame, 100)
-    particles = tr.init_particles(person, n=32, seed=0)
-    _, particles = tr.mspf_track(person, particles, frame, fg, component)
-    assert (particles.weights == 1.0 / 32).all()
-    assert particles.weights.sum() == pytest.approx(1.0)
-
-
 def test_mspf_coasting_on_empty_foreground():
     frame, fg = _square_person_frame()
-    person = tr.detect_person(*_person_component(fg.bits), frame, 100)
+    person = tr.detect_person(*_person_component(fg), frame, 100)
     person.velocity = (2.0, -1.0)
     person.confidence = 1.0
     particles = tr.init_particles(person, n=10, seed=0)
-    empty = ForegroundMask(frame.width, frame.height, np.zeros_like(fg.bits))
+    empty = np.zeros_like(fg)
     cur = person
     for k in range(1, 6):
-        cur, particles = tr.mspf_track(cur, particles, frame, empty, None)
+        cur, particles = tr.mspf_track(cur, particles, frame, empty, None, CFG)
         assert cur.velocity == (2.0, -1.0)
         assert cur.centroid == (person.centroid[0] + 2.0 * k, person.centroid[1] - 1.0 * k)
         assert cur.confidence == pytest.approx(0.8**k)
@@ -286,16 +277,16 @@ def test_uv_bin_plane_is_uint8_and_matches_int64_reference():
         for shape in ((1, 1, 3), (7, 3, 3), (240, 320, 3))
     ]
     for f in frames:
-        plane = tr.uv_bin_plane(f)
+        plane = f.uv_bins
         assert plane.dtype == np.uint8
         assert np.array_equal(plane, _reference_uv_bin_plane(f))
-    assert set(np.unique(tr.uv_bin_plane(frame))) == set(range(16))
+    assert set(np.unique(frame.uv_bins)) == set(range(16))
 
 
 def test_uv_bin_plane_is_cached_on_the_frame():
     frame, _ = _square_person_frame()
-    plane = tr.uv_bin_plane(frame)
-    assert tr.uv_bin_plane(frame) is plane and frame.uv_bins is plane
+    plane = frame.uv_bins
+    assert frame.uv_bins is plane
     assert not plane.flags.writeable
     hist = tr.color_hist16(frame, (40, 30, 31, 31))
     weights = tr.back_project(frame, hist)
@@ -307,19 +298,19 @@ def test_uv_bin_plane_is_cached_on_the_frame():
 def _walker_steps(frames=60):
     """(prev, particles, frame, fg, component) for each tracked walker frame."""
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=frames, seed=4))
-    model = sm.learn_scene(frames[:30])
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
     person = particles = None
     for f in frames[30:]:
-        refined = mo.refine_mask(sm.detect_foreground(model, f).bits, 300)
+        fg = sm.detect_foreground(model, f, tau=4.0).bits
+        refined = mo.refine_mask(fg, 300, (3, 3), 1)
         component, silhouette = _person_component(refined)
-        fg = ForegroundMask(f.width, f.height, refined)
         if person is None:
             person = tr.detect_person(component, silhouette, f, 700)
             if person is not None:
                 particles = tr.init_particles(person, 40, seed=9)
             continue
-        yield person, copy.deepcopy(particles), f, fg, component
-        person, particles = tr.mspf_track(person, particles, f, fg, component)
+        yield person, copy.deepcopy(particles), f, refined, component
+        person, particles = tr.mspf_track(person, particles, f, refined, component, CFG)
 
 
 def test_particle_weights_match_int64_plane():
@@ -330,7 +321,7 @@ def test_particle_weights_match_int64_plane():
         states[:, 2] = np.clip(states[:, 2], 0.2, 3.0)
         states[::7, 0] = -40.0  # windows clipped at the frame border
         sqrt_ref = np.sqrt(prev.ref_hist)
-        got = tr._particle_weights(tr.uv_bin_plane(frame), states, particles.ref_size, sqrt_ref)
+        got = tr._particle_weights(frame.uv_bins, states, particles.ref_size, sqrt_ref)
         want = tr._particle_weights(
             _reference_uv_bin_plane(frame), states, particles.ref_size, sqrt_ref
         )
@@ -354,13 +345,13 @@ def test_mspf_track_matches_int64_where_reference(monkeypatch):
     for prev, particles, frame, fg, component in _walker_steps():
         twin = copy.deepcopy(particles)
         seen.clear()
-        out, parts = tr.mspf_track(prev, particles, frame, fg, component)
+        out, parts = tr.mspf_track(prev, particles, frame, fg, component, CFG)
         (wimg,) = seen
-        want = np.where(fg.bits, prev.ref_hist[_reference_uv_bin_plane(frame)], 0.0)
+        want = np.where(fg, prev.ref_hist[_reference_uv_bin_plane(frame)], 0.0)
         assert wimg.dtype == np.float64 and wimg.tobytes() == want.tobytes()
-        with monkeypatch.context() as m:
-            m.setattr(tr, "uv_bin_plane", _reference_uv_bin_plane)
-            ref_out, ref_parts = tr.mspf_track(prev, twin, frame, fg, component)
+        ref_frame = copy.copy(frame)
+        ref_frame.uv_bins = _reference_uv_bin_plane(frame)
+        ref_out, ref_parts = tr.mspf_track(prev, twin, ref_frame, fg, component, CFG)
         for key in ("bbox", "centroid", "area", "confidence", "velocity"):
             assert getattr(out, key) == getattr(ref_out, key)
         assert parts.states.tobytes() == ref_parts.states.tobytes()
@@ -397,7 +388,7 @@ def test_particle_weights_match_per_particle_reference():
     rng = np.random.default_rng(17)
     steps = 0
     for prev, particles, frame, _, _ in _walker_steps(50):
-        plane = tr.uv_bin_plane(frame)
+        plane = frame.uv_bins
         states = particles.states + rng.normal(0.0, 8.0, particles.states.shape)
         states[:, 2] = np.clip(states[:, 2], 0.2, 3.0)
         states[::7, 0] = -40.0  # windows clipped at the left border
@@ -428,7 +419,7 @@ def test_particle_weights_on_a_tiny_frame():
 
 def test_coasting_out_of_the_frame_ends_the_track():
     frame, fg = _square_person_frame()
-    empty = ForegroundMask(fg.width, fg.height, np.zeros_like(fg.bits))
+    empty = np.zeros_like(fg)
     particles = tr.init_particles(
         tr.PersonBlob(bbox=(100, 30, 20, 40), centroid=(110.0, 50.0), area=800,
                       ref_hist=np.full(16, 1 / 16)), 10, seed=1
@@ -438,7 +429,7 @@ def test_coasting_out_of_the_frame_ends_the_track():
             bbox=(100, 30, 20, 40), centroid=(110.0, 50.0), area=800,
             ref_hist=np.full(16, 1 / 16), velocity=velocity,
         )
-        person, parts = tr.mspf_track(prev, particles, frame, empty, None)
+        person, parts = tr.mspf_track(prev, particles, frame, empty, None, CFG)
         if inside:
             assert person.centroid == (119.0, 50.0) and parts is particles
         else:
