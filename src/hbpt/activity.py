@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tracker import back_project, color_hist16, mean_shift
+from .tracker import _window_sum, back_project, color_hist16, mean_shift
 
 _PHASES = {"Idle": 0, "Approached": 1, "Opened": 2, "Carrying": 3}
 
@@ -92,17 +92,12 @@ def track_box_region(box, frame):
     """Move the tracked rectangle by mean shift over the backprojection."""
     weights = back_project(frame, box.ref_hist)
     rect, _, converged = mean_shift(weights, box.tracked_rect)
-    if not converged and _window_total(weights, rect) == 0.0:
+    if not converged and _window_sum(weights, rect) == 0.0:
         box.lost = True
         return box
     box.tracked_rect = rect
     box.lost = False
     return box
-
-
-def _window_total(weights, rect):
-    x, y, w, h = rect
-    return float(weights[y : y + h, x : x + w].sum())
 
 
 def hand_point(model):
@@ -147,14 +142,16 @@ def _hand_depth_sample(model, hand, inset=3.0):
 
 
 def depth_at(depth, point, win=5):
-    """Median of the valid depths in a win x win window; None when all invalid."""
+    """Median of the valid depths in a win x win window of the (h, w)
+    millimeter array ``depth``; None when all are invalid."""
     if depth is None:
         return None
     half = win // 2
     x, y = int(round(point[0])), int(round(point[1]))
-    x0, x1 = max(0, x - half), min(depth.width, x + half + 1)
-    y0, y1 = max(0, y - half), min(depth.height, y + half + 1)
-    vals = depth.z[y0:y1, x0:x1]
+    h, w = depth.shape
+    x0, x1 = max(0, x - half), min(w, x + half + 1)
+    y0, y1 = max(0, y - half), min(h, y + half + 1)
+    vals = depth[y0:y1, x0:x1]
     vals = vals[vals > 0]
     if vals.size == 0:
         return None
@@ -443,27 +440,23 @@ class ActivityMonitor:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.box_rect = tuple(cfg.box_rect) if cfg.box_rect else None
         self.box = None
         self.track = None
         self.state = ActivityState()
         self.events = []
         self.prev_frame = None
-        self._lk_pyramid = (None, None)  # (frame, its LK pyramid)
+        # LK pyramid of prev_frame: once a track is seeded, every frame's
+        # _track_points call builds the next one, until no point is alive
+        self._lk_pyramid = None
 
     def _track_points(self, frame):
         """Move the alive object points from the previous frame to this one."""
         alive = np.flatnonzero(self.track.alive)
         if alive.size == 0:
             return
-        cached_frame, pyramid = self._lk_pyramid
-        pts, ok, pyramid = lk_flow(
-            self.prev_frame,
-            frame,
-            self.track.points[alive],
-            prev_pyramid=pyramid if cached_frame is self.prev_frame else None,
+        pts, ok, self._lk_pyramid = lk_flow(
+            self.prev_frame, frame, self.track.points[alive], prev_pyramid=self._lk_pyramid
         )
-        self._lk_pyramid = (frame, pyramid)
         self.track.points[alive] = pts
         self.track.alive[alive] = ok
 
@@ -471,14 +464,14 @@ class ActivityMonitor:
         """Run the recognizers for one frame; returns newly fired events."""
         cfg = self.cfg
         fired = []
-        if self.box_rect is None:
+        if not cfg.box_rect:
             self.prev_frame = frame
             return fired
         if self.box is None:
             if frame_index < cfg.box_ref_frame:
                 self.prev_frame = frame
                 return fired
-            self.box = make_box_region(frame, self.box_rect)
+            self.box = make_box_region(frame, cfg.box_rect)
         self.box = track_box_region(self.box, frame)
 
         if self.track is not None and self.prev_frame is not None:

@@ -9,7 +9,6 @@ boundary.
 """
 
 import math
-from dataclasses import dataclass
 
 from .maskops import convex_hull
 
@@ -17,22 +16,6 @@ HEAD_BAND_FRAC = 0.25
 FEET_SEP_FRAC = 0.15
 HAND_BAND_FRAC = 0.40
 HAND_Y_BAND_FRAC = 0.35  # hands live near centroid height, not at bbox corners
-
-
-@dataclass
-class PartLabels:
-    torso: tuple
-    head: tuple | None = None
-    feet: list = None
-    hands: list = None
-
-    def to_dict(self):
-        return {
-            "torso": list(self.torso),
-            "head": list(self.head) if self.head else None,
-            "feet": [list(p) for p in (self.feet or [])],
-            "hands": [list(p) for p in (self.hands or [])],
-        }
 
 
 def label_silhouette(silhouette, component):
@@ -51,13 +34,15 @@ def label_silhouette(silhouette, component):
     right = (x + w - 1) - crop[:, ::-1].argmax(axis=1)
     rows = list(range(y, y + h))
     hull = convex_hull(zip(left.tolist() + right.tolist(), rows + rows))
-    return label_parts_by_distance(hull, component.centroid, w, h).to_dict()
+    return label_parts_by_distance(hull, component.centroid, w, h)
 
 
 def label_parts_by_distance(hull, centroid, width, height):
     """Assign head, feet and hands from hull vertices by centroid geometry.
 
-    ``width`` and ``height`` are the silhouette's bounding-box size.
+    Returns a dict of [x, y] lists: "torso" (the centroid), "head", and
+    "feet" and "hands", each a list of up to two points. ``width`` and
+    ``height`` are the silhouette's bounding-box size.
     head: highest vertex within a quarter bounding-box width of the centroid
     column, falling back to the highest vertex overall when that band holds
     no vertex. feet: up to two below-centroid vertices of maximal centroid
@@ -97,4 +82,9 @@ def label_parts_by_distance(hull, centroid, width, height):
             hands.append(side_cands[0])
     hands.sort(key=lambda p: (-abs(p[0] - cx), p[0], p[1]))
 
-    return PartLabels(torso=(cx, cy), head=head, feet=feet, hands=hands)
+    return {
+        "torso": [cx, cy],
+        "head": list(head),
+        "feet": [list(p) for p in feet],
+        "hands": [list(p) for p in hands],
+    }

@@ -105,6 +105,11 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integral(value):
+    """An int, or a float with no fractional part."""
+    return _is_number(value) and (not isinstance(value, float) or value.is_integer())
+
+
 def _coerce(attr, value):
     """Check a parsed value against the field's type; numbers are converted."""
     kind = _FIELD_TYPES[attr]
@@ -112,7 +117,7 @@ def _coerce(attr, value):
         if not isinstance(value, bool):
             raise ValueError(f"expects true/false, got {value!r}")
     elif kind is int:
-        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        if not _is_integral(value):
             raise ValueError(f"expects an integer, got {value!r}")
         return int(value)
     elif kind is float:
@@ -124,9 +129,10 @@ def _coerce(attr, value):
             raise ValueError(f"expects a string, got {value!r}")
     elif kind is list:
         if not isinstance(value, list) or value and (
-            len(value) != 4 or not all(_is_number(v) for v in value)
+            len(value) != 4 or not all(_is_integral(v) for v in value)
         ):
-            raise ValueError(f"expects [] or 4 numbers, got {value!r}")
+            raise ValueError(f"expects [] or 4 integers, got {value!r}")
+        return [int(v) for v in value]
     return value
 
 

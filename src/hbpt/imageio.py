@@ -1,9 +1,11 @@
 """Frame and depth raster I/O, color conversion, overlay rendering.
 
-Frames are stored as YUV pixel rasters; the original RGB plane is kept
-alongside so that unannotated writes are byte-preserving. Depth rasters are
-16-bit PGM files holding millimeters, 0 = invalid. A sequence is listed up
-front (``frame_paths``) and decoded one frame at a time (``read_frame``).
+A frame is its decoded RGB plane; its YUV raster is derived on first use and
+kept, so a frame that is only written is never converted, and unannotated
+writes are byte-preserving. Depth rasters are 16-bit PGM files holding
+millimeters, 0 = invalid, handed over as (h, w) int32 arrays. A sequence is
+listed up front (``frame_paths``) and decoded one frame at a time
+(``read_frame``).
 """
 
 import re
@@ -27,19 +29,23 @@ PALETTE = {
 
 @dataclass
 class Frame:
-    """One color frame: YUV raster plus the source RGB it was decoded from."""
+    """One color frame, the (h, w, 3) uint8 RGB raster it was decoded from."""
 
     index: int
-    width: int
-    height: int
-    yuv: np.ndarray  # (h, w, 3) uint8
-    rgb: np.ndarray  # (h, w, 3) uint8, kept for byte-preserving writes
+    rgb: np.ndarray  # (h, w, 3) uint8
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("frame dimensions must be positive")
-        if self.yuv.shape != (self.height, self.width, 3):
-            raise ValueError("yuv raster does not match frame dimensions")
+    @property
+    def width(self):
+        return self.rgb.shape[1]
+
+    @property
+    def height(self):
+        return self.rgb.shape[0]
+
+    @cached_property
+    def yuv(self):
+        """The (h, w, 3) uint8 YUV raster, converted on first use and kept."""
+        return rgb_to_yuv_image(self.rgb)
 
     @cached_property
     def uv_bins(self):
@@ -55,19 +61,6 @@ class Frame:
         u |= v
         u.flags.writeable = False
         return u
-
-
-@dataclass
-class DepthRaster:
-    """Per-pixel depth in millimeters; 0 marks an invalid return."""
-
-    width: int
-    height: int
-    z: np.ndarray  # (h, w) int32, millimeters
-
-    def __post_init__(self):
-        if self.z.shape != (self.height, self.width):
-            raise ValueError("depth raster does not match dimensions")
 
 
 @dataclass
@@ -414,17 +407,12 @@ def read_frame(path, index, size=None):
     h, w = rgb.shape[:2]
     if size is not None and (w, h) != tuple(size):
         raise ValueError(f"dimension mismatch in {path}: {w}x{h} vs {size[0]}x{size[1]}")
-    return Frame(
-        index=index,
-        width=w,
-        height=h,
-        yuv=rgb_to_yuv_image(rgb),
-        rgb=rgb,
-    )
+    return Frame(index=index, rgb=rgb)
 
 
 def load_depth_raster(path, size=None):
-    """Load one 16-bit PGM depth raster; values outside 1..10000 mm become 0.
+    """Load one 16-bit PGM depth raster as an (h, w) int32 array of
+    millimeters; values outside 1..10000 mm become 0.
 
     Raises ValueError naming the file when, given the frames' ``size`` =
     (width, height), its dimensions differ.
@@ -434,7 +422,7 @@ def load_depth_raster(path, size=None):
     if size is not None and (w, h) != tuple(size):
         raise ValueError(f"dimension mismatch in {path}: {w}x{h} vs {size[0]}x{size[1]}")
     z[z > DEPTH_MAX_MM] = 0
-    return DepthRaster(width=w, height=h, z=z)
+    return z
 
 
 # ---------------------------------------------------------------------------

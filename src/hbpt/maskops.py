@@ -24,8 +24,11 @@ class ComponentStats:
 @dataclass
 class LabeledComponents:
     labels: np.ndarray  # (h, w) int32, 0 = background
-    count: int
     stats: list  # ComponentStats, index i -> label i+1
+
+    @property
+    def count(self):
+        return len(self.stats)
 
 
 def morph(mask, op, se, iterations):
@@ -101,7 +104,7 @@ def connected_components(mask):
                     centroid=(float(sx.mean()), float(sy.mean())),
                 )
             )
-    return LabeledComponents(labels=labels, count=int(count), stats=stats)
+    return LabeledComponents(labels=labels, stats=stats)
 
 
 def largest_component(components):
@@ -143,20 +146,6 @@ def convex_hull(points):
     return hull[start:] + hull[:start]
 
 
-def fill_holes(mask):
-    """Set enclosed background regions (4-connected, off-border) to foreground."""
-    bg_labels, bg_count = ndimage.label(~mask)
-    if not bg_count:
-        return mask.copy()
-    border = np.zeros(mask.shape, dtype=bool)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    outside = sorted(int(v) for v in np.unique(bg_labels[border]) if v != 0)
-    filled = mask.copy()
-    filled[(~mask) & ~np.isin(bg_labels, outside)] = True
-    return filled
-
-
 def _mosaic(masks):
     """Stack the masks top to bottom into one zeroed mosaic.
 
@@ -175,7 +164,10 @@ def _mosaic(masks):
 
 
 def fill_holes_many(masks):
-    """``fill_holes`` of each mask, from one labelling of their mosaic.
+    """Each mask with its holes filled, from one labelling of their mosaic.
+
+    A hole is a 4-connected background region that does not reach the mask's
+    border; it is set to foreground.
 
     Every mask's 1-px empty frame joins column 0 of the mosaic, so all the
     background that reaches a mask's border is one component, the one at

@@ -37,8 +37,8 @@ class SceneModel:
 
 @dataclass
 class ForegroundMask:
-    width: int
-    height: int
+    """What ``detect_foreground`` returns; ``perfbench/child.py`` reads ``.bits``."""
+
     bits: np.ndarray  # (h, w) bool
 
 
@@ -85,9 +85,7 @@ def detect_foreground(model, frame, tau):
         np.add(qb[:, 0], qb[:, 1], out=db)  # the order of np.sum(q, axis=1)
         db += qb[:, 2]
         np.greater(db, tau2, out=bits[s:e])
-    return ForegroundMask(
-        width=model.width, height=model.height, bits=bits.reshape(model.height, model.width)
-    )
+    return ForegroundMask(bits=bits.reshape(model.height, model.width))
 
 
 def update_scene(model, frame, fg, alpha):

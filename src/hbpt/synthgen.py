@@ -10,13 +10,13 @@ than rendering details.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bodyparts import PART_LABELS, partition_regions
-from .imageio import DepthRaster, Frame, rgb_to_yuv_image, write_pgm16, write_ppm
+from .imageio import Frame, write_pgm16, write_ppm
 from .tracker import TorsoDisc
 
 SCENARIO_NAMES = (
@@ -58,6 +58,10 @@ BOX_DEPTH_MM = 2000
 BOX_RECT = (230, 112, 24, 20)
 BOX_REF_FRAME = 35
 
+NOISE_SIGMA = 2.0  # per-channel Gaussian pixel noise
+LEARN_FRAMES = 30  # person-free frames at the start of every scenario
+WALK_SPEED = 3  # px per frame
+
 # figure primitives in local coordinates (origin at top-center of the head)
 _HEAD = ("disc", 0, 7, 7)
 _TORSO = ("rect", -15, 14, 15, 69)
@@ -83,9 +87,6 @@ class Scenario:
     height: int = 240
     frames: int | None = None
     seed: int = 7
-    noise_sigma: float = 2.0
-    learn_frames: int = 30
-    walk_speed: int = 3
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -105,23 +106,23 @@ def _ping_pong(start, lo, hi, step, t):
 
 def _person_script(sc, f):
     """Scripted figure placement for frame f, or None when absent."""
-    if sc.name == "background" or f < sc.learn_frames:
+    if sc.name == "background" or f < LEARN_FRAMES:
         return None
-    t = f - sc.learn_frames
+    t = f - LEARN_FRAMES
     if sc.name == "walker":
-        return {"ox": _ping_pong(40, 40, 230, sc.walk_speed, t), "oy": 100, "pose": "down"}
+        return {"ox": _ping_pong(40, 40, 230, WALK_SPEED, t), "oy": 100, "pose": "down"}
     if sc.name == "starfish":
         return {"ox": 160, "oy": 70, "pose": "star"}
     if sc.name == "occluded_arm":
         hidden = 100 <= f < 150
         return {"ox": 140, "oy": 100, "pose": "reach_hidden" if hidden else "reach"}
     if sc.name in ("approach_box", "open_box", "carry_box"):
-        ox = min(60 + sc.walk_speed * t, 177)
+        ox = min(60 + WALK_SPEED * t, 177)
         if sc.name == "carry_box" and f >= 100:
-            ox = max(177 - sc.walk_speed * (f - 100), 87)
+            ox = max(177 - WALK_SPEED * (f - 100), 87)
         return {"ox": ox, "oy": 100, "pose": "reach"}
     if sc.name == "null_walk":
-        return {"ox": _ping_pong(40, 40, 150, sc.walk_speed, t), "oy": 100, "pose": "reach"}
+        return {"ox": _ping_pong(40, 40, 150, WALK_SPEED, t), "oy": 100, "pose": "reach"}
     return None
 
 
@@ -129,12 +130,12 @@ def _box_script(sc, f):
     """Current box rectangle and appearance, or None when absent."""
     if sc.name not in ("approach_box", "open_box", "carry_box", "null_walk"):
         return None
-    if f < sc.learn_frames:
+    if f < LEARN_FRAMES:
         return None
     x, y, w, h = BOX_RECT
     opened = sc.name == "open_box" and f >= 100
     if sc.name == "carry_box" and f >= 100:
-        x = max(BOX_RECT[0] - sc.walk_speed * (f - 100), BOX_RECT[0] - 90)
+        x = max(BOX_RECT[0] - WALK_SPEED * (f - 100), BOX_RECT[0] - 90)
     return {"rect": (x, y, w, h), "opened": opened}
 
 
@@ -286,8 +287,9 @@ def _scripted_events(sc):
 def generate_scenario(scenario):
     """Render all frames, depth rasters and ground truth for a scenario.
 
-    Returns (frames, depths, truth); depths is None for scenarios without a
-    box. The same (name, params, seed) always produces identical output.
+    Returns (frames, depths, truth): depths is a list of (h, w) int32
+    millimeter arrays, or None for scenarios without a box. The same (name,
+    params, seed) always produces identical output.
     """
     sc = scenario if isinstance(scenario, Scenario) else Scenario(name=str(scenario))
     w, h = sc.width, sc.height
@@ -307,11 +309,9 @@ def generate_scenario(scenario):
         script = _person_script(sc, f)
         if script is not None:
             _render_person(rgb, mask, script)
-        noisy = rgb + rng.normal(0.0, sc.noise_sigma, size=rgb.shape)
+        noisy = rgb + rng.normal(0.0, NOISE_SIGMA, size=rgb.shape)
         out = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-        frames.append(
-            Frame(index=f, width=w, height=h, yuv=rgb_to_yuv_image(out), rgb=out)
-        )
+        frames.append(Frame(index=f, rgb=out))
         if with_depth:
             z = np.full((h, w), BG_DEPTH_MM, dtype=np.int32)
             if box is not None:
@@ -319,7 +319,7 @@ def generate_scenario(scenario):
                 z[y0:y1, x0:x1] = BOX_DEPTH_MM
             if script is not None:
                 z[mask] = PERSON_DEPTH_MM
-            depths.append(DepthRaster(width=w, height=h, z=z))
+            depths.append(z)
         per_frame.append(_truth_for_frame(sc, f, mask, script, box))
 
     truth = {
@@ -328,8 +328,8 @@ def generate_scenario(scenario):
         "height": h,
         "frames": sc.frames,
         "seed": sc.seed,
-        "noise_sigma": sc.noise_sigma,
-        "learn_frames": sc.learn_frames,
+        "noise_sigma": NOISE_SIGMA,
+        "learn_frames": LEARN_FRAMES,
         "box": {"rect": list(BOX_RECT), "ref_frame": BOX_REF_FRAME} if with_depth else None,
         "events": _scripted_events(sc),
         "per_frame": per_frame,
@@ -345,8 +345,8 @@ def write_scenario(scenario, outdir):
     for f in frames:
         write_ppm(outdir / f"frame_{f.index:06d}.ppm", f.rgb)
     if depths is not None:
-        for i, d in enumerate(depths):
-            write_pgm16(outdir / f"depth_{i:06d}.pgm", d.z)
+        for i, z in enumerate(depths):
+            write_pgm16(outdir / f"depth_{i:06d}.pgm", z)
     with open(outdir / "truth.json", "w") as fh:
         json.dump(truth, fh)
     return truth

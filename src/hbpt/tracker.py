@@ -262,10 +262,11 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     backprojection masked by ``fg``, the (h, w) bool foreground mask, then
     fused with ``component``, the ``ComponentStats`` of the largest
     foreground component, when their boxes' IoU exceeds ``cfg.iou_gate``.
-    With no component (``None``, an empty foreground) the previous state
-    coasts at its last velocity and confidence decays by 0.8 per frame; a
-    coast that carries the centroid out of the frame ends the track and
-    returns (None, None).
+    A window that holds no foreground at all is no evidence, and the
+    component's box and centroid are taken instead. With no component
+    (``None``, an empty foreground) the previous state coasts at its last
+    velocity and confidence decays by 0.8 per frame; a coast that carries
+    the centroid out of the frame ends the track and returns (None, None).
     """
     if fg.shape != (frame.height, frame.width):
         raise ValueError("foreground mask does not match frame dimensions")
@@ -310,23 +311,18 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     wx, wy, ww, wh = win
     sub = fg[wy : wy + wh, wx : wx + ww]
     total = sub.sum()
-    if total > 0:  # evidence centroid inside the converged window
+    if total == 0:
+        # a window with no foreground is no evidence: the component wins
+        centroid, bbox = component.centroid, component.bbox
+    else:
+        # the foreground centroid inside the converged window
         ex = float((sub.sum(axis=0) * np.arange(wx, wx + ww)).sum() / total)
         ey = float((sub.sum(axis=1) * np.arange(wy, wy + wh)).sum() / total)
-    else:
-        ex = wx + (ww - 1) / 2.0
-        ey = wy + (wh - 1) / 2.0
-    est_bbox, est_centroid = win, (ex, ey)
-
-    if _rect_iou(est_bbox, component.bbox) > cfg.iou_gate:
-        centroid = (
-            (est_centroid[0] + component.centroid[0]) / 2.0,
-            (est_centroid[1] + component.centroid[1]) / 2.0,
-        )
-        bbox = component.bbox
-    else:
-        centroid = est_centroid
-        bbox = est_bbox
+        if _rect_iou(win, component.bbox) > cfg.iou_gate:
+            centroid = ((ex + component.centroid[0]) / 2.0, (ey + component.centroid[1]) / 2.0)
+            bbox = component.bbox
+        else:
+            centroid, bbox = (ex, ey), win
 
     counts = np.bincount(
         masked_plane[bbox[1] : bbox[1] + bbox[3], bbox[0] : bbox[0] + bbox[2]].ravel(),

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from hbpt import synthgen as sg
-from hbpt.imageio import Frame, rgb_to_yuv_image
+from hbpt.imageio import Frame
 
 
 @pytest.fixture(scope="session")
@@ -26,19 +27,27 @@ def scenario_dir(tmp_path_factory):
 
 
 def frame_from_rgb(rgb, index=0):
-    rgb = np.asarray(rgb, dtype=np.uint8)
-    return Frame(
-        index=index,
-        width=rgb.shape[1],
-        height=rgb.shape[0],
-        yuv=rgb_to_yuv_image(rgb),
-        rgb=rgb,
-    )
+    return Frame(index=index, rgb=np.asarray(rgb, dtype=np.uint8))
 
 
 def flat_frame(color, width=40, height=30, index=0):
     rgb = np.tile(np.array(color, np.uint8), (height, width, 1))
     return frame_from_rgb(rgb, index)
+
+
+def fill_holes(mask):
+    """Set enclosed background regions (4-connected, off-border) to
+    foreground: the hole-fill oracle of ``maskops.fill_holes_many``."""
+    bg_labels, bg_count = ndimage.label(~mask)
+    if not bg_count:
+        return mask.copy()
+    border = np.zeros(mask.shape, dtype=bool)
+    border[0, :] = border[-1, :] = True
+    border[:, 0] = border[:, -1] = True
+    outside = sorted(int(v) for v in np.unique(bg_labels[border]) if v != 0)
+    filled = mask.copy()
+    filled[(~mask) & ~np.isin(bg_labels, outside)] = True
+    return filled
 
 
 def read_jsonl(path):

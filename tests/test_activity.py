@@ -9,7 +9,6 @@ from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob
 from hbpt.config import PipelineConfig, parse_config_text
-from hbpt.imageio import DepthRaster
 
 from conftest import frame_from_rgb
 
@@ -45,7 +44,7 @@ def stub_model(torso_mu=(60.0, 60.0), hand=(40, 30), arm="armR"):
 
 
 def flat_depth(z, w=120, h=90):
-    return DepthRaster(width=w, height=h, z=np.full((h, w), z, np.int32))
+    return np.full((h, w), z, np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,9 @@ def test_approach_depth_gate_blocks_distant_hand():
     z[y : y + h, x : x + w] = 2000
     # person plane 1500 mm behind the box
     z[hand[1] - 4 : hand[1] + 5, hand[0] - 6 : hand[0] + 3] = 3500
-    depth = DepthRaster(width=120, height=90, z=z)
     state = act.ActivityState()
     for i in range(10):
-        assert act.detect_approach(model, box, depth, state, i, CFG) is None
+        assert act.detect_approach(model, box, z, state, i, CFG) is None
     assert state.phase == "Idle"
 
 
@@ -663,8 +661,7 @@ def test_carry_depth_rate_gate():
         model = stub_model(torso_mu=(cx + 45.0, cy), hand=hand)
         z = np.full((90, 160), 2000, np.int32)
         z[int(cy) - 2 : int(cy) + 3, int(cx) - 2 : int(cx) + 3] = zs[i]
-        depth = DepthRaster(width=160, height=90, z=z)
-        assert act.detect_carry(model, track, depth, state, i, CFG) is None
+        assert act.detect_carry(model, track, z, state, i, CFG) is None
     assert state.phase == "Approached"
 
 
@@ -822,9 +819,9 @@ def _depth_ramp(calls, mm_per_px=5):
     so that hand and box, and the moves of hand and object, differ in depth."""
     out = []
     for frame_index, frame, model, depth in calls:
-        ramp = np.arange(depth.width, dtype=np.int32) * mm_per_px
-        z = np.where(depth.z > 0, depth.z + ramp, 0).astype(np.int32)
-        out.append((frame_index, frame, model, DepthRaster(depth.width, depth.height, z)))
+        ramp = np.arange(depth.shape[1], dtype=np.int32) * mm_per_px
+        z = np.where(depth > 0, depth + ramp, 0).astype(np.int32)
+        out.append((frame_index, frame, model, z))
     return out
 
 

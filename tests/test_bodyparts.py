@@ -4,11 +4,11 @@ import pytest
 from hbpt import bodyparts as bp
 from hbpt.blobmodel import fit_blob
 from hbpt.config import PipelineConfig
-from hbpt.maskops import connected_components, fill_holes
+from hbpt.maskops import connected_components
 from hbpt.synthgen import render_person_mask
 from hbpt.tracker import TorsoDisc
 
-from conftest import frame_from_rgb
+from conftest import fill_holes, frame_from_rgb
 
 MIN_PART_AREA = PipelineConfig().min_part_area
 

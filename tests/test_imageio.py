@@ -509,22 +509,22 @@ def test_depth_raster_constant(tmp_path):
     z = np.full((6, 8), 2000, np.int32)
     iio.write_pgm16(tmp_path / "d.pgm", z)
     d = iio.load_depth_raster(tmp_path / "d.pgm")
-    assert d.width == 8 and d.height == 6
-    assert (d.z == 2000).all()
+    assert d.shape == (6, 8) and d.dtype == np.int32
+    assert (d == 2000).all()
 
 
 def test_depth_raster_clamps_invalid(tmp_path):
     z = np.array([[65535, 10001, 10000, 1, 0]], np.int32)
     iio.write_pgm16(tmp_path / "d.pgm", z)
     d = iio.load_depth_raster(tmp_path / "d.pgm")
-    assert d.z.tolist() == [[0, 0, 10000, 1, 0]]
+    assert d.tolist() == [[0, 0, 10000, 1, 0]]
 
 
 def test_depth_raster_round_trip_exact(tmp_path, scenario_dir):
     indir, _ = scenario_dir("approach_box", frames=40)
     frames, depths, _ = sg.generate_scenario(sg.Scenario("approach_box", frames=40))
     loaded = iio.load_depth_raster(indir / "depth_000035.pgm")
-    assert np.array_equal(loaded.z, depths[35].z)
+    assert np.array_equal(loaded, depths[35])
 
 
 def test_depth_raster_rejects_8bit(tmp_path):

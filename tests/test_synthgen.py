@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hbpt import imageio as iio
 from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
@@ -19,7 +20,7 @@ def test_same_seed_is_bit_identical():
         assert np.array_equal(fa.rgb, fb.rgb)
         assert np.array_equal(fa.yuv, fb.yuv)
     for da, db in zip(a_depths, b_depths):
-        assert np.array_equal(da.z, db.z)
+        assert np.array_equal(da, db)
     assert json.dumps(a_truth, sort_keys=True) == json.dumps(b_truth, sort_keys=True)
 
 
@@ -58,7 +59,7 @@ def test_clean_silhouette_is_connected():
 def test_depth_values_in_sensor_range():
     _, depths, _ = sg.generate_scenario(sg.Scenario("carry_box", frames=40))
     for d in depths:
-        valid = d.z[d.z > 0]
+        valid = d[d > 0]
         assert valid.min() >= 500
         assert valid.max() <= 10000
 
@@ -102,6 +103,23 @@ def test_write_scenario_layout(tmp_path):
     assert len(list(tmp_path.glob("depth_*.pgm"))) == 36
     truth = json.loads((tmp_path / "truth.json").read_text())
     assert truth["box"]["rect"] == list(sg.BOX_RECT)
+
+
+def test_write_scenario_converts_no_frame_to_yuv(tmp_path, monkeypatch):
+    """Frames that are only written keep their YUV plane underived."""
+    calls = []
+
+    def spy(rgb, _real=iio.rgb_to_yuv_image):
+        calls.append(rgb)
+        return _real(rgb)
+
+    monkeypatch.setattr(iio, "rgb_to_yuv_image", spy)
+    sg.write_scenario(sg.Scenario("carry_box", frames=36, seed=9), tmp_path)
+    assert calls == []
+    # a decoded frame converts on first use, once
+    frame = iio.read_frame(tmp_path / "frame_000035.ppm", 35)
+    assert calls == []
+    assert frame.yuv is frame.yuv and len(calls) == 1 and calls[0] is frame.rgb
 
 
 def _reference_truth_for_frame(sc, f, mask, script, box):
@@ -210,9 +228,9 @@ def test_stamp_clips_primitives_at_every_edge(prim):
 
 def test_figure_leaving_the_frame_is_rendered_clipped_and_then_invisible(monkeypatch):
     def exit_right(sc, f):
-        if f < sc.learn_frames:
+        if f < sg.LEARN_FRAMES:
             return None
-        return {"ox": 250 + 10 * (f - sc.learn_frames), "oy": 150, "pose": "star"}
+        return {"ox": 250 + 10 * (f - sg.LEARN_FRAMES), "oy": 150, "pose": "star"}
 
     monkeypatch.setattr(sg, "_person_script", exit_right)
     sc = sg.Scenario("walker", frames=45, seed=5)
@@ -267,4 +285,4 @@ def test_depth_of_a_box_at_the_frame_edge_is_clipped(monkeypatch):
         want = np.full((240, 320), sg.BG_DEPTH_MM, np.int32)
         x, y, w, h = rects[f]
         want[max(y, 0) : y + h, max(x, 0) : x + w] = sg.BOX_DEPTH_MM
-        assert np.array_equal(d.z, want), rects[f]
+        assert np.array_equal(d, want), rects[f]
