@@ -64,38 +64,28 @@ def _floor_eigenvalues(kxx, kxy, kyy, eps=EPS_REG):
 
 
 def fit_blob(pixels, frame=None, label=""):
-    """Fit a Gaussian blob to a cluster of (x, y) pixels.
+    """Fit a Gaussian blob to a cluster of integer (x, y) pixels.
 
-    The covariance is the population second central moment matrix, with each
-    eigenvalue floored at EPS_REG. When a frame is given, color_mean is the
-    mean YUV over the cluster.
+    The covariance is the population second central moment matrix, from raw
+    moments accumulated exactly, with each eigenvalue floored at EPS_REG.
+    When a frame is given, color_mean is the mean YUV over the cluster.
     """
     pts = np.asarray(pixels)
     if pts.size == 0:
         raise ValueError("cannot fit a blob to an empty pixel cluster")
+    if not np.issubdtype(pts.dtype, np.integer):
+        raise ValueError(f"blob pixels must be integer coordinates, got {pts.dtype}")
     pts = pts.reshape(-1, 2)
     n = pts.shape[0]
-    if np.issubdtype(pts.dtype, np.integer):
-        # integer coordinates: accumulate raw moments exactly
-        xs = pts[:, 0].astype(np.int64)
-        ys = pts[:, 1].astype(np.int64)
-        sx, sy = int(xs.sum()), int(ys.sum())
-        mx, my = sx / n, sy / n
-        kxx = int((xs * xs).sum()) / n - mx * mx
-        kxy = int((xs * ys).sum()) / n - mx * my
-        kyy = int((ys * ys).sum()) / n - my * my
-    else:
-        mx = float(pts[:, 0].mean())
-        my = float(pts[:, 1].mean())
-        dx = pts[:, 0].astype(np.float64) - mx
-        dy = pts[:, 1].astype(np.float64) - my
-        kxx = float(dx @ dx) / n
-        kxy = float(dx @ dy) / n
-        kyy = float(dy @ dy) / n
+    xs = pts[:, 0].astype(np.int64)
+    ys = pts[:, 1].astype(np.int64)
+    sx, sy = int(xs.sum()), int(ys.sum())
+    mx, my = sx / n, sy / n
+    kxx = int((xs * xs).sum()) / n - mx * mx
+    kxy = int((xs * ys).sum()) / n - mx * my
+    kyy = int((ys * ys).sum()) / n - my * my
     kxx, kxy, kyy = _floor_eigenvalues(kxx, kxy, kyy)
     if frame is not None:
-        xs = pts[:, 0].astype(int)
-        ys = pts[:, 1].astype(int)
         color = frame.yuv[ys, xs].astype(np.float64).mean(axis=0)
         color_mean = (float(color[0]), float(color[1]), float(color[2]))
     else:

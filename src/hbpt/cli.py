@@ -96,7 +96,7 @@ def run_pipeline(cfg):
     t0 = time.perf_counter()
     paths = timed("load", iio.frame_paths, cfg.input, cfg.pattern)
     n = len(paths)
-    depth_paths = timed("load", _depth_paths, cfg.input, n) if cfg.use_depth else []
+    depth_paths = timed("load", _depth_paths, cfg.input, n)
     # with a scene file only the first frame is read ahead, for its size
     head = deque(
         timed("load", _learn_set, paths, 1 if cfg.scene_file else min(cfg.learn_frames, n))
@@ -353,15 +353,22 @@ def evaluate(output_dir, truth_path):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--input", help="input frame directory")
-    p.add_argument("--output", help="output directory")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--overlays", action="store_true", help="write annotated frames")
+_FLAGS = {
+    "config": {"help": "flat key=value config file"},
+    "input": {"help": "input frame directory"},
+    "output": {"help": "output directory"},
+    "seed": {"type": int, "help": "random seed"},
+    "overlays": {"action": "store_true", "help": "write annotated frames"},
+}
+
+
+def _add_flags(p, *names):
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _build_config(args):
+    """The config file, if given, with the flags the subcommand took on top."""
     cfg = PipelineConfig()
     if args.config:
         cfg = load_config(args.config, base=cfg)
@@ -369,9 +376,9 @@ def _build_config(args):
         cfg.input = args.input
     if args.output:
         cfg.output = args.output
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if args.overlays:
+    if getattr(args, "overlays", False):
         cfg.emit_overlays = True
     return cfg
 
@@ -384,24 +391,25 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scenario")
-    _add_common(p_synth)
+    _add_flags(p_synth, "output", "seed")
     p_synth.add_argument("--scenario", required=True, choices=sg.SCENARIO_NAMES)
     p_synth.add_argument("--frames", type=int, help="frame count override")
     p_synth.add_argument("--width", type=int, default=320)
     p_synth.add_argument("--height", type=int, default=240)
 
     p_learn = sub.add_parser("learn", help="learn and persist a scene model")
-    _add_common(p_learn)
+    _add_flags(p_learn, "config", "input", "output")
     p_learn.add_argument("--scene-out", default="scene.bin", help="scene file name")
 
+    pipeline_flags = ("config", "input", "output", "seed", "overlays")
     p_track = sub.add_parser("track", help="run the full tracking pipeline")
-    _add_common(p_track)
+    _add_flags(p_track, *pipeline_flags)
 
     p_base = sub.add_parser("baseline", help="contour-vertex part labeler")
-    _add_common(p_base)
+    _add_flags(p_base, *pipeline_flags)
 
     p_eval = sub.add_parser("eval", help="compare outputs against truth.json")
-    _add_common(p_eval)
+    _add_flags(p_eval, "output")
     p_eval.add_argument("--truth", required=True, help="path to truth.json")
 
     args = parser.parse_args(argv)
@@ -441,8 +449,7 @@ def main(argv=None):
             outdir = run_pipeline(cfg)
             print(f"baseline labels -> {outdir / 'baseline.jsonl'}")
         elif args.command == "eval":
-            cfg = _build_config(args)
-            summary = evaluate(cfg.output, args.truth)
+            summary = evaluate(args.output or ".", args.truth)
             for key in (
                 "scenario",
                 "centroid_rms_px",

@@ -41,7 +41,6 @@ class PipelineConfig:
     box_rect: list = field(default_factory=list)  # [x, y, w, h]; empty = no box
     box_ref_frame: int = 0
     emit_overlays: bool = False
-    use_depth: bool = True
     baseline_mode: bool = False  # also emit contour-vertex labels during track
 
 
@@ -75,7 +74,6 @@ _KEY_MAP = {
     "box.rect": "box_rect",
     "box.ref_frame": "box_ref_frame",
     "emit_overlays": "emit_overlays",
-    "use_depth": "use_depth",
     "baseline_mode": "baseline_mode",
 }
 
@@ -202,6 +200,7 @@ def check_ranges(cfg):
         if value < 1:
             raise ValueError(f"{key} must be at least 1, got {value}")
     for key in (
+        "seed",
         "parts.min_area",
         "particles.sigma_xy",
         "particles.sigma_scale",

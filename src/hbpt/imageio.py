@@ -2,7 +2,9 @@
 
 A frame is its decoded RGB plane; its YUV raster is derived on first use and
 kept, so a frame that is only written is never converted, and unannotated
-writes are byte-preserving. Depth rasters are 16-bit PGM files holding
+writes are byte-preserving. The YUV raster is exact BT.601 full range,
+rounded half up, computed in integers so it does not depend on how a matrix
+product orders its sums. Depth rasters are 16-bit PGM files holding
 millimeters, 0 = invalid, handed over as (h, w) int32 arrays. A sequence is
 listed up front (``frame_paths``) and decoded one frame at a time
 (``read_frame``).
@@ -76,21 +78,11 @@ class OverlayItem:
 # ---------------------------------------------------------------------------
 # color conversion (BT.601 full range)
 
-_YUV_FWD = np.array(
-    [
-        [0.299, 0.587, 0.114],
-        [-0.168736, -0.331264, 0.5],
-        [0.5, -0.418688, -0.081312],
-    ]
-)
-_YUV_OFF = np.array([0.0, 128.0, 128.0])
-
-
-# The same transform in integers: channel k of a pixel is
-# (cr*r + cg*g + cb*b + off) // den with _YUV_FWD[k] == (cr, cg, cb) / den
-# exactly; off holds the 128 chroma offset plus den/2, so the quotient is the
-# value rounded half up. Away from an exact .5 every float64 evaluation rounds
-# the same way; at .5 (the remainder is 0) the float64 product decides.
+# Channel k of a pixel is (cr*r + cg*g + cb*b + off) // den: the BT.601
+# coefficients (0.299, 0.587, 0.114), (-0.168736, -0.331264, 0.5) and
+# (0.5, -0.418688, -0.081312) are exactly (cr, cg, cb) / den, and off holds the
+# 128 chroma offset plus den/2, so the quotient is the exact value rounded half
+# up. It is never below 0; U at (0, 0, 255) and V at (255, 0, 0) reach 256.
 _YUV_INT = (
     (299, 587, 114, 500, 1000),
     (-5273, -10352, 15625, 128 * 31250 + 15625, 31250),
@@ -99,18 +91,11 @@ _YUV_INT = (
 _YUV_CHUNK = 32768  # pixels per pass, so that the int32 temporaries stay small
 
 
-def _float_yuv(rows):
-    """The float64 transform of an (n, 3) pixel array, rounded and clamped."""
-    return np.clip(np.rint(rows.astype(np.float64) @ _YUV_FWD.T + _YUV_OFF), 0, 255)
-
-
 def rgb_to_yuv_image(rgb):
     """RGB -> YUV for an (h, w, 3) uint8 raster.
 
-    Equal to ``_float_yuv`` over the whole raster: integer math decides every
-    pixel but those where some channel lands exactly on .5; how the BLAS
-    product rounds those is neither half-even nor half-up, so they are sent
-    through ``_float_yuv`` itself.
+    Each channel is the exact BT.601 full-range value, rounded half up and
+    clamped to 255, computed in integers.
     """
     flat = rgb.reshape(-1, 3)
     n = flat.shape[0]
@@ -121,7 +106,6 @@ def rgb_to_yuv_image(rgb):
         r, g, b = (px[:, c].astype(np.int32) for c in range(3))
         acc = np.empty_like(r)
         tmp = np.empty_like(r)
-        tie = np.zeros(len(px), bool)
         for c, (cr, cg, cb, off, den) in enumerate(_YUV_INT):
             np.multiply(r, cr, out=acc)
             np.multiply(g, cg, out=tmp)
@@ -129,17 +113,9 @@ def rgb_to_yuv_image(rgb):
             np.multiply(b, cb, out=tmp)
             acc += tmp
             acc += off
-            np.floor_divide(acc, den, out=tmp)
-            dst[:, c] = tmp  # a tie may hold 256 here; it is overwritten below
-            tmp *= den
-            tie |= tmp == acc
-        ties = np.flatnonzero(tie)
-        if ties.size:
-            # BLAS multiplies a single row as a vector (gemv), which rounds
-            # some ties unlike the matrix product (gemm) of a whole raster,
-            # so a lone tie goes in twice
-            rows = ties if ties.size > 1 or n == 1 else np.repeat(ties, 2)
-            dst[ties] = _float_yuv(px[rows])[: ties.size]
+            acc //= den
+            np.minimum(acc, 255, out=acc)
+            dst[:, c] = acc
     return out.reshape(rgb.shape)
 
 

@@ -64,6 +64,12 @@ def test_fit_empty_cluster_raises():
         bm.fit_blob([])
 
 
+@pytest.mark.parametrize("pixels", [[(1.0, 2.0), (3.0, 4.0)], [(1.5, 2)], [(True, False)]])
+def test_fit_rejects_non_integer_pixels(pixels):
+    with pytest.raises(ValueError, match="integer coordinates"):
+        bm.fit_blob(pixels)
+
+
 def test_fit_color_mean():
     frame = flat_frame((10, 20, 30), width=20, height=20)
     blob = bm.fit_blob([(1, 1), (2, 2)], frame)

@@ -39,7 +39,7 @@ def test_config_defaults():
 
 def test_config_keys_name_every_field_once():
     fields = [f.name for f in dataclasses.fields(PipelineConfig)]
-    assert len(fields) == 31
+    assert len(fields) == 30
     assert sorted(_KEY_MAP.values()) == sorted(fields)
 
 
@@ -96,7 +96,7 @@ def test_config_converts_numbers_to_field_type():
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("use_depth = no", "use_depth expects true/false"),
+        ("emit_overlays = no", "emit_overlays expects true/false"),
         ("emit_overlays = 1", "emit_overlays expects true/false"),
         ("particles.n = 50.7", "particles.n expects an integer"),
         ("particles.n = true", "particles.n expects an integer"),
@@ -149,6 +149,29 @@ def test_help_exits_zero(capsys):
     out = capsys.readouterr().out
     for sub in ("synth", "learn", "track", "baseline", "eval"):
         assert sub in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--scenario", "walker", "--config", "run.cfg"],
+        ["synth", "--scenario", "walker", "--input", "seq"],
+        ["synth", "--scenario", "walker", "--overlays"],
+        ["learn", "--input", "seq", "--seed", "3"],
+        ["learn", "--input", "seq", "--overlays"],
+        ["eval", "--truth", "truth.json", "--config", "run.cfg"],
+        ["eval", "--truth", "truth.json", "--input", "seq"],
+        ["eval", "--truth", "truth.json", "--seed", "3"],
+        ["eval", "--truth", "truth.json", "--overlays"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_directory_errors(tmp_path, capsys):
@@ -346,6 +369,7 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("activity.z_gate_mm = -1", "activity.z_gate_mm"),
         ("activity.carry_min_disp = -0.5", "activity.carry_min_disp"),
         ("activity.carry_z_rate_mm = -200", "activity.carry_z_rate_mm"),
+        ("seed = -1", "seed"),
     ],
 )
 def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line, key):

@@ -1,6 +1,7 @@
 import re
 import struct
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,18 +14,24 @@ from conftest import frame_from_rgb
 
 
 # ---------------------------------------------------------------------------
-# RGB -> YUV against the float64 product it replaces
+# RGB -> YUV against an exact reference
 
-_FWD = np.array(
-    [[0.299, 0.587, 0.114], [-0.168736, -0.331264, 0.5], [0.5, -0.418688, -0.081312]]
+# the BT.601 full-range coefficients, in millionths so that int64 holds them exactly
+_BT601 = (
+    ("0.299", "0.587", "0.114"),
+    ("-0.168736", "-0.331264", "0.5"),
+    ("0.5", "-0.418688", "-0.081312"),
 )
+_BT601_E6 = np.array([[int(Fraction(c) * 10**6) for c in row] for row in _BT601], np.int64)
 
 
 def _reference_rgb_to_yuv_image(rgb):
-    """The float64 BLAS product, rounded half to even as it falls."""
-    flat = rgb.reshape(-1, 3).astype(np.float64)
-    yuv = flat @ _FWD.T + np.array([0.0, 128.0, 128.0])
-    return np.clip(np.rint(yuv), 0, 255).astype(np.uint8).reshape(rgb.shape)
+    """Exact BT.601 full range, rounded half up and clamped to [0, 255]."""
+    flat = rgb.reshape(-1, 3).astype(np.int64)
+    e6 = sum(flat[:, c, None] * _BT601_E6[:, c] for c in range(3))
+    e6 += np.array([0, 128, 128]) * 10**6
+    yuv = (e6 + 500_000) // 10**6
+    return np.clip(yuv, 0, 255).astype(np.uint8).reshape(rgb.shape)
 
 
 def _assert_yuv_matches_reference(rgb):
@@ -55,13 +62,19 @@ def tie_colours():
 
 
 def test_rgb_to_yuv_black_and_white():
-    for rgb, yuv in (((0, 0, 0), (0, 128, 128)), ((255, 255, 255), (255, 128, 128))):
+    for rgb, yuv in (
+        ((0, 0, 0), (0, 128, 128)),
+        ((255, 255, 255), (255, 128, 128)),
+        # the two colours whose exact value rounds to 256: U = 255.5 and V = 255.5
+        ((0, 0, 255), (29, 255, 107)),
+        ((255, 0, 0), (76, 85, 255)),
+    ):
         img = np.array([[rgb]], dtype=np.uint8)
         assert tuple(iio.rgb_to_yuv_image(img)[0, 0]) == yuv
 
 
 def test_scalar_matches_vectorized():
-    """Single pixels, as 1x1 rasters, equal the float64 product of one row."""
+    """Single pixels, as 1x1 rasters, equal the exact reference."""
     rng = np.random.default_rng(1)
     for r, g, b in rng.integers(0, 256, size=(50, 3)):
         _assert_yuv_matches_reference(np.array([[[r, g, b]]], dtype=np.uint8))
@@ -76,7 +89,7 @@ def test_rgb_to_yuv_every_tie_colour(tie_colours):
 
 
 def test_rgb_to_yuv_lone_ties(tie_colours):
-    """One tie among non-tie pixels is rounded as in the product of the raster."""
+    """A tie among non-tie pixels, and beside one, is rounded half up."""
     rng = np.random.default_rng(3)
     base = np.full((2, 3, 3), 7, np.uint8)  # (7, 7, 7) is no tie
     assert not _tie_mask(base).any()
