@@ -446,7 +446,8 @@ class ActivityMonitor:
         self.events = []
         self.prev_frame = None
         # LK pyramid of prev_frame: once a track is seeded, every frame's
-        # _track_points call builds the next one, until no point is alive
+        # _track_points call builds the next one, until no point is alive or
+        # Carry fires
         self._lk_pyramid = None
 
     def _track_points(self, frame):
@@ -474,7 +475,13 @@ class ActivityMonitor:
             self.box = make_box_region(frame, cfg.box_rect)
         self.box = track_box_region(self.box, frame)
 
-        if self.track is not None and self.prev_frame is not None:
+        # the points feed only detect_carry, which has nothing left to do once
+        # Carry fired; the box rectangle above is still tracked for overlays
+        if (
+            self.track is not None
+            and self.prev_frame is not None
+            and not self.state.reached("Carrying")
+        ):
             prev_centroid = self.track.centroid
             self._track_points(frame)
             self.track.prev_centroid = prev_centroid

@@ -60,7 +60,7 @@ def morph(mask, op, se, iterations):
     return out
 
 
-def _foreground_box(mask, my=0, mx=0):
+def foreground_box(mask, my=0, mx=0):
     """(y0, y1, x0, x1) of the mask's foreground bounding box grown by ``my``
     rows and ``mx`` columns and clipped to the frame; None for an empty mask."""
     rows = np.flatnonzero(mask.any(axis=1))
@@ -80,7 +80,7 @@ def connected_components(mask):
     order of each component's first pixel, which a crop does not change.
     """
     labels = np.zeros(mask.shape, dtype=np.int32)
-    y0, y1, x0, x1 = _foreground_box(mask) or (0, 0, 0, 0)
+    y0, y1, x0, x1 = foreground_box(mask) or (0, 0, 0, 0)
     view = labels[y0:y1, x0:x1]
     count = ndimage.label(mask[y0:y1, x0:x1], structure=_STRUCT8, output=view)
     stats = []
@@ -193,7 +193,7 @@ def largest_components(masks):
     crop whose top-left pixel is row ``y``, column ``x`` of the mask, or None
     for an empty mask.
     """
-    boxes = [_foreground_box(m) for m in masks]
+    boxes = [foreground_box(m) for m in masks]
     crops = [m[b[0] : b[1], b[2] : b[3]] for m, b in zip(masks, boxes) if b is not None]
     if not crops:
         return [None] * len(masks)
@@ -232,7 +232,7 @@ def refine_mask(mask, min_area, se, iterations):
     # an inner crop edge there is no foreground within that reach, so the
     # crop's background padding there acts as the frame's real background.
     my, mx = ((s // 2) * iterations for s in se)
-    box = _foreground_box(mask, my, mx)
+    box = foreground_box(mask, my, mx)
     if box is None:
         return out
     y0, y1, x0, x1 = box

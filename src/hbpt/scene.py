@@ -53,12 +53,17 @@ def learn_scene(frames, var_floor):
                 f"dimension mismatch in learning set: frame {f.index} is "
                 f"{f.width}x{f.height}, expected {w}x{h}"
             )
-    acc = np.zeros((h, w, 3), dtype=np.float64)
-    acc2 = np.zeros((h, w, 3), dtype=np.float64)
+    # Exact sums of the uint8 values and their squares, each in the smallest
+    # unsigned type that holds it. Every sum is below 2**53, so it converts
+    # to float64 exactly, and mean and var are what a float64 accumulation
+    # gives.
+    acc = np.zeros((h, w, 3), dtype=np.min_scalar_type(len(frames) * 255))
+    acc2 = np.zeros((h, w, 3), dtype=np.min_scalar_type(len(frames) * 255**2))
+    sq = np.empty((h, w, 3), dtype=np.uint16)  # 255**2 fits
     for f in frames:
-        x = f.yuv.astype(np.float64)
-        acc += x
-        acc2 += x * x
+        acc += f.yuv
+        np.multiply(f.yuv, f.yuv, out=sq, dtype=np.uint16)
+        acc2 += sq
     n = float(len(frames))
     mean = acc / n
     var = np.maximum(acc2 / n - mean * mean, var_floor)

@@ -94,7 +94,13 @@ class Scenario:
         if self.frames is None:
             self.frames = _DEFAULT_FRAMES[self.name]
         if self.width < 120 or self.height < 160 or self.frames < 2:
-            raise ValueError("scenario dimensions or frame count too small")
+            raise ValueError(
+                "scenario dimensions or frame count too small: "
+                f"{self.width}x{self.height}, {self.frames} frames "
+                "(need at least 120x160 and 2 frames)"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 def _ping_pong(start, lo, hi, step, t):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .maskops import foreground_box
+
 N_BINS = 16  # joint 4x4 quantization of (U, V)
 
 
@@ -215,9 +217,12 @@ def _particle_weights(plane, states, ref_size, sqrt_ref):
 
     Full-window histograms: background dilution penalizes oversized windows,
     which keeps the scale random walk in check. The window counts come from
-    one integral histogram over the union of the windows (Porikli, CVPR
-    2005), four lookups per window and bin; bins the reference lacks add
-    exactly 0.0 to every coefficient, so only the others are counted.
+    an integral histogram over the union of the windows (Porikli, CVPR
+    2005), four lookups per window; bins the reference lacks add exactly 0.0
+    to every coefficient, so only the others are counted. Several bins share
+    one int64 integral image, a lane, each in a bit field wide enough for
+    the union's area: no count can carry into the next field, and a window's
+    four-corner difference leaves every field at its count.
     """
     height, width = plane.shape
     # the windows of _state_rect, all at once; np.rint rounds half to even, as round does
@@ -233,19 +238,28 @@ def _particle_weights(plane, states, ref_size, sqrt_ref):
     x0, y0 = int(x.min()), int(y.min())
     union = plane[y0 : int((y + h).max()), x0 : int((x + w).max())]
     bins = np.flatnonzero(sqrt_ref > 0)
-    integral = np.zeros((bins.size, union.shape[0] + 1, union.shape[1] + 1), np.int32)
-    onehot = union == bins.astype(union.dtype)[:, None, None]
-    np.cumsum(onehot, axis=1, dtype=np.int32, out=integral[:, 1:, 1:])
-    np.cumsum(integral[:, 1:, 1:], axis=2, out=integral[:, 1:, 1:])
-    flat = integral.reshape(bins.size, -1)
+    bits = union.size.bit_length()  # a field holds any count up to the union's area
+    per_lane = 63 // bits  # the fields of a lane stay within int64's value bits
     stride = union.shape[1] + 1
     top = (y - y0) * stride
     bottom = top + h * stride
     left = x - x0
     right = left + w
-    counts = (
-        flat[:, bottom + right] - flat[:, top + right] - flat[:, bottom + left] + flat[:, top + left]
-    )
+    integral = np.zeros((union.shape[0] + 1, stride), np.int64)
+    flat = integral.ravel()
+    counts = np.empty((bins.size, len(states)), np.int64)
+    for s in range(0, bins.size, per_lane):
+        lane = bins[s : s + per_lane]
+        lut = np.zeros(N_BINS, np.int64)  # a pixel of a lane bin adds 1 to its field
+        lut[lane] = 1 << (bits * np.arange(lane.size))
+        np.cumsum(lut.take(union), axis=0, out=integral[1:, 1:])
+        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
+        # each difference counts pixels of one strip, so no field borrows
+        packed = (flat[bottom + right] - flat[top + right]) - (
+            flat[bottom + left] - flat[top + left]
+        )
+        for j in range(lane.size):
+            counts[s + j] = (packed >> (bits * j)) & ((1 << bits) - 1)
     # every pixel lies in one of the 16 bins, so the window area is the count total
     terms = np.zeros((len(states), N_BINS))
     terms[:, bins] = np.sqrt(counts.T / (w * h)[:, None]) * sqrt_ref[bins]
@@ -289,7 +303,6 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     np.clip(states[:, 2], 0.2, 3.0, out=states[:, 2])
 
     plane = frame.uv_bins
-    masked_plane = np.where(fg, plane, N_BINS)  # bin 16 = off-silhouette
     ref = prev.ref_hist
     sqrt_ref = np.sqrt(ref)
     weights = _particle_weights(plane, states, particles.ref_size, sqrt_ref)
@@ -303,8 +316,12 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
 
     # mean-shift refinement of the best particle over the masked backprojection;
     # the window takes the tracked person's current size so a wandering scale
-    # cannot crop the silhouette and bias the position estimate
-    wimg = np.append(ref, 0.0).take(masked_plane)  # bin 16 weighs 0.0
+    # cannot crop the silhouette and bias the position estimate. Off the
+    # foreground every weight is 0.0, so only its bounding box is filled in.
+    wimg = np.zeros(fg.shape)
+    y0, y1, x0, x1 = foreground_box(fg) or (0, 0, 0, 0)
+    crop = np.s_[y0:y1, x0:x1]
+    wimg[crop] = np.where(fg[crop], ref.take(plane[crop]), 0.0)
     seed = (best_state[0], best_state[1], 1.0)
     win0 = _state_rect(seed, (prev.bbox[2], prev.bbox[3]), frame.width, frame.height)
     win, _, _ = mean_shift(wimg, win0)
@@ -324,10 +341,8 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
         else:
             centroid, bbox = (ex, ey), win
 
-    counts = np.bincount(
-        masked_plane[bbox[1] : bbox[1] + bbox[3], bbox[0] : bbox[0] + bbox[2]].ravel(),
-        minlength=N_BINS + 1,
-    )[:N_BINS]
+    crop = np.s_[bbox[1] : bbox[1] + bbox[3], bbox[0] : bbox[0] + bbox[2]]
+    counts = np.bincount(plane[crop][fg[crop]], minlength=N_BINS)
     total = counts.sum()
     conf = float((np.sqrt(counts / total) * sqrt_ref).sum()) if total else 0.0
 

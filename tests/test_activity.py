@@ -1,10 +1,12 @@
 import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hbpt import activity as act
+from hbpt import imageio as iio
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob
@@ -809,6 +811,71 @@ def test_monitor_skips_lk_without_alive_points(carry_monitor_calls, monkeypatch)
     assert lk_calls == []
     seeded = [f for f in frames if f[1] is not None]
     assert seeded and all(not any(alive) and centroid is None for _, alive, centroid in seeded)
+
+
+def test_monitor_tracks_points_from_approach_through_carry_only(
+    carry_monitor_calls, monkeypatch
+):
+    """LK runs on every frame after Approach up to and including the Carry
+    frame and on none after it; the events equal those of a monitor that
+    keeps moving the points after Carry."""
+    cfg, calls = carry_monitor_calls
+    lk_frames = []
+    lk_flow = act.lk_flow
+
+    def spy(prev_frame, frame, points, **kwargs):
+        lk_frames.append(frame.index)
+        return lk_flow(prev_frame, frame, points, **kwargs)
+
+    monkeypatch.setattr(act, "lk_flow", spy)
+    events = [e for f in _replay(act.ActivityMonitor(cfg), calls) for e in f[0]]
+    fired = {e["kind"]: e["frame_index"] for e in events}
+    last = calls[-1][0]
+    assert list(fired) == ["Approach", "Carry"] and fired["Carry"] < last
+    assert lk_frames == list(range(fired["Approach"] + 1, fired["Carry"] + 1))
+
+    lk_frames.clear()
+    keeps = act.ActivityMonitor(cfg)
+    kept = []
+    for args in calls:
+        if keeps.state.reached("Carrying"):  # the point step process skips
+            prev_centroid = keeps.track.centroid
+            keeps._track_points(args[1])
+            keeps.track.prev_centroid = prev_centroid
+        kept += [e.to_dict() for e in keeps.process(*args)]
+    assert lk_frames == list(range(fired["Approach"] + 1, last + 1))
+    assert kept == events
+
+
+def test_box_rect_is_drawn_and_moves_after_carry(tmp_path, monkeypatch):
+    from hbpt import cli
+
+    truth = sg.write_scenario(sg.Scenario("carry_box", frames=118), tmp_path / "in")
+    box = truth["box"]
+    (tmp_path / "box.cfg").write_text(
+        f"box.rect = {box['rect']}\nbox.ref_frame = {box['ref_frame']}\n"
+    )
+    drawn = {}
+    write = cli.iio.write_annotated_frame
+
+    def spy(frame, items, path):
+        drawn[frame.index] = [i.geometry for i in items if i.color == (255, 60, 60)]
+        return write(frame, items, path)
+
+    monkeypatch.setattr(cli.iio, "write_annotated_frame", spy)
+    out = tmp_path / "out"
+    argv = ["track", "--input", str(tmp_path / "in"), "--output", str(out)]
+    assert cli.main(argv + ["--config", str(tmp_path / "box.cfg"), "--overlays"]) == 0
+    events = json.loads((out / "events.json").read_text())
+    carry = [e["frame_index"] for e in events if e["kind"] == "Carry"]
+    assert len(carry) == 1 and carry[0] + 8 <= 117
+    after = [drawn[i] for i in range(carry[0] + 1, 118)]
+    assert all(len(rects) == 1 for rects in after)
+    assert len({rects[0] for rects in after}) > 1  # the tracked box still moves
+    for i in (carry[0] + 1, 117):
+        (x, y, w, h) = drawn[i][0]
+        rgb = iio.read_ppm(out / f"out_{i:06d}.ppm")
+        assert tuple(rgb[y, x]) == tuple(rgb[y + h - 1, x + w - 1]) == (255, 60, 60)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,33 @@ def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "error: seed must not be negative, got -1\n"),
+        (
+            ["--width", "119"],
+            "error: scenario dimensions or frame count too small: 119x240, 3 frames",
+        ),
+        (
+            ["--height", "159"],
+            "error: scenario dimensions or frame count too small: 320x159, 3 frames",
+        ),
+        (
+            ["--frames", "1"],
+            "error: scenario dimensions or frame count too small: 320x240, 1 frames",
+        ),
+    ],
+    ids=["seed", "width", "height", "frames"],
+)
+def test_synth_rejects_bad_scenario_before_writing(flags, message, tmp_path, capsys):
+    out = tmp_path / "seq"
+    argv = ["synth", "--scenario", "walker", "--frames", "3", "--output", str(out)]
+    assert cli.main(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_directory_errors(tmp_path, capsys):
     rc = cli.main(
         ["track", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "out")]

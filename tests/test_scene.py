@@ -53,6 +53,42 @@ def test_learn_matches_accumulation_oracle_exactly():
             assert model.var[y, x, c] == max(var, 0.0)
 
 
+def _reference_learn_scene(frames, var_floor):
+    """Mean and variance from float64 sums, as learn_scene once computed them."""
+    acc = np.zeros(frames[0].yuv.shape)
+    acc2 = np.zeros(frames[0].yuv.shape)
+    for f in frames:
+        x = f.yuv.astype(np.float64)
+        acc += x
+        acc2 += x * x
+    n = float(len(frames))
+    mean = acc / n
+    return mean, np.maximum(acc2 / n - mean * mean, var_floor)
+
+
+# 257 frames are the most whose sums fit uint16; white frames reach the
+# largest sums, 255 per frame in Y
+@pytest.mark.parametrize("n", [2, 30, 257, 258])
+@pytest.mark.parametrize("white", [False, True])
+def test_learn_matches_float64_accumulation(n, white):
+    if white:
+        frames = [flat_frame((255, 255, 255), 12, 9, i) for i in range(n)]
+    else:
+        frames = _random_frames(np.random.default_rng(n), n)
+    for var_floor in (0.0, 4.0):
+        model = sm.learn_scene(frames, var_floor)
+        mean, var = _reference_learn_scene(frames, var_floor)
+        assert model.mean.tobytes() == mean.tobytes()
+        assert model.var.tobytes() == var.tobytes()
+
+
+def test_learn_matches_float64_accumulation_on_synthgen():
+    frames, _, _ = sg.generate_scenario(sg.Scenario("carry_box", frames=30, seed=1))
+    model = sm.learn_scene(frames, 4.0)
+    mean, var = _reference_learn_scene(frames, 4.0)
+    assert model.mean.tobytes() == mean.tobytes() and model.var.tobytes() == var.tobytes()
+
+
 def test_learn_errors():
     with pytest.raises(ValueError, match="at least 2"):
         sm.learn_scene([flat_frame((0, 0, 0))], var_floor=4.0)

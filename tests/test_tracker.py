@@ -417,6 +417,27 @@ def test_particle_weights_on_a_tiny_frame():
     assert got.tobytes() == _reference_particle_weights(plane, states, (2, 3), sqrt_ref).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(256, 256), (255, 257)])  # areas 2**16 and 2**16 - 1
+def test_particle_weights_at_a_lane_boundary(shape):
+    """A 16-bin reference over a union whose area fills a bit field: 17- and
+    16-bit fields, three bins to a lane, six lanes. One window is the whole
+    union, so a bin that holds every pixel puts the area itself in its field."""
+    rng = np.random.default_rng(19)
+    height, width = shape
+    assert (height * width).bit_length() in (16, 17)
+    states = np.column_stack(
+        [rng.uniform(0, width, 40), rng.uniform(0, height, 40), rng.uniform(0.2, 1.0, 40)]
+    )
+    states[0] = ((width - 1) / 2.0, (height - 1) / 2.0, 1.0)
+    ref = rng.random(tr.N_BINS) + 0.01
+    sqrt_ref = np.sqrt(ref / ref.sum())
+    noisy = rng.integers(0, tr.N_BINS, size=shape).astype(np.uint8)
+    for plane in [noisy] + [np.full(shape, b, np.uint8) for b in (0, 2, 3, 14, 15)]:
+        got = tr._particle_weights(plane, states, shape[::-1], sqrt_ref)
+        want = _reference_particle_weights(plane, states, shape[::-1], sqrt_ref)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_coasting_out_of_the_frame_ends_the_track():
     frame, fg = _square_person_frame()
     empty = np.zeros_like(fg)
