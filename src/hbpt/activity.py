@@ -45,14 +45,6 @@ class ActivityEvent:
     confidence: float
     payload: dict
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "frame_index": self.frame_index,
-            "confidence": self.confidence,
-            "payload": self.payload,
-        }
-
 
 @dataclass
 class ActivityState:

@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from collections import defaultdict, deque
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,32 +48,26 @@ def _learn_set(paths, count):
     return [first] + [iio.read_frame(paths[i], i, size) for i in range(1, count)]
 
 
-def _overlays_for_frame(person, disc, model, monitor):
-    items = []
+def _annotate(frame, person, disc, model, box):
+    """A copy of the frame's RGB raster with the person box, torso disc, part
+    ellipses and box rectangles drawn on it; labels are white."""
+    out = frame.rgb.copy()
+    white = (255, 255, 255)
     if person is not None:
-        items.append(
-            iio.OverlayItem("rectangle", tuple(person.bbox), label="P", color=(0, 200, 255))
-        )
+        x, y = person.bbox[:2]
+        iio.draw_rectangle(out, person.bbox, (0, 200, 255))
+        iio.draw_text(out, (x, y - 7), "P", white)
     if disc is not None:
-        items.append(
-            iio.OverlayItem(
-                "ellipse", (disc.center, (disc.radius, disc.radius), 0.0), color=(255, 255, 0)
-            )
-        )
+        iio.draw_ellipse(out, disc.center, (disc.radius, disc.radius), 0.0, (255, 255, 0))
     if model is not None:
         for label, blob in model.blobs.items():
-            center, axes, angle = blob_ellipse(blob)
-            items.append(iio.OverlayItem("ellipse", (center, axes, angle), label=label))
-    if monitor is not None and monitor.box is not None:
-        items.append(iio.OverlayItem("rectangle", monitor.box.rect, color=(255, 220, 0)))
-        items.append(
-            iio.OverlayItem("rectangle", monitor.box.tracked_rect, color=(255, 60, 60))
-        )
-    return items
-
-
-def _part_record(model):
-    return {label: blob.to_dict() for label, blob in model.blobs.items()}
+            (cx, cy), axes, angle = blob_ellipse(blob)
+            iio.draw_ellipse(out, (cx, cy), axes, angle, (0, 255, 0))
+            iio.draw_text(out, (cx + 3, cy - 7), label, white)
+    if box is not None:
+        iio.draw_rectangle(out, box.rect, (255, 220, 0))
+        iio.draw_rectangle(out, box.tracked_rect, (255, 60, 60))
+    return out
 
 
 def run_pipeline(cfg):
@@ -177,11 +172,6 @@ def run_pipeline(cfg):
         monitor.process(fi, frame, part_model, depth)
         stage_ms["activity"] += (time.perf_counter() - t) * 1e3
 
-        starfish = (
-            bp.detect_starfish(part_model, disc)
-            if part_model is not None and disc is not None
-            else False
-        )
         rec = {
             "frame": fi,
             "tracked": person is not None,
@@ -199,8 +189,10 @@ def run_pipeline(cfg):
                 "center": [float(disc.center[0]), float(disc.center[1])],
                 "radius": float(disc.radius),
             },
-            "parts": {} if part_model is None else _part_record(part_model),
-            "starfish": bool(starfish),
+            "parts": {}
+            if part_model is None
+            else {label: blob.to_dict() for label, blob in part_model.blobs.items()},
+            "starfish": part_model is not None and bp.detect_starfish(part_model, disc),
         }
         records.append(rec)
 
@@ -214,8 +206,8 @@ def run_pipeline(cfg):
 
         if cfg.emit_overlays:
             t = time.perf_counter()
-            items = _overlays_for_frame(person, disc, part_model, monitor)
-            iio.write_annotated_frame(frame, items, outdir / f"out_{fi:06d}.ppm")
+            rgb = _annotate(frame, person, disc, part_model, monitor.box)
+            iio.write_ppm(outdir / f"out_{fi:06d}.ppm", rgb)
             stage_ms["overlays"] += (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
@@ -227,7 +219,7 @@ def run_pipeline(cfg):
             for rec in baseline_records:
                 fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
     with open(outdir / "events.json", "w") as fh:
-        json.dump([e.to_dict() for e in monitor.events], fh, indent=1)
+        json.dump([asdict(e) for e in monitor.events], fh, indent=1)
     stage_ms["write"] += (time.perf_counter() - t) * 1e3
     wall = time.perf_counter() - t0
     learn_ms = stage_ms.pop("learn", 0.0)  # once, not per frame

@@ -1,8 +1,8 @@
-"""Frame and depth raster I/O, color conversion, overlay rendering.
+"""Frame and depth raster I/O, color conversion, drawing primitives.
 
 A frame is its decoded RGB plane; its YUV raster is derived on first use and
-kept, so a frame that is only written is never converted, and unannotated
-writes are byte-preserving. The YUV raster is exact BT.601 full range,
+kept, so a frame that is only written is never converted, and writing its
+RGB plane back is byte-preserving. The YUV raster is exact BT.601 full range,
 rounded half up, computed in integers so it does not depend on how a matrix
 product orders its sums. Depth rasters are 16-bit PGM files holding
 millimeters, 0 = invalid, handed over as (h, w) int32 arrays. A sequence is
@@ -20,13 +20,6 @@ from pathlib import Path
 import numpy as np
 
 DEPTH_MAX_MM = 10000
-
-# fixed overlay palette, RGB
-PALETTE = {
-    "ellipse": (0, 255, 0),
-    "rectangle": (255, 220, 0),
-    "text": (255, 255, 255),  # labels
-}
 
 
 @dataclass
@@ -63,16 +56,6 @@ class Frame:
         u |= v
         u.flags.writeable = False
         return u
-
-
-@dataclass
-class OverlayItem:
-    """Drawable annotation: an ellipse or rectangle, with an optional label."""
-
-    kind: str  # ellipse | rectangle
-    geometry: tuple
-    label: str = ""
-    color: tuple | None = None  # overrides the palette when set
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +385,7 @@ def load_depth_raster(path, size=None):
 
 
 # ---------------------------------------------------------------------------
-# overlay rasterization
+# drawing primitives (RGB colors, clipped to the image)
 
 def _put_pixels(img, xs, ys, color):
     h, w = img.shape[:2]
@@ -484,32 +467,3 @@ def draw_text(img, origin, text, color):
                         ys.append(y0 + dy)
         x0 += 4
     _put_pixels(img, np.array(xs, dtype=int), np.array(ys, dtype=int), color)
-
-
-def render_overlays(rgb, overlays):
-    """Rasterize overlays onto a copy of the RGB raster."""
-    out = rgb.copy()
-    for item in overlays:
-        color = item.color if item.color is not None else PALETTE[item.kind]
-        if item.kind == "rectangle":
-            draw_rectangle(out, item.geometry, color)
-        elif item.kind == "ellipse":
-            center, axes, angle = item.geometry
-            draw_ellipse(out, center, axes, angle, color)
-        else:
-            raise ValueError(f"unknown overlay kind {item.kind!r}")
-        if item.label:
-            if item.kind == "rectangle":
-                lx, ly = item.geometry[0], item.geometry[1] - 7
-            else:
-                lx, ly = item.geometry[0][0] + 3, item.geometry[0][1] - 7
-            draw_text(out, (lx, ly), item.label, PALETTE["text"])
-    return out
-
-
-def write_annotated_frame(frame, overlays, path):
-    """Write the frame as PPM with overlays burned in.
-
-    With no overlays the pixel payload is identical to the source raster.
-    """
-    write_ppm(path, render_overlays(frame.rgb, overlays) if overlays else frame.rgb)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -742,7 +743,7 @@ def _replay(mon, calls, kill=None, after_call=None):
         track = mon.track
         per_frame.append(
             (
-                [e.to_dict() for e in fired],
+                [asdict(e) for e in fired],
                 None if track is None else track.alive.tolist(),
                 None if track is None else track.centroid,
             )
@@ -842,7 +843,7 @@ def test_monitor_tracks_points_from_approach_through_carry_only(
             prev_centroid = keeps.track.centroid
             keeps._track_points(args[1])
             keeps.track.prev_centroid = prev_centroid
-        kept += [e.to_dict() for e in keeps.process(*args)]
+        kept += [asdict(e) for e in keeps.process(*args)]
     assert lk_frames == list(range(fired["Approach"] + 1, last + 1))
     assert kept == events
 
@@ -856,13 +857,13 @@ def test_box_rect_is_drawn_and_moves_after_carry(tmp_path, monkeypatch):
         f"box.rect = {box['rect']}\nbox.ref_frame = {box['ref_frame']}\n"
     )
     drawn = {}
-    write = cli.iio.write_annotated_frame
+    annotate = cli._annotate
 
-    def spy(frame, items, path):
-        drawn[frame.index] = [i.geometry for i in items if i.color == (255, 60, 60)]
-        return write(frame, items, path)
+    def spy(frame, person, disc, model, box):
+        drawn[frame.index] = None if box is None else box.tracked_rect
+        return annotate(frame, person, disc, model, box)
 
-    monkeypatch.setattr(cli.iio, "write_annotated_frame", spy)
+    monkeypatch.setattr(cli, "_annotate", spy)
     out = tmp_path / "out"
     argv = ["track", "--input", str(tmp_path / "in"), "--output", str(out)]
     assert cli.main(argv + ["--config", str(tmp_path / "box.cfg"), "--overlays"]) == 0
@@ -870,10 +871,10 @@ def test_box_rect_is_drawn_and_moves_after_carry(tmp_path, monkeypatch):
     carry = [e["frame_index"] for e in events if e["kind"] == "Carry"]
     assert len(carry) == 1 and carry[0] + 8 <= 117
     after = [drawn[i] for i in range(carry[0] + 1, 118)]
-    assert all(len(rects) == 1 for rects in after)
-    assert len({rects[0] for rects in after}) > 1  # the tracked box still moves
+    assert all(rect is not None for rect in after)
+    assert len(set(after)) > 1  # the tracked box still moves
     for i in (carry[0] + 1, 117):
-        (x, y, w, h) = drawn[i][0]
+        (x, y, w, h) = drawn[i]
         rgb = iio.read_ppm(out / f"out_{i:06d}.ppm")
         assert tuple(rgb[y, x]) == tuple(rgb[y + h - 1, x + w - 1]) == (255, 60, 60)
 

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hbpt import activity as act
 from hbpt import baseline as bl
 from hbpt import bodyparts as bp
 from hbpt import cli
@@ -16,6 +17,8 @@ from hbpt import imageio as iio
 from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
+from hbpt import tracker as tr
+from hbpt.blobmodel import GaussianBlob, blob_ellipse
 from hbpt.config import _KEY_MAP, PipelineConfig, load_config, parse_config_text
 
 from conftest import read_jsonl
@@ -276,6 +279,34 @@ def test_overlays_written_when_enabled(tmp_path):
     cli.run_pipeline(cfg)
     overlays = sorted((tmp_path / "out").glob("out_*.ppm"))
     assert len(overlays) == 34
+
+
+def test_annotate_draws_labels_over_their_ellipses_on_a_copy():
+    rgb = np.full((80, 120, 3), 90, np.uint8)
+    frame = iio.Frame(index=0, rgb=rgb.copy())
+    blobs = {
+        "head": GaussianBlob((30.0, 25.0), ((25.0, 0.0), (0.0, 6.25)), (0, 0, 0), 40, "head"),
+        "armR": GaussianBlob((60.0, 55.0), ((16.0, 0.0), (0.0, 4.0)), (0, 0, 0), 30, "armR"),
+    }
+    person = tr.PersonBlob((10, 15, 80, 60), (50.0, 45.0), 900, np.full(16, 1 / 16))
+    disc = tr.TorsoDisc((40.0, 50.0), 10.0)
+    box = act.BoxRegion((90, 10, 20, 20), np.full(16, 1 / 16), (92, 12, 20, 20))
+    out = cli._annotate(frame, person, disc, bp.BodyPartModel(blobs, {}), box)
+    assert np.array_equal(frame.rgb, rgb)
+    for label, blob in blobs.items():
+        x0, y0 = round(blob.mu[0] + 3), round(blob.mu[1] - 7)
+        glyph = {
+            (x0 + 4 * i + dx, y0 + dy)
+            for i, ch in enumerate(label.upper())
+            for dy, row in enumerate(iio._FONT[ch])
+            for dx, bit in enumerate(row)
+            if bit == "1"
+        }
+        alone = np.zeros_like(rgb)
+        iio.draw_ellipse(alone, *blob_ellipse(blob), (0, 255, 0))
+        ys, xs = np.nonzero(alone.any(axis=2))
+        assert glyph & set(zip(xs.tolist(), ys.tolist())), label  # the label overlaps its ellipse
+        assert all(tuple(out[y, x]) == (255, 255, 255) for x, y in glyph), label
 
 
 def test_baseline_subcommand(tmp_path, capsys):

@@ -10,8 +10,6 @@ from hbpt import cli
 from hbpt import imageio as iio
 from hbpt import synthgen as sg
 
-from conftest import frame_from_rgb
-
 
 # ---------------------------------------------------------------------------
 # RGB -> YUV against an exact reference
@@ -561,33 +559,29 @@ def test_write_unannotated_is_byte_preserving(tmp_path):
     iio.write_ppm(src, rgb)
     frame = iio.read_frame(src, 0)
     out = tmp_path / "copy.ppm"
-    iio.write_annotated_frame(frame, [], out)
+    iio.write_ppm(out, cli._annotate(frame, None, None, None, None))
     assert out.read_bytes() == src.read_bytes()
+    assert np.array_equal(frame.rgb, rgb)
 
 
-def test_rectangle_overlay_touches_only_border(tmp_path):
+def test_rectangle_overlay_touches_only_border():
     rgb = np.zeros((20, 20, 3), np.uint8)
-    frame = frame_from_rgb(rgb)
-    out = tmp_path / "r.ppm"
-    item = iio.OverlayItem("rectangle", (5, 6, 8, 7))
-    iio.write_annotated_frame(frame, [item], out)
-    got = iio.read_ppm(out)
+    got = rgb.copy()
+    iio.draw_rectangle(got, (5, 6, 8, 7), (255, 220, 0))
     changed = np.nonzero((got != rgb).any(axis=2))
     for y, x in zip(*changed):
         on_border = (
             (x in (5, 12) and 6 <= y <= 12) or (y in (6, 12) and 5 <= x <= 12)
         )
         assert on_border, (x, y)
-    assert (got[6, 5:13] == iio.PALETTE["rectangle"]).all()
+    assert (got[6, 5:13] == (255, 220, 0)).all()
 
 
-def test_ellipse_overlay_within_1px_of_analytic(tmp_path):
+def test_ellipse_overlay_within_1px_of_analytic():
     rgb = np.zeros((60, 80, 3), np.uint8)
-    frame = frame_from_rgb(rgb)
     center, axes, angle = (40.0, 30.0), (18.0, 9.0), 0.6
-    out = tmp_path / "e.ppm"
-    iio.write_annotated_frame(frame, [iio.OverlayItem("ellipse", (center, axes, angle))], out)
-    got = iio.read_ppm(out)
+    got = rgb.copy()
+    iio.draw_ellipse(got, center, axes, angle, (0, 255, 0))
     ys, xs = np.nonzero((got != rgb).any(axis=2))
     t = np.linspace(0, 2 * np.pi, 4000)
     ex = center[0] + np.cos(angle) * axes[0] * np.cos(t) - np.sin(angle) * axes[1] * np.sin(t)
