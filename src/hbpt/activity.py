@@ -153,10 +153,10 @@ def depth_at(depth, point, win=5):
 def detect_approach(model, box, depth, state, frame_index, cfg):
     """Fire Approach after a sustained hand-near-box condition.
 
-    The hand must stay within ``cfg.d_xy`` px of the tracked rectangle for
-    ``cfg.approach_frames`` consecutive frames; with depth available, the
-    hand and box must also sit within ``cfg.z_gate_mm`` millimeters of each
-    other.
+    The hand must stay within ``cfg.activity_d_xy`` px of the tracked
+    rectangle for ``cfg.activity_approach_frames`` consecutive frames; with
+    depth available, the hand and box must also sit within
+    ``cfg.activity_z_gate_mm`` millimeters of each other.
     """
     if state.reached("Approached"):
         return None
@@ -165,7 +165,7 @@ def detect_approach(model, box, depth, state, frame_index, cfg):
         state.approach_streak = 0
         return None
     dist = _point_rect_distance(hand, box.tracked_rect)
-    ok = dist <= cfg.d_xy
+    ok = dist <= cfg.activity_d_xy
     z_hand = z_box = None
     depth_used = False
     if ok and depth is not None:
@@ -174,10 +174,12 @@ def detect_approach(model, box, depth, state, frame_index, cfg):
         z_box = depth_at(depth, (bx + bw / 2.0, by + bh / 2.0))
         depth_used = True
         ok = (
-            z_hand is not None and z_box is not None and abs(z_hand - z_box) <= cfg.z_gate_mm
+            z_hand is not None
+            and z_box is not None
+            and abs(z_hand - z_box) <= cfg.activity_z_gate_mm
         )
     state.approach_streak = state.approach_streak + 1 if ok else 0
-    if state.approach_streak < cfg.approach_frames:
+    if state.approach_streak < cfg.activity_approach_frames:
         return None
     state.advance("Approached")
     payload = {
@@ -190,36 +192,38 @@ def detect_approach(model, box, depth, state, frame_index, cfg):
     return ActivityEvent(
         kind="Approach",
         frame_index=frame_index,
-        confidence=max(0.0, 1.0 - dist / (cfg.d_xy + 1.0)),
+        confidence=max(0.0, 1.0 - dist / (cfg.activity_d_xy + 1.0)),
         payload=payload,
     )
 
 
 def detect_open(box, frame, state, frame_index, cfg):
     """Fire Open once the box rect's histogram has stayed more than
-    ``cfg.theta_open`` from its reference for ``cfg.open_frames`` frames."""
+    ``cfg.activity_theta_open`` from its reference for
+    ``cfg.activity_open_frames`` frames."""
     if not state.reached("Approached") or state.reached("Opened"):
         return None
     d = hist_distance(color_hist16(frame, box.tracked_rect), box.ref_hist)
-    state.open_streak = state.open_streak + 1 if d > cfg.theta_open else 0
-    if state.open_streak < cfg.open_frames:
+    state.open_streak = state.open_streak + 1 if d > cfg.activity_theta_open else 0
+    if state.open_streak < cfg.activity_open_frames:
         return None
     state.advance("Opened")
     return ActivityEvent(
         kind="Open",
         frame_index=frame_index,
         confidence=min(1.0, d),
-        payload={"hist_distance": d, "threshold": cfg.theta_open},
+        payload={"hist_distance": d, "threshold": cfg.activity_theta_open},
     )
 
 
 def detect_carry(model, track, depth, state, frame_index, cfg):
     """Fire Carry when the tracked object keeps moving with the hand.
 
-    Needs ``cfg.carry_frames`` frames in a row where the object centroid
-    moved more than ``cfg.carry_min_disp`` pixels, the hand stayed within
-    ``cfg.d_xy`` of it, and (with depth) hand and object depth changed
-    together within ``cfg.carry_z_rate_mm`` mm per frame.
+    Needs ``cfg.activity_carry_frames`` frames in a row where the object
+    centroid moved more than ``cfg.activity_carry_min_disp`` pixels, the hand
+    stayed within ``cfg.activity_d_xy`` of it, and (with depth) hand and
+    object depth changed together within ``cfg.activity_carry_z_rate_mm`` mm
+    per frame.
     """
     if not state.reached("Approached") or state.phase == "Carrying":
         return None
@@ -239,22 +243,22 @@ def detect_carry(model, track, depth, state, frame_index, cfg):
             centroid[0] - track.prev_centroid[0], centroid[1] - track.prev_centroid[1]
         )
         hand_dist = math.hypot(hand[0] - centroid[0], hand[1] - centroid[1])
-        ok = disp > cfg.carry_min_disp and hand_dist <= cfg.d_xy
+        ok = disp > cfg.activity_carry_min_disp and hand_dist <= cfg.activity_d_xy
         if ok and depth is not None:
             have_all = None not in (z_hand, z_obj, state.prev_z_hand, state.prev_z_obj)
             if have_all:
                 dz = (z_obj - state.prev_z_obj) - (z_hand - state.prev_z_hand)
-                ok = abs(dz) <= cfg.carry_z_rate_mm
+                ok = abs(dz) <= cfg.activity_carry_z_rate_mm
     state.prev_z_hand = z_hand
     state.prev_z_obj = z_obj
     state.carry_streak = state.carry_streak + 1 if ok else 0
-    if state.carry_streak < cfg.carry_frames:
+    if state.carry_streak < cfg.activity_carry_frames:
         return None
     state.advance("Carrying")
     return ActivityEvent(
         kind="Carry",
         frame_index=frame_index,
-        confidence=min(1.0, disp / (cfg.carry_min_disp + 1.0)),
+        confidence=min(1.0, disp / (cfg.activity_carry_min_disp + 1.0)),
         payload={"displacement_px": disp, "hand_distance_px": hand_dist},
     )
 

@@ -110,13 +110,13 @@ def run_pipeline(cfg):
                 f"frames are {size[0]}x{size[1]}"
             )
         # the file stores var_floor as float32
-        if np.float32(cfg.var_floor) != np.float32(model.var_floor):
+        if np.float32(cfg.scene_var_floor) != np.float32(model.var_floor):
             raise ValueError(
                 f"{cfg.scene_file}: scene was learned with scene.var_floor = "
-                f"{model.var_floor:g}, the config sets {cfg.var_floor:g}"
+                f"{model.var_floor:g}, the config sets {cfg.scene_var_floor:g}"
             )
     else:
-        model = timed("learn", sm.learn_scene, head, cfg.var_floor)
+        model = timed("learn", sm.learn_scene, head, cfg.scene_var_floor)
 
     monitor = act.ActivityMonitor(cfg)
 
@@ -132,7 +132,7 @@ def run_pipeline(cfg):
         depth = (
             timed("load", iio.load_depth_raster, depth_paths[fi], size) if depth_paths else None
         )
-        fg = timed("foreground", sm.detect_foreground, model, frame, cfg.tau)
+        fg = timed("foreground", sm.detect_foreground, model, frame, cfg.scene_tau)
         refined = timed(
             "refine", mo.refine_mask, fg.bits, refine_min_area, se, cfg.mask_iterations
         )
@@ -159,13 +159,15 @@ def run_pipeline(cfg):
             disc = tr.torso_from_person(person)
         if disc is not None:
             partition = bp.partition_regions(silhouette, disc, component.bbox)
-            part_model = bp.build_part_model(partition, frame, cfg.min_part_area)
+            part_model = bp.build_part_model(partition, frame, cfg.parts_min_area)
         else:
             part_model = None
         stage_ms["parts"] += (time.perf_counter() - t) * 1e3
 
         t = time.perf_counter()
-        sm.update_scene(model, frame, refined if silhouette is None else silhouette, cfg.alpha)
+        sm.update_scene(
+            model, frame, refined if silhouette is None else silhouette, cfg.scene_alpha
+        )
         stage_ms["scene_update"] += (time.perf_counter() - t) * 1e3
 
         t = time.perf_counter()
@@ -421,7 +423,7 @@ def main(argv=None):
             check_ranges(cfg)
             paths = iio.frame_paths(cfg.input, cfg.pattern)
             model = sm.learn_scene(
-                _learn_set(paths, min(cfg.learn_frames, len(paths))), cfg.var_floor
+                _learn_set(paths, min(cfg.learn_frames, len(paths))), cfg.scene_var_floor
             )
             out = Path(cfg.output or ".")
             out.mkdir(parents=True, exist_ok=True)

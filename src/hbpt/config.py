@@ -2,12 +2,17 @@
 default of every setting; the pipeline's stages take their settings from it.
 
 Config files hold one ``key = value`` pair per line ('#' starts a comment,
-except inside a quoted value).
+except inside a quoted value). A key is its field's name, with the '_' after
+a section name written as '.': ``scene.tau`` sets ``scene_tau``, ``seed``
+sets ``seed``.
 Values may be numbers, true/false, quoted strings or [a, b, c] number lists.
 Unknown keys are rejected. CLI flags override file values.
 """
 
 from dataclasses import dataclass, field, fields
+
+
+_SECTIONS = ("scene", "learn", "mask", "person", "particles", "parts", "activity", "box")
 
 
 @dataclass
@@ -18,66 +23,40 @@ class PipelineConfig:
     seed: int = 0
     scene_file: str = ""
     learn_frames: int = 30
-    var_floor: float = 4.0
-    tau: float = 4.0
-    alpha: float = 0.05
+    scene_var_floor: float = 4.0
+    scene_tau: float = 4.0
+    scene_alpha: float = 0.05
     mask_min_area_frac: float = 0.005
     mask_se: int = 3
     mask_iterations: int = 1
     person_min_area_frac: float = 0.01
     particles_n: int = 100
-    sigma_xy: float = 5.0
-    sigma_scale: float = 0.02
-    iou_gate: float = 0.3
-    min_part_area: int = 15
-    d_xy: float = 30.0
-    z_gate_mm: float = 300.0
-    approach_frames: int = 3
-    theta_open: float = 0.4
-    open_frames: int = 5
-    carry_frames: int = 5
-    carry_min_disp: float = 1.0
-    carry_z_rate_mm: float = 200.0
+    particles_sigma_xy: float = 5.0
+    particles_sigma_scale: float = 0.02
+    particles_iou_gate: float = 0.3
+    parts_min_area: int = 15
+    activity_d_xy: float = 30.0
+    activity_z_gate_mm: float = 300.0
+    activity_approach_frames: int = 3
+    activity_theta_open: float = 0.4
+    activity_open_frames: int = 5
+    activity_carry_frames: int = 5
+    activity_carry_min_disp: float = 1.0
+    activity_carry_z_rate_mm: float = 200.0
     box_rect: list = field(default_factory=list)  # [x, y, w, h]; empty = no box
     box_ref_frame: int = 0
     emit_overlays: bool = False
     baseline_mode: bool = False  # also emit contour-vertex labels during track
 
 
-_KEY_MAP = {
-    "input": "input",
-    "output": "output",
-    "pattern": "pattern",
-    "seed": "seed",
-    "scene.file": "scene_file",
-    "learn.frames": "learn_frames",
-    "scene.var_floor": "var_floor",
-    "scene.tau": "tau",
-    "scene.alpha": "alpha",
-    "mask.min_area_frac": "mask_min_area_frac",
-    "mask.se": "mask_se",
-    "mask.iterations": "mask_iterations",
-    "person.min_area_frac": "person_min_area_frac",
-    "particles.n": "particles_n",
-    "particles.sigma_xy": "sigma_xy",
-    "particles.sigma_scale": "sigma_scale",
-    "particles.iou_gate": "iou_gate",
-    "parts.min_area": "min_part_area",
-    "activity.d_xy": "d_xy",
-    "activity.z_gate_mm": "z_gate_mm",
-    "activity.approach_frames": "approach_frames",
-    "activity.theta_open": "theta_open",
-    "activity.open_frames": "open_frames",
-    "activity.carry_frames": "carry_frames",
-    "activity.carry_min_disp": "carry_min_disp",
-    "activity.carry_z_rate_mm": "carry_z_rate_mm",
-    "box.rect": "box_rect",
-    "box.ref_frame": "box_ref_frame",
-    "emit_overlays": "emit_overlays",
-    "baseline_mode": "baseline_mode",
-}
+def _key(name):
+    """The config key of field ``name``: ``section.rest`` for a name
+    ``section_rest``, otherwise the name itself."""
+    section, _, rest = name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else name
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+_FIELDS = {_key(f.name): f for f in fields(PipelineConfig)}  # config key -> field
 
 
 def _parse_value(text):
@@ -108,9 +87,8 @@ def _is_integral(value):
     return _is_number(value) and (not isinstance(value, float) or value.is_integer())
 
 
-def _coerce(attr, value):
-    """Check a parsed value against the field's type; numbers are converted."""
-    kind = _FIELD_TYPES[attr]
+def _coerce(kind, value):
+    """Check a parsed value against a field's type ``kind``; numbers are converted."""
     if kind is bool:
         if not isinstance(value, bool):
             raise ValueError(f"expects true/false, got {value!r}")
@@ -156,11 +134,11 @@ def parse_config_text(text, base=None):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KEY_MAP:
+        if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        attr = _KEY_MAP[key]
+        f = _FIELDS[key]
         try:
-            setattr(cfg, attr, _coerce(attr, _parse_value(value)))
+            setattr(cfg, f.name, _coerce(f.type, _parse_value(value)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key} {exc}") from None
     return cfg
@@ -171,12 +149,12 @@ def check_ranges(cfg):
 
     Raises ValueError naming the config key.
     """
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ValueError(f"scene.alpha must lie in (0, 1), got {cfg.alpha}")
-    if not cfg.tau > 0.0:
-        raise ValueError(f"scene.tau must be positive, got {cfg.tau}")
-    if not cfg.var_floor > 0.0:
-        raise ValueError(f"scene.var_floor must be positive, got {cfg.var_floor}")
+    if not 0.0 < cfg.scene_alpha < 1.0:
+        raise ValueError(f"scene.alpha must lie in (0, 1), got {cfg.scene_alpha}")
+    if not cfg.scene_tau > 0.0:
+        raise ValueError(f"scene.tau must be positive, got {cfg.scene_tau}")
+    if not cfg.scene_var_floor > 0.0:
+        raise ValueError(f"scene.var_floor must be positive, got {cfg.scene_var_floor}")
     if not cfg.scene_file and cfg.learn_frames < 2:
         raise ValueError(
             f"learn.frames must be at least 2 to learn a scene, got {cfg.learn_frames}"
@@ -188,15 +166,15 @@ def check_ranges(cfg):
     if cfg.particles_n < 1:
         raise ValueError(f"particles.n must be at least 1, got {cfg.particles_n}")
     for key in ("mask.min_area_frac", "person.min_area_frac"):
-        value = getattr(cfg, _KEY_MAP[key])
+        value = getattr(cfg, key.replace(".", "_"))
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{key} must lie in [0, 1], got {value}")
     for key in ("particles.iou_gate", "activity.theta_open"):
-        value = getattr(cfg, _KEY_MAP[key])
+        value = getattr(cfg, key.replace(".", "_"))
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{key} must lie in [0, 1), got {value}")
     for key in ("activity.approach_frames", "activity.open_frames", "activity.carry_frames"):
-        value = getattr(cfg, _KEY_MAP[key])
+        value = getattr(cfg, key.replace(".", "_"))
         if value < 1:
             raise ValueError(f"{key} must be at least 1, got {value}")
     for key in (
@@ -209,7 +187,7 @@ def check_ranges(cfg):
         "activity.carry_min_disp",
         "activity.carry_z_rate_mm",
     ):
-        value = getattr(cfg, _KEY_MAP[key])
+        value = getattr(cfg, key.replace(".", "_"))
         if not value >= 0:
             raise ValueError(f"{key} must not be negative, got {value}")
 

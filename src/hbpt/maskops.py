@@ -236,14 +236,13 @@ def refine_mask(mask, min_area, se, iterations):
     if box is None:
         return out
     y0, y1, x0, x1 = box
-    comps = connected_components(morph(mask[y0:y1, x0:x1], "dilate", se, iterations))
-    subs = []
-    for i, s in enumerate(comps.stats):
-        x, y, w, h = s.bbox
-        subs.append(comps.labels[y : y + h, x : x + w] == i + 1)
+    labels, _ = ndimage.label(
+        morph(mask[y0:y1, x0:x1], "dilate", se, iterations), structure=_STRUCT8
+    )
+    slices = ndimage.find_objects(labels)  # each component's bounding box
+    subs = [labels[sl] == i for i, sl in enumerate(slices, 1)]
     crop = out[y0:y1, x0:x1]
-    for s, sub in zip(comps.stats, fill_holes_many(subs)):
+    for sl, sub in zip(slices, fill_holes_many(subs)):
         if int(sub.sum()) >= min_area:
-            x, y, w, h = s.bbox
-            crop[y : y + h, x : x + w] |= sub
+            crop[sl] |= sub
     return out

@@ -19,17 +19,6 @@ from .bodyparts import PART_LABELS, partition_regions
 from .imageio import Frame, write_pgm16, write_ppm
 from .tracker import TorsoDisc
 
-SCENARIO_NAMES = (
-    "background",
-    "walker",
-    "starfish",
-    "occluded_arm",
-    "approach_box",
-    "open_box",
-    "carry_box",
-    "null_walk",
-)
-
 _DEFAULT_FRAMES = {
     "background": 130,
     "walker": 300,
@@ -40,6 +29,9 @@ _DEFAULT_FRAMES = {
     "carry_box": 160,
     "null_walk": 150,
 }
+SCENARIO_NAMES = tuple(_DEFAULT_FRAMES)
+# scenarios with a box, which also come with depth rasters
+_BOX_SCENARIOS = ("approach_box", "open_box", "carry_box", "null_walk")
 
 # palette (RGB); chosen for well-separated UV bins
 BG_BASE = (120, 130, 115)
@@ -134,7 +126,7 @@ def _person_script(sc, f):
 
 def _box_script(sc, f):
     """Current box rectangle and appearance, or None when absent."""
-    if sc.name not in ("approach_box", "open_box", "carry_box", "null_walk"):
+    if sc.name not in _BOX_SCENARIOS:
         return None
     if f < LEARN_FRAMES:
         return None
@@ -304,7 +296,7 @@ def generate_scenario(scenario):
     texture = np.repeat(np.repeat(blocks, 8, axis=0), 8, axis=1)[:h, :w]
     background = np.clip(np.array(BG_BASE) + texture, 0, 255).astype(np.float64)
 
-    with_depth = sc.name in ("approach_box", "open_box", "carry_box", "null_walk")
+    with_depth = sc.name in _BOX_SCENARIOS
     frames, depths, per_frame = [], [] if with_depth else None, []
     for f in range(sc.frames):
         rgb = background.copy()

@@ -6,7 +6,6 @@ fused with the largest foreground component. The torso disc is seeded from
 the tracked person blob.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +108,7 @@ def _window_sum(weights, rect):
     return float(weights[y : y + h, x : x + w].sum())
 
 
-def mean_shift(weights, window, max_iter=20, eps=1.0, trace=None):
+def mean_shift(weights, window, max_iter=20, trace=None):
     """Recenter the window on the weighted centroid of its contents.
 
     Moves that would lower the window's weight sum are halved until they gain
@@ -151,14 +150,10 @@ def mean_shift(weights, window, max_iter=20, eps=1.0, trace=None):
         if (nx, ny) == (x, y):
             converged = True
             break
-        disp = math.hypot(nx - x, ny - y)
         x, y = nx, ny
         cur = cand
         if trace is not None:
             trace.append(cur)
-        if disp < eps:
-            converged = True
-            break
     return (x, y, w, h), it, converged
 
 
@@ -269,15 +264,15 @@ def _particle_weights(plane, states, ref_size, sqrt_ref):
 def mspf_track(prev, particles, frame, fg, component, cfg):
     """One tracking step: propagate, weight, resample, refine, fuse.
 
-    Particles take Gaussian steps of ``cfg.sigma_xy`` px and
-    ``cfg.sigma_scale`` in scale, and their windows are scored by
+    Particles take Gaussian steps of ``cfg.particles_sigma_xy`` px and
+    ``cfg.particles_sigma_scale`` in scale, and their windows are scored by
     Bhattacharyya similarity between their UV histogram and the reference
     histogram. The best particle is refined by mean shift over the
     backprojection masked by ``fg``, the (h, w) bool foreground mask, then
     fused with ``component``, the ``ComponentStats`` of the largest
-    foreground component, when their boxes' IoU exceeds ``cfg.iou_gate``.
-    A window that holds no foreground at all is no evidence, and the
-    component's box and centroid are taken instead. With no component
+    foreground component, when their boxes' IoU exceeds
+    ``cfg.particles_iou_gate``. A window that holds no foreground at all is no
+    evidence, and the component's box and centroid are taken instead. With no component
     (``None``, an empty foreground) the previous state coasts at its last
     velocity and confidence decays by 0.8 per frame; a coast that carries
     the centroid out of the frame ends the track and returns (None, None).
@@ -294,7 +289,7 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     n = particles.states.shape[0]
     rng = particles.rng
     states = particles.states
-    sigma_xy, sigma_scale = cfg.sigma_xy, cfg.sigma_scale
+    sigma_xy, sigma_scale = cfg.particles_sigma_xy, cfg.particles_sigma_scale
     states[:, 0] += rng.normal(0.0, sigma_xy, n) if sigma_xy > 0 else 0.0
     states[:, 1] += rng.normal(0.0, sigma_xy, n) if sigma_xy > 0 else 0.0
     states[:, 2] += rng.normal(0.0, sigma_scale, n) if sigma_scale > 0 else 0.0
@@ -335,7 +330,7 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
         # the foreground centroid inside the converged window
         ex = float((sub.sum(axis=0) * np.arange(wx, wx + ww)).sum() / total)
         ey = float((sub.sum(axis=1) * np.arange(wy, wy + wh)).sum() / total)
-        if _rect_iou(win, component.bbox) > cfg.iou_gate:
+        if _rect_iou(win, component.bbox) > cfg.particles_iou_gate:
             centroid = ((ex + component.centroid[0]) / 2.0, (ey + component.centroid[1]) / 2.0)
             bbox = component.bbox
         else:

@@ -10,7 +10,7 @@ from hbpt.tracker import TorsoDisc
 
 from conftest import fill_holes, frame_from_rgb
 
-MIN_PART_AREA = PipelineConfig().min_part_area
+MIN_PART_AREA = PipelineConfig().parts_min_area
 
 
 def person_mask(pose, ox=160, oy=60, shape=(240, 320)):

@@ -19,7 +19,7 @@ from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob, blob_ellipse
-from hbpt.config import _KEY_MAP, PipelineConfig, load_config, parse_config_text
+from hbpt.config import PipelineConfig, load_config, parse_config_text
 
 from conftest import read_jsonl
 from test_baseline import labels_of
@@ -32,18 +32,36 @@ from test_bodyparts import _reference_build_part_model, _reference_partition_reg
 def test_config_defaults():
     cfg = PipelineConfig()
     assert cfg.learn_frames == 30
-    assert cfg.tau == 4.0
-    assert cfg.alpha == 0.05
+    assert cfg.scene_tau == 4.0
+    assert cfg.scene_alpha == 0.05
     assert cfg.particles_n == 100
-    assert cfg.d_xy == 30.0
-    assert cfg.theta_open == 0.4
-    assert cfg.min_part_area == 15
+    assert cfg.activity_d_xy == 30.0
+    assert cfg.activity_theta_open == 0.4
+    assert cfg.parts_min_area == 15
+
+
+CONFIG_KEYS = (
+    "input", "output", "pattern", "seed", "scene.file", "learn.frames",
+    "scene.var_floor", "scene.tau", "scene.alpha", "mask.min_area_frac", "mask.se",
+    "mask.iterations", "person.min_area_frac", "particles.n", "particles.sigma_xy",
+    "particles.sigma_scale", "particles.iou_gate", "parts.min_area", "activity.d_xy",
+    "activity.z_gate_mm", "activity.approach_frames", "activity.theta_open",
+    "activity.open_frames", "activity.carry_frames", "activity.carry_min_disp",
+    "activity.carry_z_rate_mm", "box.rect", "box.ref_frame", "emit_overlays",
+    "baseline_mode",
+)
 
 
 def test_config_keys_name_every_field_once():
-    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
-    assert len(fields) == 30
-    assert sorted(_KEY_MAP.values()) == sorted(fields)
+    """Each of the 30 keys sets its own field, and together they set all of them."""
+    fields = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    names = [key.replace(".", "_") for key in CONFIG_KEYS]
+    assert len(fields) == 30 and sorted(names) == sorted(fields)
+    values = {bool: "true", int: "7", float: "0.5", str: '"x"', list: "[1, 2, 3, 4]"}
+    default = PipelineConfig()
+    for key, name in zip(CONFIG_KEYS, names):
+        cfg = parse_config_text(f"{key} = {values[fields[name]]}")
+        assert [f for f in fields if getattr(cfg, f) != getattr(default, f)] == [name], key
 
 
 def test_config_parsing_and_types(tmp_path):
@@ -56,19 +74,21 @@ emit_overlays = true
 pattern = "frame_*.png"
 """
     cfg = parse_config_text(text)
-    assert cfg.tau == 3.5
+    assert cfg.scene_tau == 3.5
     assert cfg.particles_n == 64
     assert cfg.box_rect == [10, 20, 30, 40]
     assert cfg.emit_overlays is True
     assert cfg.pattern == "frame_*.png"
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    assert load_config(path).tau == 3.5
+    assert load_config(path).scene_tau == 3.5
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown config key"):
-        parse_config_text("scene.gamma = 2")
+    # a field name, a section alone and a dotted non-section are no second spelling
+    for key in ("scene.gamma", "scene_tau", "activity_d_xy", "scene", "emit.overlays"):
+        with pytest.raises(ValueError, match=rf"line 1: unknown config key '{re.escape(key)}'"):
+            parse_config_text(f"{key} = 2")
 
 
 def test_config_rejects_bad_line():
@@ -90,7 +110,7 @@ def test_config_bench_files_parse_unchanged():
 def test_config_converts_numbers_to_field_type():
     cfg = parse_config_text("particles.n = 64.0\nscene.tau = 3\nbox.rect = []")
     assert cfg.particles_n == 64 and type(cfg.particles_n) is int
-    assert cfg.tau == 3.0 and type(cfg.tau) is float
+    assert cfg.scene_tau == 3.0 and type(cfg.scene_tau) is float
     assert cfg.box_rect == []
     cfg = parse_config_text("box.rect = [230.0, 112, 24, 20.0]")
     assert cfg.box_rect == [230, 112, 24, 20] and all(type(v) is int for v in cfg.box_rect)

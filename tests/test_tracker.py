@@ -173,7 +173,7 @@ def test_mspf_static_noiseless_fixed_point():
     component, silhouette = _person_component(fg)
     person = tr.detect_person(component, silhouette, frame, 100)
     particles = tr.init_particles(person, n=20, seed=3)
-    cfg = PipelineConfig(sigma_xy=0.0, sigma_scale=0.0)
+    cfg = PipelineConfig(particles_sigma_xy=0.0, particles_sigma_scale=0.0)
     out, particles = tr.mspf_track(person, particles, frame, fg, component, cfg)
     assert out.bbox == person.bbox
     assert out.centroid == person.centroid
