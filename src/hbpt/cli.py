@@ -5,17 +5,24 @@ refinement, person tracking, torso-relative part modeling, scene adaptation
 and activity recognition, writing blobs.jsonl, events.json and metrics.json.
 ``baseline`` is the same run with the contour-vertex labeler switched on; it
 labels the same person component the part model uses.
-Frames and depth rasters are decoded one at a time as the loop reaches them,
-apart from the scene-learning frames, which are decoded first and then fed
-to the loop.
+
+``FrameStep`` is the per-frame core: its ``step(frame, depth)`` returns the
+frame's record, baseline labels and overlay without touching a file, so tests
+can drive it in memory. ``run_pipeline`` decodes frames and depth rasters one
+at a time as the loop reaches them (the scene-learning frames are decoded
+first and then fed to the loop), steps each one and appends its records to
+``blobs.jsonl.partial`` and ``baseline.jsonl.partial``, which are renamed to
+their final names once every frame is stepped and removed if the run fails.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import defaultdict, deque
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -70,37 +77,124 @@ def _annotate(frame, person, disc, model, box):
     return out
 
 
+@contextmanager
+def _timed(stage_ms, stage):
+    """Add the block's wall time, in milliseconds, to ``stage_ms[stage]``."""
+    t = time.perf_counter()
+    yield
+    stage_ms[stage] += (time.perf_counter() - t) * 1e3
+
+
+class FrameStep:
+    """The per-frame core over a scene model. It keeps the scene model,
+    person, particles and activity monitor from one ``step`` to the next and
+    adds each stage's time to ``stage_ms``. Every layer is called through its
+    module (``sm.detect_foreground``, ``tr.mspf_track``, ``_annotate``, ...),
+    so a function replaced there is the one called."""
+
+    def __init__(self, cfg, model, stage_ms):
+        self.cfg, self.model, self.stage_ms = cfg, model, stage_ms
+        area = model.width * model.height
+        self.refine_min_area = max(1, int(round(cfg.mask_min_area_frac * area)))
+        self.person_min_area = max(1, int(round(cfg.person_min_area_frac * area)))
+        self.person = self.particles = None
+        self.monitor = act.ActivityMonitor(cfg)
+
+    def step(self, frame, depth):
+        """Step the next frame and its depth raster (or None). Returns the
+        frame's ``blobs.jsonl`` record, its baseline labels (None unless
+        ``baseline_mode`` is on and a person is tracked) and its overlay
+        raster (None unless ``emit_overlays`` is on)."""
+        cfg, ms = self.cfg, self.stage_ms
+        with _timed(ms, "foreground"):
+            fg = sm.detect_foreground(self.model, frame, cfg.scene_tau)
+        with _timed(ms, "refine"):
+            se = (cfg.mask_se, cfg.mask_se)
+            refined = mo.refine_mask(fg.bits, self.refine_min_area, se, cfg.mask_iterations)
+        with _timed(ms, "components"):
+            comps = mo.connected_components(refined)
+        # the person component: the largest one, or None on an empty mask
+        largest = mo.largest_component(comps)
+        component = None if largest is None else comps.stats[largest]
+
+        with _timed(ms, "track"):
+            silhouette = None if component is None else comps.labels == largest + 1
+            if self.person is None:
+                self.person = tr.detect_person(component, silhouette, frame, self.person_min_area)
+                if self.person is not None:
+                    self.particles = tr.init_particles(self.person, cfg.particles_n, cfg.seed)
+            else:
+                self.person, self.particles = tr.mspf_track(
+                    self.person, self.particles, frame, refined, component, cfg
+                )
+        person = self.person
+
+        disc = part_model = None
+        with _timed(ms, "parts"):
+            if person is None:
+                silhouette = None  # no labels; the scene update keeps out the whole mask
+            elif silhouette is not None and person.bbox[2] >= 2:
+                disc = tr.torso_from_person(person)
+                partition = bp.partition_regions(silhouette, disc, component.bbox)
+                part_model = bp.build_part_model(partition, frame, cfg.parts_min_area)
+        with _timed(ms, "scene_update"):
+            fg_mask = refined if silhouette is None else silhouette
+            sm.update_scene(self.model, frame, fg_mask, cfg.scene_alpha)
+        with _timed(ms, "activity"):
+            self.monitor.process(frame.index, frame, part_model, depth)
+
+        record = {
+            "frame": frame.index,
+            "tracked": person is not None,
+            "person": None if person is None else {
+                "bbox": [int(v) for v in person.bbox],
+                "centroid": [float(person.centroid[0]), float(person.centroid[1])],
+                "area": int(person.area),
+                "confidence": float(person.confidence),
+            },
+            "torso_disc": None if disc is None else {
+                "center": [float(disc.center[0]), float(disc.center[1])],
+                "radius": float(disc.radius),
+            },
+            "parts": {} if part_model is None else {
+                label: blob.to_dict() for label, blob in part_model.blobs.items()
+            },
+            "starfish": part_model is not None and bp.detect_starfish(part_model, disc),
+        }
+        labels = overlay = None
+        if cfg.baseline_mode and silhouette is not None:
+            with _timed(ms, "baseline"):
+                labels = bl.label_silhouette(silhouette, component)
+        if cfg.emit_overlays:
+            with _timed(ms, "overlays"):
+                overlay = _annotate(frame, person, disc, part_model, self.monitor.box)
+        return record, labels, overlay
+
+
 def run_pipeline(cfg):
-    """Run the full tracking pipeline; returns the path of the output dir."""
+    """Run the full tracking pipeline; returns the path of the output dir.
+    Records stream to ``.partial`` files that take their final names at the end."""
     check_ranges(cfg)
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a run that fails must not leave an earlier run's results looking like its own
+    # a run that fails must not leave an earlier run's results looking like
+    # its own, nor a killed run's partial records
     for name in ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl"):
         (outdir / name).unlink(missing_ok=True)
+        (outdir / f"{name}.partial").unlink(missing_ok=True)
     for path in outdir.glob("out_*.ppm"):
         path.unlink()
     stage_ms = defaultdict(float)
 
-    def timed(stage, fn, *args, **kwargs):
-        t = time.perf_counter()
-        out = fn(*args, **kwargs)
-        stage_ms[stage] += (time.perf_counter() - t) * 1e3
-        return out
-
     t0 = time.perf_counter()
-    paths = timed("load", iio.frame_paths, cfg.input, cfg.pattern)
-    n = len(paths)
-    depth_paths = timed("load", _depth_paths, cfg.input, n)
-    # with a scene file only the first frame is read ahead, for its size
-    head = deque(
-        timed("load", _learn_set, paths, 1 if cfg.scene_file else min(cfg.learn_frames, n))
-    )
+    with _timed(stage_ms, "load"):
+        paths = iio.frame_paths(cfg.input, cfg.pattern)
+        n = len(paths)
+        depth_paths = _depth_paths(cfg.input, n)
+        # with a scene file only the first frame is read ahead, for its size
+        head = deque(_learn_set(paths, 1 if cfg.scene_file else min(cfg.learn_frames, n)))
     size = (head[0].width, head[0].height)
     check_box(cfg, *size, n)
-    frame_area = size[0] * size[1]
-    refine_min_area = max(1, int(round(cfg.mask_min_area_frac * frame_area)))
-    person_min_area = max(1, int(round(cfg.person_min_area_frac * frame_area)))
 
     if cfg.scene_file:
         model = sm.load_scene(cfg.scene_file)
@@ -116,123 +210,42 @@ def run_pipeline(cfg):
                 f"{model.var_floor:g}, the config sets {cfg.scene_var_floor:g}"
             )
     else:
-        model = timed("learn", sm.learn_scene, head, cfg.scene_var_floor)
+        with _timed(stage_ms, "learn"):
+            model = sm.learn_scene(head, cfg.scene_var_floor)
+    step = FrameStep(cfg, model, stage_ms)
 
-    monitor = act.ActivityMonitor(cfg)
+    names = ("blobs.jsonl", "baseline.jsonl") if cfg.baseline_mode else ("blobs.jsonl",)
+    partials = [outdir / f"{name}.partial" for name in names]
+    try:
+        with ExitStack() as stack:
+            # line-buffered, so each record is in the file once it is written
+            files = [stack.enter_context(open(p, "w", buffering=1)) for p in partials]
+            for fi in range(n):
+                with _timed(stage_ms, "load"):
+                    # the read-ahead frames go first; each is dropped once stepped
+                    frame = head.popleft() if head else iio.read_frame(paths[fi], fi, size)
+                    depth = iio.load_depth_raster(depth_paths[fi], size) if depth_paths else None
+                record, labels, overlay = step.step(frame, depth)
+                with _timed(stage_ms, "write"):
+                    for fh, rec in zip(files, (record, {"frame": fi, "labels": labels})):
+                        fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+                if overlay is not None:
+                    with _timed(stage_ms, "overlays"):
+                        iio.write_ppm(outdir / f"out_{fi:06d}.ppm", overlay)
+        for partial, name in zip(partials, names):
+            os.replace(partial, outdir / name)
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        raise
 
-    person = None
-    particles = None
-    se = (cfg.mask_se, cfg.mask_se)
-    records = []
-    baseline_records = []
-
-    for fi in range(n):
-        # the read-ahead frames go first; each is dropped once stepped
-        frame = head.popleft() if head else timed("load", iio.read_frame, paths[fi], fi, size)
-        depth = (
-            timed("load", iio.load_depth_raster, depth_paths[fi], size) if depth_paths else None
-        )
-        fg = timed("foreground", sm.detect_foreground, model, frame, cfg.scene_tau)
-        refined = timed(
-            "refine", mo.refine_mask, fg.bits, refine_min_area, se, cfg.mask_iterations
-        )
-        comps = timed("components", mo.connected_components, refined)
-        # the person component: the largest one, or None on an empty mask
-        largest = mo.largest_component(comps)
-        component = None if largest is None else comps.stats[largest]
-
-        t = time.perf_counter()
-        silhouette = None if component is None else comps.labels == largest + 1
-        if person is None:
-            person = tr.detect_person(component, silhouette, frame, person_min_area)
-            if person is not None:
-                particles = tr.init_particles(person, cfg.particles_n, cfg.seed)
-        else:
-            person, particles = tr.mspf_track(person, particles, frame, refined, component, cfg)
-        stage_ms["track"] += (time.perf_counter() - t) * 1e3
-
-        disc = None
-        t = time.perf_counter()
-        if person is None:
-            silhouette = None  # no labels; the scene update keeps out the whole mask
-        elif silhouette is not None and person.bbox[2] >= 2:
-            disc = tr.torso_from_person(person)
-        if disc is not None:
-            partition = bp.partition_regions(silhouette, disc, component.bbox)
-            part_model = bp.build_part_model(partition, frame, cfg.parts_min_area)
-        else:
-            part_model = None
-        stage_ms["parts"] += (time.perf_counter() - t) * 1e3
-
-        t = time.perf_counter()
-        sm.update_scene(
-            model, frame, refined if silhouette is None else silhouette, cfg.scene_alpha
-        )
-        stage_ms["scene_update"] += (time.perf_counter() - t) * 1e3
-
-        t = time.perf_counter()
-        monitor.process(fi, frame, part_model, depth)
-        stage_ms["activity"] += (time.perf_counter() - t) * 1e3
-
-        rec = {
-            "frame": fi,
-            "tracked": person is not None,
-            "person": None
-            if person is None
-            else {
-                "bbox": [int(v) for v in person.bbox],
-                "centroid": [float(person.centroid[0]), float(person.centroid[1])],
-                "area": int(person.area),
-                "confidence": float(person.confidence),
-            },
-            "torso_disc": None
-            if disc is None
-            else {
-                "center": [float(disc.center[0]), float(disc.center[1])],
-                "radius": float(disc.radius),
-            },
-            "parts": {}
-            if part_model is None
-            else {label: blob.to_dict() for label, blob in part_model.blobs.items()},
-            "starfish": part_model is not None and bp.detect_starfish(part_model, disc),
-        }
-        records.append(rec)
-
-        if cfg.baseline_mode:
-            labels = (
-                timed("baseline", bl.label_silhouette, silhouette, component)
-                if silhouette is not None
-                else None
-            )
-            baseline_records.append({"frame": fi, "labels": labels})
-
-        if cfg.emit_overlays:
-            t = time.perf_counter()
-            rgb = _annotate(frame, person, disc, part_model, monitor.box)
-            iio.write_ppm(outdir / f"out_{fi:06d}.ppm", rgb)
-            stage_ms["overlays"] += (time.perf_counter() - t) * 1e3
-
-    t = time.perf_counter()
-    with open(outdir / "blobs.jsonl", "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    if cfg.baseline_mode:
-        with open(outdir / "baseline.jsonl", "w") as fh:
-            for rec in baseline_records:
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    with open(outdir / "events.json", "w") as fh:
-        json.dump([asdict(e) for e in monitor.events], fh, indent=1)
-    stage_ms["write"] += (time.perf_counter() - t) * 1e3
+    with _timed(stage_ms, "write"), open(outdir / "events.json", "w") as fh:
+        json.dump([asdict(e) for e in step.monitor.events], fh, indent=1)
     wall = time.perf_counter() - t0
     learn_ms = stage_ms.pop("learn", 0.0)  # once, not per frame
     stage_ms["other"] = wall * 1e3 - learn_ms - sum(stage_ms.values())
-    metrics = {
-        "frames": n,
-        "wall_time_s": wall,
-        "fps": n / wall,
-        "learn_ms": learn_ms,
-        "stage_ms": {k: v / n for k, v in sorted(stage_ms.items())},
-    }
+    metrics = {"frames": n, "wall_time_s": wall, "fps": n / wall, "learn_ms": learn_ms}
+    metrics["stage_ms"] = {k: v / n for k, v in sorted(stage_ms.items())}
     with open(outdir / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=1)
     return outdir
@@ -241,20 +254,15 @@ def run_pipeline(cfg):
 # ---------------------------------------------------------------------------
 # evaluation against ground truth
 
-def _read_jsonl(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def evaluate(output_dir, truth_path):
     """Compare pipeline outputs with scenario ground truth."""
     output_dir = Path(output_dir)
     with open(truth_path) as fh:
         truth = json.load(fh)
-    records = _read_jsonl(output_dir / "blobs.jsonl")
+    with open(output_dir / "blobs.jsonl") as fh:
+        by_frame = {r["frame"]: r for r in (json.loads(line) for line in fh if line.strip())}
     with open(output_dir / "events.json") as fh:
         events = json.load(fh)
-    by_frame = {r["frame"]: r for r in records}
 
     sq_err, n_err = 0.0, 0
     torso_in_rect, torso_frames = 0, 0
@@ -363,9 +371,7 @@ def _add_flags(p, *names):
 
 def _build_config(args):
     """The config file, if given, with the flags the subcommand took on top."""
-    cfg = PipelineConfig()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.input:
         cfg.input = args.input
     if args.output:
@@ -444,14 +450,8 @@ def main(argv=None):
             print(f"baseline labels -> {outdir / 'baseline.jsonl'}")
         elif args.command == "eval":
             summary = evaluate(args.output or ".", args.truth)
-            for key in (
-                "scenario",
-                "centroid_rms_px",
-                "torso_center_in_rect",
-                "armR_presence_accuracy",
-                "events_fired",
-                "state_gate_ok",
-            ):
+            for key in ("scenario", "centroid_rms_px", "torso_center_in_rect",
+                        "armR_presence_accuracy", "events_fired", "state_gate_ok"):
                 print(f"{key}: {summary[key]}")
             for m in summary["event_matches"]:
                 print(

@@ -1,10 +1,13 @@
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from hbpt import cli
+from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt.imageio import Frame
 
@@ -53,3 +56,13 @@ def fill_holes(mask):
 def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def step_in_memory(cfg, frames, depths=None):
+    """Step ``frames`` (and ``depths``) through a ``cli.FrameStep`` over the
+    scene learned from the first ``learn_frames`` of them, as ``track`` does,
+    without reading or writing a file. Returns the step and what each
+    ``step`` call returned."""
+    model = sm.learn_scene(frames[: cfg.learn_frames], cfg.scene_var_floor)
+    step = cli.FrameStep(cfg, model, defaultdict(float))
+    return step, [step.step(f, d) for f, d in zip(frames, depths or [None] * len(frames))]

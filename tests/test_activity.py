@@ -13,7 +13,7 @@ from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob
 from hbpt.config import PipelineConfig, parse_config_text
 
-from conftest import frame_from_rgb
+from conftest import frame_from_rgb, step_in_memory
 
 CFG = PipelineConfig()  # the pipeline's default settings
 
@@ -691,18 +691,12 @@ def test_monitor_without_box_is_inert():
 # ---------------------------------------------------------------------------
 # monitor over a carry_box run
 
-def _monitor_calls(root, name, frames):
+def _monitor_calls(name, frames):
     """Config and the (frame_index, frame, model, depth) arguments of every
-    ActivityMonitor.process call in a short run of scenario ``name``."""
-    from hbpt.cli import run_pipeline
-
-    truth = sg.write_scenario(sg.Scenario(name, frames=frames), root / "in")
-    cfg = PipelineConfig(
-        input=str(root / "in"),
-        output=str(root / "out"),
-        box_rect=truth["box"]["rect"],
-        box_ref_frame=truth["box"]["ref_frame"],
-    )
+    ActivityMonitor.process call in a short run of scenario ``name``, stepped
+    in memory."""
+    frames, depths, truth = sg.generate_scenario(sg.Scenario(name, frames=frames))
+    cfg = PipelineConfig(box_rect=truth["box"]["rect"], box_ref_frame=truth["box"]["ref_frame"])
     calls = []
     process = act.ActivityMonitor.process
 
@@ -712,20 +706,20 @@ def _monitor_calls(root, name, frames):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(act.ActivityMonitor, "process", spy)
-        run_pipeline(cfg)
+        step_in_memory(cfg, frames, depths)
     return cfg, calls
 
 
 @pytest.fixture(scope="module")
-def carry_monitor_calls(tmp_path_factory):
+def carry_monitor_calls():
     """The monitor calls of a short carry_box run."""
-    return _monitor_calls(tmp_path_factory.mktemp("carry_monitor"), "carry_box", 112)
+    return _monitor_calls("carry_box", 112)
 
 
 @pytest.fixture(scope="module")
-def open_monitor_calls(tmp_path_factory):
+def open_monitor_calls():
     """The monitor calls of a short open_box run."""
-    return _monitor_calls(tmp_path_factory.mktemp("open_monitor"), "open_box", 112)
+    return _monitor_calls("open_box", 112)
 
 
 def _replay(mon, calls, kill=None, after_call=None):

@@ -21,7 +21,7 @@ from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob, blob_ellipse
 from hbpt.config import PipelineConfig, load_config, parse_config_text
 
-from conftest import read_jsonl
+from conftest import read_jsonl, step_in_memory
 from test_baseline import labels_of
 from test_bodyparts import _reference_build_part_model, _reference_partition_regions
 
@@ -716,6 +716,116 @@ def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
+
+
+def test_frame_step_in_memory_matches_the_files_run_pipeline_writes(tmp_path, scenario_dir):
+    """FrameStep driven over the generator's frames and depth rasters, with no
+    file read or written, gives the lines track writes to blobs.jsonl and
+    baseline.jsonl, and the same events."""
+    indir, truth = scenario_dir("carry_box", frames=40, seed=3)
+    box = dict(box_rect=truth["box"]["rect"], box_ref_frame=truth["box"]["ref_frame"])
+    out = tmp_path / "out"
+    cli.run_pipeline(PipelineConfig(input=str(indir), output=str(out), baseline_mode=True, **box))
+
+    frames, depths, _ = sg.generate_scenario(sg.Scenario("carry_box", frames=40, seed=3))
+    cfg = PipelineConfig(output=str(tmp_path / "unused"), baseline_mode=True, **box)
+    step, stepped = step_in_memory(cfg, frames, depths)
+    assert not (tmp_path / "unused").exists()
+
+    def line(rec):
+        return json.dumps(rec, separators=(",", ":")) + "\n"
+
+    assert "".join(line(rec) for rec, _, _ in stepped) == (out / "blobs.jsonl").read_text()
+    baseline = [line({"frame": i, "labels": labels}) for i, (_, labels, _) in enumerate(stepped)]
+    assert "".join(baseline) == (out / "baseline.jsonl").read_text()
+    assert sum(labels is not None for _, labels, _ in stepped) >= 5
+    events = [dataclasses.asdict(e) for e in step.monitor.events]
+    assert events == json.loads((out / "events.json").read_text())
+
+
+def test_records_stream_to_partial_files_that_replace_the_results_at_the_end(
+    tmp_path, capsys, monkeypatch, scenario_dir
+):
+    """When frame k is stepped, blobs.jsonl.partial and baseline.jsonl.partial
+    hold exactly the k complete records of the frames before it, and no
+    result file exists yet. A run that succeeds leaves no .partial file; so
+    does a run that fails on a bad frame or is interrupted, and neither
+    leaves blobs.jsonl."""
+    src, _ = scenario_dir("walker", frames=32, seed=12)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("blobs.jsonl.partial", "baseline.jsonl.partial"):
+        (out / name).write_text("left by a killed run\n")  # stale: removed at the start
+    assert _track(src, out) == 0
+    assert not list(out.glob("*.partial"))
+    assert len(read_jsonl(out / "blobs.jsonl")) == 32
+
+    seen = []
+    detect = sm.detect_foreground
+    interrupt_at = None
+
+    def spy(model, frame, tau):
+        k = frame.index
+        if k == interrupt_at:
+            raise KeyboardInterrupt
+        for name in ("blobs.jsonl", "baseline.jsonl"):
+            text = (out / f"{name}.partial").read_text()
+            assert text.count("\n") == k and text.endswith("\n") == (k > 0), (name, k)
+            assert [json.loads(x)["frame"] for x in text.splitlines()] == list(range(k))
+            assert not (out / name).exists()
+        seen.append(k)
+        return detect(model, frame, tau)
+
+    monkeypatch.setattr(sm, "detect_foreground", spy)
+    assert cli.main(["baseline", "--input", str(src), "--output", str(out)]) == 0
+    assert seen == list(range(32))
+    assert not list(out.glob("*.partial"))
+    assert len(read_jsonl(out / "baseline.jsonl")) == 32
+
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    bad = indir / "frame_000031.ppm"
+    bad.write_bytes(bad.read_bytes()[:-7])
+    assert cli.main(["baseline", "--input", str(indir), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot decode {bad}: truncated PPM payload\n"
+    assert not list(out.glob("*.partial")) and not (out / "blobs.jsonl").exists()
+
+    interrupt_at = 20
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["baseline", "--input", str(src), "--output", str(out)])
+    assert not list(out.glob("*.partial")) and not (out / "blobs.jsonl").exists()
+
+
+def test_bench_frame_clock_sees_every_frame_and_its_exception(tmp_path, monkeypatch, scenario_dir):
+    """perfbench/child.py times a run by replacing hbpt.scene.detect_foreground
+    on the module: one timestamp per call is its frame clock, from which the
+    bench's per-frame step times come, and its setup mode raises from the
+    first call to measure setup_s. So the pipeline must call it through the
+    module exactly once per frame, and let an exception from it out of
+    ``hbpt track`` without leaving a .partial file."""
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    detect = sm.detect_foreground
+    calls = []
+
+    def clocked(*args, **kwargs):
+        calls.append(time.perf_counter())
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "detect_foreground", clocked)
+    assert _track(indir, tmp_path / "out") == 0
+    assert len(calls) == 32
+
+    class ClockStop(Exception):
+        """Private to this test, so nothing in hbpt can catch it by name."""
+
+    def setup_only(*args, **kwargs):
+        raise ClockStop
+
+    monkeypatch.setattr(sm, "detect_foreground", setup_only)
+    with pytest.raises(ClockStop):
+        _track(indir, tmp_path / "out")
+    assert not list((tmp_path / "out").glob("*.partial"))
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
