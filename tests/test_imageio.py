@@ -350,6 +350,78 @@ def test_png_unfilter_real_frame_mixed_filters(tmp_path):
     _check_png_against_reference(tmp_path / "w.png", rgb, filters)
 
 
+# the Average and Paeth lookup tables against the spec's predictors, for
+# every input; rows of _SUMS are (v + t) & 0xFF over v, indexed by t
+
+_SUMS = (np.arange(256) + np.arange(256)[:, None]) & 0xFF
+
+
+def _table_offsets(table):
+    """Each entry's t, after checking that each of its rows is (v + t) & 0xFF."""
+    for row in {id(row): row for row in table}.values():
+        assert row == bytes(_SUMS[row[0]].astype(np.uint8))
+    return np.frombuffer(b"".join(row[:1] for row in table), np.uint8)
+
+
+def _lookup(table, offsets, ftype, x, a, b, c):
+    """table[key + a][y] over int arrays of bytes, with iio's keys."""
+    keys, ys = iio._lookup_keys(ftype, x, b, c)
+    index = keys + a
+    assert index.min() >= 0 and index.max() < len(table)
+    assert ys.min() >= 0 and ys.max() <= 255
+    return _SUMS[offsets[index], ys]
+
+
+def test_paeth_table_gives_the_spec_predictor_for_every_a_b_c():
+    table = iio._lookup_table(4)
+    offsets = _table_offsets(table)
+    for c0 in range(0, 256, 16):
+        a, b, c = (
+            v.ravel()
+            for v in np.meshgrid(
+                np.arange(256), np.arange(256), np.arange(c0, c0 + 16), indexing="ij"
+            )
+        )
+        p = a + b - c
+        pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+        pred = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        x = (7 * a + 3 * b + 5 * c) & 0xFF
+        assert np.array_equal(_lookup(table, offsets, 4, x, a, b, c), (x + pred) & 0xFF)
+
+
+def test_average_table_gives_the_floor_mean_for_every_a_b():
+    table = iio._lookup_table(3)
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+    x = (7 * a + 3 * b) & 0xFF
+    c = (5 * a + b) & 0xFF  # ignored by Average
+    assert np.array_equal(
+        _lookup(table, _table_offsets(table), 3, x, a, b, c), (x + ((a + b) >> 1)) & 0xFF
+    )
+
+
+def test_lookup_tables_are_built_once_and_only_for_rows_that_need_them(tmp_path, scenario_dir):
+    # each miss of the builder's cache is one build
+    iio._lookup_table.cache_clear()
+    indir, _ = scenario_dir("walker", frames=32, seed=12)
+    assert cli.main(["track", "--input", str(indir), "--output", str(tmp_path / "ppm")]) == 0
+    assert iio._lookup_table.cache_info().misses == 0
+
+    pngdir = tmp_path / "png"
+    pngdir.mkdir()
+    for path in sorted(indir.glob("frame_*.ppm"))[:6]:
+        rgb = iio.read_ppm(path)
+        _write_png(pngdir / f"{path.stem}.png", rgb, np.arange(rgb.shape[0]) % 5)
+    (pngdir / "run.cfg").write_text('pattern = "frame_*.png"\n')
+    rc = cli.main(
+        ["track", "--input", str(pngdir), "--output", str(tmp_path / "png_out"),
+         "--config", str(pngdir / "run.cfg")]
+    )
+    assert rc == 0
+    info = iio._lookup_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits == 6 * 2 * 48 - 2  # 48 Average and 48 Paeth rows per frame
+
+
 def _good_png():
     px = np.random.default_rng(9).integers(0, 256, size=(4, 5, 3)).astype(np.uint8)
     return _png_bytes(px, [0, 1, 3, 4])
@@ -414,6 +486,42 @@ def test_truncated_png_frame_fails_track_cleanly(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot decode") and "frame_000001.png" in err
+
+
+def _png_with_methods(compression, filter_method):
+    """_good_png with its IHDR compression and filter method bytes replaced."""
+    ihdr = struct.pack(">IIBBBBB", 5, 4, 8, 2, compression, filter_method, 0)
+    data = _good_png()
+    return data[:8] + _chunk(b"IHDR", ihdr) + data[8 + 12 + 13 :]
+
+
+@pytest.mark.parametrize(
+    "compression, filter_method, message",
+    [
+        (1, 0, "unsupported PNG compression method 1"),
+        (0, 1, "unsupported PNG filter method 1"),
+        (0, 64, "unsupported PNG filter method 64"),
+    ],
+)
+def test_png_with_another_compression_or_filter_method_is_rejected(
+    tmp_path, capsys, compression, filter_method, message
+):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    path = indir / "frame_000000.png"
+    path.write_bytes(_png_with_methods(compression, filter_method))
+    with pytest.raises(ValueError, match=message):
+        iio.read_png(path)
+    (indir / "run.cfg").write_text('pattern = "frame_*.png"\n')
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["track", "--input", str(indir), "--output", str(out),
+         "--config", str(indir / "run.cfg")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot decode") and f"frame_000000.png: {message}" in err
+    assert not (out / "blobs.jsonl").exists()
 
 
 def _ppm_bytes(w=4, h=3):
