@@ -22,7 +22,8 @@ def label_silhouette(silhouette, component):
     """Part labels of one silhouette as a dict, or None below 3 pixels.
 
     ``silhouette`` is a frame-sized bool mask holding exactly the 8-connected
-    component whose ``ComponentStats`` are ``component``; the torso label is
+    component whose ``ComponentStats`` are ``component``, as
+    ``maskops.refine_mask`` returns the person component; the torso label is
     that component's centroid.
     """
     if component.area < 3:

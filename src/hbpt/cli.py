@@ -110,15 +110,12 @@ class FrameStep:
             fg = sm.detect_foreground(self.model, frame, cfg.scene_tau)
         with _timed(ms, "refine"):
             se = (cfg.mask_se, cfg.mask_se)
-            refined = mo.refine_mask(fg.bits, self.refine_min_area, se, cfg.mask_iterations)
-        with _timed(ms, "components"):
-            comps = mo.connected_components(refined)
-        # the person component: the largest one, or None on an empty mask
-        largest = mo.largest_component(comps)
-        component = None if largest is None else comps.stats[largest]
+            # with the person component: the largest one, or None when nothing is kept
+            refined, component, silhouette = mo.refine_mask(
+                fg.bits, self.refine_min_area, se, cfg.mask_iterations
+            )
 
         with _timed(ms, "track"):
-            silhouette = None if component is None else comps.labels == largest + 1
             if self.person is None:
                 self.person = tr.detect_person(component, silhouette, frame, self.person_min_area)
                 if self.person is not None:

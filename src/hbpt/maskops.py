@@ -1,6 +1,7 @@
-"""Binary mask machinery: box morphology, connected components and the
-choice of the largest one, hole filling, convex hulls, and the silhouette
-refinement step (one dilation, which equals the paper's dilate/erode/dilate).
+"""Binary mask machinery: box morphology, hole filling, the largest
+8-connected component of a mask, convex hulls, and the silhouette
+refinement step (one dilation, which equals the paper's dilate/erode/dilate),
+which also hands over the person component.
 
 A list of crops is labelled in one pass over a mosaic of them
 (``fill_holes_many``, ``largest_components``) rather than one pass per crop.
@@ -19,16 +20,6 @@ class ComponentStats:
     area: int
     bbox: tuple  # (x, y, w, h)
     centroid: tuple  # (x, y) float
-
-
-@dataclass
-class LabeledComponents:
-    labels: np.ndarray  # (h, w) int32, 0 = background
-    stats: list  # ComponentStats, index i -> label i+1
-
-    @property
-    def count(self):
-        return len(self.stats)
 
 
 def morph(mask, op, se, iterations):
@@ -71,47 +62,6 @@ def foreground_box(mask, my=0, mx=0):
     cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
     x0, x1 = max(int(cols[0]) - mx, 0), min(int(cols[-1]) + 1 + mx, w)
     return y0, y1, x0, x1
-
-
-def connected_components(mask):
-    """Label maximal 8-connected regions and compute per-component stats.
-
-    Only the foreground's bounding box is labelled. Labels follow the raster
-    order of each component's first pixel, which a crop does not change.
-    """
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    y0, y1, x0, x1 = foreground_box(mask) or (0, 0, 0, 0)
-    view = labels[y0:y1, x0:x1]
-    count = ndimage.label(mask[y0:y1, x0:x1], structure=_STRUCT8, output=view)
-    stats = []
-    if count:
-        ys, xs = np.nonzero(view)
-        vals = view[ys, xs]
-        ys += y0  # frame coordinates as ints, so the centroid means stay exact
-        xs += x0
-        order = np.argsort(vals, kind="stable")
-        ys, xs, vals = ys[order], xs[order], vals[order]
-        bounds = np.searchsorted(vals, np.arange(1, count + 2))
-        for i in range(count):
-            sy = ys[bounds[i] : bounds[i + 1]]
-            sx = xs[bounds[i] : bounds[i + 1]]
-            x0, x1 = int(sx.min()), int(sx.max())
-            y0, y1 = int(sy.min()), int(sy.max())
-            stats.append(
-                ComponentStats(
-                    area=int(sx.size),
-                    bbox=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
-                    centroid=(float(sx.mean()), float(sy.mean())),
-                )
-            )
-    return LabeledComponents(labels=labels, stats=stats)
-
-
-def largest_component(components):
-    """Index of the largest component, the first one on ties; None when there is none."""
-    if not components.count:
-        return None
-    return max(range(components.count), key=lambda i: components.stats[i].area)
 
 
 def _cross(o, a, b):
@@ -217,13 +167,22 @@ def largest_components(masks):
 
 
 def refine_mask(mask, min_area, se, iterations):
-    """Consolidate a noisy silhouette into few large filled components.
+    """Consolidate a noisy silhouette into few large filled components, and
+    pick the person component.
 
     Dilate with the box element, then keep every 8-connected component,
     holes filled, whose filled area clears ``min_area``. The paper dilates,
     erodes and dilates again; that is the same mask, because ``morph``'s
     dilation and erosion are an adjoint pair, for which dilate-erode-dilate
     equals one dilation.
+
+    Returns ``(refined, stats, silhouette)``: the refined mask, and the
+    ``ComponentStats`` and frame-sized pixel mask of its largest 8-connected
+    component, the first in raster order on ties, or None, None when no
+    component is kept. That is the largest kept filled component: two kept
+    components touch only when one lies in the other's filled hole, so each
+    component of the refined mask is one kept filled component, and one that
+    lies in another's hole is smaller than that one.
     """
     mask = np.asarray(mask, dtype=bool)
     out = np.zeros_like(mask)
@@ -234,7 +193,7 @@ def refine_mask(mask, min_area, se, iterations):
     my, mx = ((s // 2) * iterations for s in se)
     box = foreground_box(mask, my, mx)
     if box is None:
-        return out
+        return out, None, None
     y0, y1, x0, x1 = box
     labels, _ = ndimage.label(
         morph(mask[y0:y1, x0:x1], "dilate", se, iterations), structure=_STRUCT8
@@ -242,7 +201,25 @@ def refine_mask(mask, min_area, se, iterations):
     slices = ndimage.find_objects(labels)  # each component's bounding box
     subs = [labels[sl] == i for i, sl in enumerate(slices, 1)]
     crop = out[y0:y1, x0:x1]
+    best = None  # (area, slice, filled crop); ">" keeps the first in raster order on ties
     for sl, sub in zip(slices, fill_holes_many(subs)):
-        if int(sub.sum()) >= min_area:
+        area = int(sub.sum())
+        if area >= min_area:
             crop[sl] |= sub
-    return out
+            if best is None or area > best[0]:
+                best = area, sl, sub
+    if best is None:
+        return out, None, None
+    area, (rows, cols), sub = best
+    silhouette = np.zeros_like(mask)
+    silhouette[y0:y1, x0:x1][rows, cols] = sub
+    y, x = y0 + rows.start, x0 + cols.start
+    ys, xs = np.nonzero(sub)
+    ys += y  # frame coordinates as ints, so the centroid means stay exact
+    xs += x
+    stats = ComponentStats(
+        area=area,
+        bbox=(x, y, sub.shape[1], sub.shape[0]),
+        centroid=(float(xs.mean()), float(ys.mean())),
+    )
+    return out, stats, silhouette

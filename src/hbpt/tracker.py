@@ -75,8 +75,10 @@ def detect_person(component, silhouette, frame, min_area):
     """Promote the person component to the person blob when its area reaches
     ``min_area``.
 
-    ``component`` is the ``ComponentStats`` of the largest foreground
-    component, or None when there is none; ``silhouette`` is its pixel mask.
+    ``component`` and ``silhouette`` are the person component's
+    ``ComponentStats`` and pixel mask as ``maskops.refine_mask`` returns
+    them: the largest component of the refined mask, or None when there is
+    none.
     """
     if component is None or component.area < min_area:
         return None
@@ -269,11 +271,11 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     Bhattacharyya similarity between their UV histogram and the reference
     histogram. The best particle is refined by mean shift over the
     backprojection masked by ``fg``, the (h, w) bool foreground mask, then
-    fused with ``component``, the ``ComponentStats`` of the largest
-    foreground component, when their boxes' IoU exceeds
+    fused with ``component``, the ``ComponentStats`` of the person component
+    that ``maskops.refine_mask`` returns, when their boxes' IoU exceeds
     ``cfg.particles_iou_gate``. A window that holds no foreground at all is no
     evidence, and the component's box and centroid are taken instead. With no component
-    (``None``, an empty foreground) the previous state coasts at its last
+    (``None``: refinement kept nothing) the previous state coasts at its last
     velocity and confidence decays by 0.8 per frame; a coast that carries
     the centroid out of the frame ends the track and returns (None, None).
     """

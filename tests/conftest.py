@@ -1,5 +1,6 @@
 import json
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import ndimage
 
 from hbpt import cli
+from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt.imageio import Frame
@@ -51,6 +53,61 @@ def fill_holes(mask):
     filled = mask.copy()
     filled[(~mask) & ~np.isin(bg_labels, outside)] = True
     return filled
+
+
+@dataclass
+class Components:
+    labels: np.ndarray  # (h, w) int32, 0 = background
+    stats: list  # maskops.ComponentStats, index i -> label i+1
+
+    @property
+    def count(self):
+        return len(self.stats)
+
+
+def connected_components(mask):
+    """Label the 8-connected components of the whole frame, in the raster
+    order of each component's first pixel, with their stats: the component
+    oracle of ``maskops.refine_mask``'s person component."""
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), bool))
+    labels = labels.astype(np.int32)
+    stats = []
+    if count:
+        ys, xs = np.nonzero(labels)
+        vals = labels[ys, xs]
+        order = np.argsort(vals, kind="stable")
+        ys, xs, vals = ys[order], xs[order], vals[order]
+        bounds = np.searchsorted(vals, np.arange(1, count + 2))
+        for i in range(count):
+            sy = ys[bounds[i] : bounds[i + 1]]
+            sx = xs[bounds[i] : bounds[i + 1]]
+            x0, x1 = int(sx.min()), int(sx.max())
+            y0, y1 = int(sy.min()), int(sy.max())
+            stats.append(
+                mo.ComponentStats(
+                    area=int(sx.size),
+                    bbox=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
+                    centroid=(float(sx.mean()), float(sy.mean())),
+                )
+            )
+    return Components(labels=labels, stats=stats)
+
+
+def largest_index(comps):
+    """Index of the largest component, the first one on ties; None when there is none."""
+    if not comps.count:
+        return None
+    return max(range(comps.count), key=lambda i: comps.stats[i].area)
+
+
+def person_component(mask):
+    """Stats and frame-sized pixel mask of the mask's largest component, or
+    (None, None): what ``maskops.refine_mask`` hands over with a refined mask."""
+    comps = connected_components(mask)
+    best = largest_index(comps)
+    if best is None:
+        return None, None
+    return comps.stats[best], comps.labels == best + 1
 
 
 def read_jsonl(path):

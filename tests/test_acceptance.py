@@ -21,7 +21,7 @@ from hbpt.cli import evaluate, run_pipeline
 from hbpt.config import PipelineConfig
 
 from conftest import frame_from_rgb, read_jsonl
-from test_maskops import extreme_edge_hull_oracle, flood_fill_oracle, canonical_labels
+from test_maskops import extreme_edge_hull_oracle, flood_fill_oracle
 from test_blobmodel import moment_oracle, random_cluster
 
 
@@ -157,13 +157,23 @@ def test_criterion_5_oracle_equivalence():
         )
     )
 
+    # peel the largest component off each mask until it is empty: the peeled
+    # components are the oracle's, by falling area with raster-order ties
     cc_ok = True
     for _ in range(500):
         m = rng.random((14, 18)) < rng.uniform(0.15, 0.7)
-        got = mo.connected_components(m)
         labels, count = flood_fill_oracle(m)
-        cc_ok &= got.count == count and np.array_equal(
-            canonical_labels(got.labels), canonical_labels(labels)
+        want = sorted((labels == i for i in range(1, count + 1)), key=lambda c: -c.sum())
+        peeled = []
+        rest = m.copy()
+        while rest.any():
+            ((y, x, comp),) = mo.largest_components([rest])
+            got = np.zeros_like(m)
+            got[y : y + comp.shape[0], x : x + comp.shape[1]] = comp
+            peeled.append(got)
+            rest &= ~got
+        cc_ok &= len(peeled) == count and all(
+            np.array_equal(g, w) for g, w in zip(peeled, want)
         )
 
     fit_ok = True

@@ -3,9 +3,10 @@ import math
 import numpy as np
 
 from hbpt import baseline as bl
-from hbpt import maskops as mo
 from hbpt import synthgen as sg
 from hbpt.synthgen import render_person_mask
+
+from conftest import connected_components
 
 
 def rect_mask(w, h, left=10, top=5, shape=(80, 60)):
@@ -16,7 +17,7 @@ def rect_mask(w, h, left=10, top=5, shape=(80, 60)):
 
 def labels_of(mask):
     """Baseline labels of a mask holding a single 8-connected component."""
-    comps = mo.connected_components(mask)
+    comps = connected_components(mask)
     assert comps.count == 1
     return bl.label_silhouette(mask, comps.stats[0])
 

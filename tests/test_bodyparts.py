@@ -4,11 +4,10 @@ import pytest
 from hbpt import bodyparts as bp
 from hbpt.blobmodel import fit_blob
 from hbpt.config import PipelineConfig
-from hbpt.maskops import connected_components
 from hbpt.synthgen import render_person_mask
 from hbpt.tracker import TorsoDisc
 
-from conftest import fill_holes, frame_from_rgb
+from conftest import connected_components, fill_holes, frame_from_rgb, largest_index
 
 MIN_PART_AREA = PipelineConfig().parts_min_area
 
@@ -211,9 +210,9 @@ def _reference_partition_regions(silhouette, torso, bbox=None):
 
 def _reference_largest_filled_component(mask):
     comps = connected_components(mask)
-    if comps.count == 0:
+    best = largest_index(comps)
+    if best is None:
         return None
-    best = max(range(comps.count), key=lambda i: comps.stats[i].area)
     x, y, w, h = comps.stats[best].bbox
     sub = fill_holes(comps.labels[y : y + h, x : x + w] == best + 1)
     sy, sx = np.nonzero(sub)

@@ -21,7 +21,7 @@ from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob, blob_ellipse
 from hbpt.config import PipelineConfig, load_config, parse_config_text
 
-from conftest import read_jsonl, step_in_memory
+from conftest import person_component, read_jsonl, step_in_memory
 from test_baseline import labels_of
 from test_bodyparts import _reference_build_part_model, _reference_partition_regions
 
@@ -972,13 +972,6 @@ def test_label_silhouette_crop_matches_full_frame():
     assert seen == {True, False}  # degenerate contours are covered too
 
 
-def _one_component(m):
-    """The largest 8-connected component of ``m``, or None when ``m`` is empty."""
-    comps = mo.connected_components(m)
-    best = mo.largest_component(comps)
-    return None if best is None else comps.labels == best + 1
-
-
 def _random_silhouettes(kind, rng, count=250, shape=(18, 22)):
     h, w = shape
     for _ in range(count):
@@ -1008,7 +1001,7 @@ def _random_silhouettes(kind, rng, count=250, shape=(18, 22)):
             m[:, : int(rng.integers(0, w - 2))] = False
         else:  # random blobs
             m = rng.random(shape) < rng.uniform(0.2, 0.7)
-        m = _one_component(m)
+        m = person_component(m)[1]  # its largest component, None when empty
         if m is not None:
             yield m
 
@@ -1077,17 +1070,24 @@ def test_track_rejects_depth_rasters_of_the_wrong_size(tmp_path, capsys, scenari
     assert not (tmp_path / "out" / "blobs.jsonl").exists()
 
 
-def test_track_labels_at_most_five_times_per_frame(tmp_path, monkeypatch, scenario_dir):
+def test_track_labels_at_most_four_times_per_frame(tmp_path, monkeypatch, scenario_dir):
     indir, truth = scenario_dir("carry_box", frames=40, seed=3)
-    calls = []
-    label = mo.ndimage.label
+    counts = [0]  # labelling passes before the first frame, then one count per frame
+    label, detect = mo.ndimage.label, sm.detect_foreground
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        counts[-1] += 1
         return label(*args, **kwargs)
 
+    def frame_start(*args, **kwargs):  # the first layer call of every frame
+        counts.append(0)
+        return detect(*args, **kwargs)
+
     monkeypatch.setattr(mo.ndimage, "label", counted)
+    monkeypatch.setattr(sm, "detect_foreground", frame_start)
     assert _track(indir, tmp_path / "out", "--config", str(_box_config(tmp_path, truth))) == 0
     records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
     assert sum(r["tracked"] for r in records) >= 5  # the part model ran
-    assert len(calls) <= 5 * len(records), len(calls) / len(records)
+    assert len(counts) == len(records) + 1 and counts[0] == 0
+    # refinement labels twice (components, holes), the part model twice
+    assert max(counts) == 4, counts

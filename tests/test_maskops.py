@@ -6,7 +6,7 @@ from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 
-from conftest import fill_holes
+from conftest import connected_components, fill_holes, largest_index, person_component
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +171,15 @@ def test_closing_properties():
 
 
 # ---------------------------------------------------------------------------
-# connected components
+# the component oracle (conftest.connected_components), and the choice of the
+# person component
 
 def test_components_empty_and_single():
-    empty = mo.connected_components(np.zeros((5, 5), bool))
+    empty = connected_components(np.zeros((5, 5), bool))
     assert empty.count == 0 and not empty.stats
     single = np.zeros((5, 5), bool)
     single[2, 3] = True
-    got = mo.connected_components(single)
+    got = connected_components(single)
     assert got.count == 1
     assert got.stats[0].area == 1
     assert got.stats[0].centroid == (3.0, 2.0)
@@ -189,7 +190,7 @@ def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(3)
     for _ in range(120):
         m = rng.random((14, 18)) < rng.uniform(0.2, 0.7)
-        got = mo.connected_components(m)
+        got = connected_components(m)
         oracle_labels, oracle_count = flood_fill_oracle(m)
         assert got.count == oracle_count
         assert np.array_equal(canonical_labels(got.labels), canonical_labels(oracle_labels))
@@ -199,7 +200,7 @@ def test_component_stats_consistent_with_raster():
     rng = np.random.default_rng(4)
     for _ in range(20):
         m = rng.random((16, 16)) < 0.45
-        got = mo.connected_components(m)
+        got = connected_components(m)
         for i, s in enumerate(got.stats):
             ys, xs = np.nonzero(got.labels == i + 1)
             assert s.area == xs.size
@@ -208,16 +209,20 @@ def test_component_stats_consistent_with_raster():
 
 
 def test_largest_component_first_on_ties():
-    assert mo.largest_component(mo.connected_components(np.zeros((5, 5), bool))) is None
+    assert largest_index(connected_components(np.zeros((5, 5), bool))) is None
     m = np.zeros((8, 12), bool)
     m[0:2, 9:11] = True  # area 4, label 1 (first in scan order)
     m[5:7, 0:2] = True  # area 4, label 3
     m[3, 4:7] = True  # area 3, label 2
-    comps = mo.connected_components(m)
+    comps = connected_components(m)
     assert [s.area for s in comps.stats] == [4, 3, 4]
-    assert mo.largest_component(comps) == 0
+    assert largest_index(comps) == 0
+    # refinement with a 1x1 element keeps these components as they are
+    assert mo.refine_mask(m, 1, (1, 1), 1)[1] == comps.stats[0]
     m[7, 0] = True  # the last component grows to 5
-    assert mo.largest_component(mo.connected_components(m)) == 2
+    comps = connected_components(m)
+    assert largest_index(comps) == 2
+    assert mo.refine_mask(m, 1, (1, 1), 1)[1] == comps.stats[2]
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +266,16 @@ def test_hull_starts_at_lowest_then_leftmost():
 # refinement
 
 def test_refine_empty_mask():
-    assert not mo.refine_mask(np.zeros((10, 10), bool), 1, (3, 3), 1).any()
+    refined, stats, silhouette = mo.refine_mask(np.zeros((10, 10), bool), 1, (3, 3), 1)
+    assert not refined.any() and stats is None and silhouette is None
 
 
 def test_refine_bridges_two_px_gap():
     m = np.zeros((20, 30), bool)
     m[5:15, 5:12] = True
     m[5:15, 14:20] = True  # 2 px gap
-    refined = mo.refine_mask(m, 10, (3, 3), 1)
-    assert mo.connected_components(refined).count == 1
+    refined, _, _ = mo.refine_mask(m, 10, (3, 3), 1)
+    assert connected_components(refined).count == 1
 
 
 def test_refine_fragmented_silhouette():
@@ -280,8 +286,8 @@ def test_refine_fragmented_silhouette():
     clean[80:110, 30:42] = True
     clean[80:110, 48:60] = True
     frag = clean & (rng.random(clean.shape) > 0.25)  # speckle dropout
-    refined = mo.refine_mask(frag, 40, (3, 3), 1)
-    assert mo.connected_components(refined).count == 1
+    refined, _, _ = mo.refine_mask(frag, 40, (3, 3), 1)
+    assert connected_components(refined).count == 1
     inter = (refined & clean).sum()
     union = (refined | clean).sum()
     assert inter / union >= 0.9
@@ -291,8 +297,8 @@ def test_refine_never_increases_components():
     rng = np.random.default_rng(12)
     for _ in range(30):
         m = rng.random((24, 24)) < rng.uniform(0.15, 0.5)
-        before = mo.connected_components(m).count
-        after = mo.connected_components(mo.refine_mask(m, 1, (3, 3), 1)).count
+        before = connected_components(m).count
+        after = connected_components(mo.refine_mask(m, 1, (3, 3), 1)[0]).count
         assert after <= before
 
 
@@ -301,39 +307,14 @@ def test_refine_fills_holes_and_filters_small():
     m[4:20, 4:20] = True
     m[8:12, 8:12] = False  # hole
     m[25, 25] = True  # speck below min_area
-    refined = mo.refine_mask(m, 50, (3, 3), 1)
+    refined, _, _ = mo.refine_mask(m, 50, (3, 3), 1)
     assert refined[9, 9]
     assert not refined[23:29, 23:29].any()
 
 
 # ---------------------------------------------------------------------------
-# the bounding-box-cropped labelling and refinement against the full-frame
-# code they replace
-
-def _reference_connected_components(mask):
-    labels, count = ndimage.label(mask, structure=mo._STRUCT8)
-    labels = labels.astype(np.int32)
-    stats = []
-    if count:
-        ys, xs = np.nonzero(labels)
-        vals = labels[ys, xs]
-        order = np.argsort(vals, kind="stable")
-        ys, xs, vals = ys[order], xs[order], vals[order]
-        bounds = np.searchsorted(vals, np.arange(1, count + 2))
-        for i in range(count):
-            sy = ys[bounds[i] : bounds[i + 1]]
-            sx = xs[bounds[i] : bounds[i + 1]]
-            x0, x1 = int(sx.min()), int(sx.max())
-            y0, y1 = int(sy.min()), int(sy.max())
-            stats.append(
-                mo.ComponentStats(
-                    area=int(sx.size),
-                    bbox=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
-                    centroid=(float(sx.mean()), float(sy.mean())),
-                )
-            )
-    return mo.LabeledComponents(labels=labels, stats=stats)
-
+# the bounding-box-cropped refinement and its person component against the
+# full-frame code they replace
 
 def _reference_refine_mask(mask, min_area, se, iterations):
     mask = np.asarray(mask, dtype=bool)
@@ -342,7 +323,7 @@ def _reference_refine_mask(mask, min_area, se, iterations):
     m = mo.morph(mask, "dilate", se, iterations)
     m = mo.morph(m, "erode", se, iterations)
     m = mo.morph(m, "dilate", se, iterations)
-    comps = _reference_connected_components(m)
+    comps = connected_components(m)
     out = np.zeros_like(mask)
     for i in range(comps.count):
         x, y, w, h = comps.stats[i].bbox
@@ -378,19 +359,21 @@ def _edge_masks(rng):
             yield blob | speck
 
 
-def _same_components(got, want):
-    assert got.count == want.count
-    assert got.labels.dtype == want.labels.dtype == np.int32
-    assert got.labels.tobytes() == want.labels.tobytes()
-    assert [(s.area, s.bbox, s.centroid) for s in got.stats] == [
-        (s.area, s.bbox, s.centroid) for s in want.stats
-    ]
-
-
-def test_connected_components_match_full_frame_reference():
-    rng = np.random.default_rng(21)
-    for m in _edge_masks(rng):
-        _same_components(mo.connected_components(m), _reference_connected_components(m))
+def _same_person(stats, silhouette, refined):
+    """``refine_mask``'s person component is the oracle's largest component
+    of the refined mask: the same stats, to the last bit of the centroid, and
+    the same pixels in a frame-sized bool mask."""
+    want_stats, want_silhouette = person_component(refined)
+    if want_stats is None:
+        assert stats is None and silhouette is None
+        return
+    assert (stats.area, stats.bbox, stats.centroid) == (
+        want_stats.area, want_stats.bbox, want_stats.centroid
+    )
+    assert all(type(v) is int for v in (stats.area, *stats.bbox))
+    assert all(type(v) is float for v in stats.centroid)
+    assert silhouette.dtype == bool and silhouette.shape == refined.shape
+    assert silhouette.tobytes() == want_silhouette.tobytes()
 
 
 @pytest.mark.parametrize("iterations", [1, 2])
@@ -401,12 +384,10 @@ def test_refine_mask_matches_full_frame_reference(se, iterations):
         min_area = int(rng.integers(1, 30))
         # the second area is 0.5% of the frame, mask.min_area_frac's default
         for area in (min_area, int(round(0.005 * m.size))):
-            got = mo.refine_mask(m, area, (se, se), iterations)
+            got, stats, silhouette = mo.refine_mask(m, area, (se, se), iterations)
             want = _reference_refine_mask(m, area, (se, se), iterations)
             assert got.tobytes() == want.tobytes()
-            _same_components(
-                mo.connected_components(got), _reference_connected_components(want)
-            )
+            _same_person(stats, silhouette, got)
 
 
 def test_cropped_mask_ops_match_reference_on_carry_box():
@@ -414,12 +395,60 @@ def test_cropped_mask_ops_match_reference_on_carry_box():
     model = sm.learn_scene(frames[:30], var_floor=4.0)
     for f in frames[30:]:
         fg = sm.detect_foreground(model, f, tau=4.0).bits
-        refined = mo.refine_mask(fg, 384, (3, 3), 1)
+        refined, stats, silhouette = mo.refine_mask(fg, 384, (3, 3), 1)
         assert refined.tobytes() == _reference_refine_mask(fg, 384, (3, 3), 1).tobytes()
-        _same_components(
-            mo.connected_components(refined), _reference_connected_components(refined)
-        )
+        _same_person(stats, silhouette, refined)
         sm.update_scene(model, f, refined, 0.05)
+
+
+def _nesting_masks(rng, count):
+    """Random masks of many sizes and densities; every other one has a 1-px
+    ring drawn near its border around random pixels 2-4 px inside it, so
+    that kept components lie in the ring's filled hole."""
+    for k in range(count):
+        h, w = (int(v) for v in rng.integers(3, 26, 2))
+        m = rng.random((h, w)) < rng.choice([0.02, 0.1, 0.3, 0.6])
+        if k % 2 and h >= 9 and w >= 9:
+            y0, x0 = (int(v) for v in rng.integers(0, 3, 2))
+            y1, x1 = h - int(rng.integers(0, 3)), w - int(rng.integers(0, 3))
+            m[y0:y1, x0:x1] = False
+            m[y0:y1, (x0, x1 - 1)] = True
+            m[(y0, y1 - 1), x0:x1] = True
+            g = int(rng.integers(2, 5))
+            inner = m[y0 + g : y1 - g, x0 + g : x1 - g]
+            inner[...] = rng.random(inner.shape) < rng.uniform(0.1, 0.6)
+        yield m
+
+
+def _kept_count(mask, min_area, se, iterations):
+    """How many filled components of the dilated mask clear ``min_area``."""
+    comps = connected_components(mo.morph(mask, "dilate", se, iterations))
+    kept = 0
+    for i, (x, y, w, h) in enumerate(s.bbox for s in comps.stats):
+        kept += int(fill_holes(comps.labels[y : y + h, x : x + w] == i + 1).sum()) >= min_area
+    return kept
+
+
+def test_refine_mask_hands_over_the_largest_component_of_its_result():
+    rng = np.random.default_rng(23)
+    nested = found = 0
+    for m in _nesting_masks(rng, 6000):
+        se = [(1, 1), (3, 3), (3, 1), (1, 3)][int(rng.integers(0, 4))]
+        iterations = int(rng.integers(1, 3))
+        min_area = int(rng.choice([1, 2, 5, 12, 40]))
+        got, stats, silhouette = mo.refine_mask(m, min_area, se, iterations)
+        _same_person(stats, silhouette, got)
+        found += stats is not None
+        # a kept component in another's filled hole is no component of its own
+        nested += _kept_count(m, min_area, se, iterations) > connected_components(got).count
+    assert found >= 4500 and nested >= 300, (found, nested)
+    # nothing to keep: an empty mask, and specks all below min_area
+    specks = np.zeros((12, 14), bool)
+    specks[1, 1] = specks[6, 9] = specks[10, 3] = True
+    for m, min_area in ((np.zeros((12, 14), bool), 1), (specks, 10)):
+        got, stats, silhouette = mo.refine_mask(m, min_area, (3, 3), 1)
+        assert not got.any() and stats is None and silhouette is None
+    assert mo.refine_mask(specks, 9, (3, 3), 1)[1].area == 9
 
 
 def test_label_passes_are_counted_through_the_module_attribute(monkeypatch):
@@ -433,9 +462,11 @@ def test_label_passes_are_counted_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(ndimage, "label", counted)
     m = np.zeros((20, 30), bool)
     m[4:9, 6:12] = True
-    mo.connected_components(m)
-    mo.connected_components(np.zeros((20, 30), bool))
-    assert calls == [(5, 6), (0, 0)]
+    mo.refine_mask(m, 1, (3, 3), 1)
+    mo.refine_mask(np.zeros((20, 30), bool), 1, (3, 3), 1)
+    # the dilated 7x8 crop, then the mosaic of its one component's 7x8 crop;
+    # nothing for the empty mask
+    assert calls == [(7, 8), (9, 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +517,8 @@ def _reference_largest_components(masks):
     """One labelling pass per mask."""
     out = []
     for m in masks:
-        comps = mo.connected_components(m)
-        best = mo.largest_component(comps)
+        comps = connected_components(m)
+        best = largest_index(comps)
         if best is None:
             out.append(None)
             continue
@@ -543,5 +574,5 @@ def test_refine_mask_matches_three_pass_reference_rectangular_se(se):
     rng = np.random.default_rng(34 + se[0] + se[1])
     for m in _edge_masks(rng):
         for iterations in (1, 3):
-            got = mo.refine_mask(m, 10, se, iterations)
+            got, _, _ = mo.refine_mask(m, 10, se, iterations)
             assert got.tobytes() == _reference_refine_mask(m, 10, se, iterations).tobytes()

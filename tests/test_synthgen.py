@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hbpt import imageio as iio
-from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt.bodyparts import PART_LABELS
 from hbpt.tracker import TorsoDisc
 
+from conftest import connected_components
 from test_bodyparts import _reference_partition_regions
 
 
@@ -53,7 +53,7 @@ def test_walker_path_is_scripted_piecewise_linear():
 def test_clean_silhouette_is_connected():
     for pose in ("down", "star", "reach", "reach_hidden"):
         mask = sg.render_person_mask(np.zeros((240, 320), bool), 160, 60, pose)
-        assert mo.connected_components(mask).count == 1, pose
+        assert connected_components(mask).count == 1, pose
 
 
 def test_depth_values_in_sensor_range():

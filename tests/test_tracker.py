@@ -9,7 +9,7 @@ from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.config import PipelineConfig
 
-from conftest import frame_from_rgb
+from conftest import frame_from_rgb, person_component
 from test_maskops import flood_fill_oracle
 
 CFG = PipelineConfig()  # the pipeline's default settings
@@ -23,15 +23,6 @@ def _square_person_frame(size=31, left=40, top=30, w=120, h=90):
     fg = np.zeros((h, w), bool)
     fg[top : top + size, left : left + size] = True
     return frame, fg
-
-
-def _person_component(mask):
-    """Stats and pixel mask of the mask's largest component, or (None, None)."""
-    comps = mo.connected_components(mask)
-    best = mo.largest_component(comps)
-    if best is None:
-        return None, None
-    return comps.stats[best], comps.labels == best + 1
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +72,7 @@ def test_back_project_separates_patch_from_scene():
     # histogram from the person bbox via foreground detection
     model = sm.learn_scene(frames[:30], var_floor=4.0)
     fg = sm.detect_foreground(model, frame, tau=4.0)
-    refined = mo.refine_mask(fg.bits, 300, (3, 3), 1)
+    refined, _, _ = mo.refine_mask(fg.bits, 300, (3, 3), 1)
     hist = tr.hist16_of_bins(frame.uv_bins[refined])
     weights = tr.back_project(frame, hist)
     inside = weights[refined].mean()
@@ -94,22 +85,23 @@ def test_back_project_separates_patch_from_scene():
 
 def test_detect_person_no_components():
     frame, _ = _square_person_frame()
-    assert tr.detect_person(*_person_component(np.zeros((10, 10), bool)), frame, 50) is None
+    assert tr.detect_person(*person_component(np.zeros((10, 10), bool)), frame, 50) is None
 
 
 def test_detect_person_too_small():
     m = np.zeros((10, 10), bool)
     m[2:4, 2:4] = True
     frame = frame_from_rgb(np.zeros((10, 10, 3), np.uint8))
-    assert tr.detect_person(*_person_component(m), frame, 50) is None
+    assert tr.detect_person(*person_component(m), frame, 50) is None
 
 
 def test_detect_person_centroid_matches_flood_fill_oracle():
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=33))
     frame = frames[32]
     model = sm.learn_scene(frames[:30], var_floor=4.0)
-    refined = mo.refine_mask(sm.detect_foreground(model, frame, tau=4.0).bits, 300, (3, 3), 1)
-    person = tr.detect_person(*_person_component(refined), frame, 700)
+    fg = sm.detect_foreground(model, frame, tau=4.0).bits
+    refined, component, silhouette = mo.refine_mask(fg, 300, (3, 3), 1)
+    person = tr.detect_person(component, silhouette, frame, 700)
     assert person is not None
     labels, count = flood_fill_oracle(refined[::1, ::1])
     areas = [(labels == i + 1).sum() for i in range(count)]
@@ -170,7 +162,7 @@ def test_mean_shift_weight_sum_non_decreasing():
 
 def test_mspf_static_noiseless_fixed_point():
     frame, fg = _square_person_frame()
-    component, silhouette = _person_component(fg)
+    component, silhouette = person_component(fg)
     person = tr.detect_person(component, silhouette, frame, 100)
     particles = tr.init_particles(person, n=20, seed=3)
     cfg = PipelineConfig(particles_sigma_xy=0.0, particles_sigma_scale=0.0)
@@ -190,8 +182,7 @@ def test_mspf_deterministic_with_seed():
         outs = []
         for f in frames[30:]:
             fg = sm.detect_foreground(model, f, tau=4.0).bits
-            refined = mo.refine_mask(fg, 300, (3, 3), 1)
-            component, silhouette = _person_component(refined)
+            refined, component, silhouette = mo.refine_mask(fg, 300, (3, 3), 1)
             if person is None:
                 person = tr.detect_person(component, silhouette, f, 700)
                 particles = tr.init_particles(person, 50, seed=11)
@@ -208,7 +199,7 @@ def test_mspf_deterministic_with_seed():
 
 def test_mspf_coasting_on_empty_foreground():
     frame, fg = _square_person_frame()
-    person = tr.detect_person(*_person_component(fg), frame, 100)
+    person = tr.detect_person(*person_component(fg), frame, 100)
     person.velocity = (2.0, -1.0)
     person.confidence = 1.0
     particles = tr.init_particles(person, n=10, seed=0)
@@ -302,8 +293,7 @@ def _walker_steps(frames=60):
     person = particles = None
     for f in frames[30:]:
         fg = sm.detect_foreground(model, f, tau=4.0).bits
-        refined = mo.refine_mask(fg, 300, (3, 3), 1)
-        component, silhouette = _person_component(refined)
+        refined, component, silhouette = mo.refine_mask(fg, 300, (3, 3), 1)
         if person is None:
             person = tr.detect_person(component, silhouette, f, 700)
             if person is not None:
