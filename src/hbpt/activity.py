@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tracker import _window_sum, back_project, color_hist16, mean_shift
+from .tracker import back_project, color_hist16, mean_shift
 
 _PHASES = {"Idle": 0, "Approached": 1, "Opened": 2, "Carrying": 3}
 
@@ -81,14 +81,13 @@ def hist_distance(h1, h2):
 
 
 def track_box_region(box, frame):
-    """Move the tracked rectangle by mean shift over the backprojection."""
-    weights = back_project(frame, box.ref_hist)
-    rect, _, converged = mean_shift(weights, box.tracked_rect)
-    if not converged and _window_sum(weights, rect) == 0.0:
-        box.lost = True
-        return box
-    box.tracked_rect = rect
-    box.lost = False
+    """Move the tracked rectangle by mean shift over the backprojection. The
+    box is lost when its window holds no weight: mean shift then makes no
+    iteration, and it never lowers a window's weight."""
+    rect, iterations, _ = mean_shift(back_project(frame, box.ref_hist), box.tracked_rect)
+    box.lost = iterations == 0
+    if not box.lost:
+        box.tracked_rect = rect
     return box
 
 

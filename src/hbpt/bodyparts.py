@@ -2,9 +2,9 @@
 
 The torso disc splits the silhouette into a central region, a head band above
 it, arm bands at its sides, and a legs region below it that is divided into a
-2x2 grid. Each populated region contributes one Gaussian blob, capped at
-eight blobs per frame; emptied regions lose their blob and regain a fresh one
-when pixels return.
+2x2 grid. Each populated region's largest component contributes one Gaussian
+blob, capped at eight blobs per frame; emptied regions lose their blob and
+regain a fresh one when pixels return.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blobmodel import GaussianBlob, fit_blob
-from .maskops import fill_holes_many, largest_components
+from .maskops import largest_components
 
 PART_LABELS = ("head", "torso", "armL", "armR", "leg1", "leg2", "leg3", "leg4")
 
@@ -81,25 +81,28 @@ def partition_regions(silhouette, torso, bbox):
 def build_part_model(partition, frame, min_part_area):
     """Fit one blob per populated region; starved regions lose their blob.
 
-    A region's pixels are its largest 8-connected component with its holes
-    filled. A region whose silhouette pixels, or whose filled component's,
-    fall below ``min_part_area`` contributes nothing this frame; when it
-    refills, a fresh blob is fitted. The torso is refitted every frame from
-    the central region. All regions are labelled in one pass and hole-filled
-    in one more.
+    A region's pixels are its largest 8-connected component; all regions are
+    labelled in one pass. A region whose silhouette pixels, or whose
+    component's, fall below ``min_part_area`` contributes nothing this frame;
+    when it refills, a fresh blob is fitted. The torso is refitted every frame
+    from the central region.
+
+    The component has no holes to fill: ``refine_mask`` hands over a
+    silhouette with no hole in its bounding box, and each region cuts it with
+    a shape whose rows are intervals (disc, bands, half-planes, quadrants). In
+    the region's crop, background outside the shape reaches the edge along its
+    row, and background outside the silhouette through the silhouette's
+    background. So a hole would lie in the region, and the pixels of it that
+    are 4-adjacent to the component would belong to the component.
     """
     labels = [l for l in PART_LABELS if int(partition.masks[l].sum()) >= min_part_area]
-    found = [
-        (label, comp)
-        for label, comp in zip(labels, largest_components([partition.masks[l] for l in labels]))
-        if comp is not None
-    ]
-    filled = fill_holes_many([comp for _, (_, _, comp) in found])
     ox, oy = partition.bbox[:2]
-    blobs = {}
-    part_pixels = {}
-    for (label, (y, x, _)), sub in zip(found, filled):
-        sy, sx = np.nonzero(sub)
+    blobs, part_pixels = {}, {}
+    for label, found in zip(labels, largest_components([partition.masks[l] for l in labels])):
+        if found is None:
+            continue
+        y, x, comp = found
+        sy, sx = np.nonzero(comp)
         if sy.size < min_part_area:
             continue
         pixels = np.column_stack([sx + (x + ox), sy + (y + oy)])

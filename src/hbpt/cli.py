@@ -188,6 +188,9 @@ def run_pipeline(cfg):
         paths = iio.frame_paths(cfg.input, cfg.pattern)
         n = len(paths)
         depth_paths = _depth_paths(cfg.input, n)
+        for dp, fp in zip(depth_paths, paths):  # paired by number, not by position
+            if iio.frame_sort_key(dp)[0] != iio.frame_sort_key(fp)[0]:
+                raise ValueError(f"{dp} does not match {fp}")
         # with a scene file only the first frame is read ahead, for its size
         head = deque(_learn_set(paths, 1 if cfg.scene_file else min(cfg.learn_frames, n)))
     size = (head[0].width, head[0].height)

@@ -175,14 +175,6 @@ def init_particles(person, n, seed):
     )
 
 
-def _state_rect(state, ref_size, width, height):
-    w = max(2, int(round(ref_size[0] * state[2])))
-    h = max(2, int(round(ref_size[1] * state[2])))
-    x = int(round(state[0] - (w - 1) / 2.0))
-    y = int(round(state[1] - (h - 1) / 2.0))
-    return _clip_rect((x, y, w, h), width, height)
-
-
 def _rect_iou(a, b):
     ax0, ay0, aw, ah = a
     bx0, by0, bw, bh = b
@@ -209,6 +201,19 @@ def _shift_blob(prev, width, height):
     )
 
 
+def _state_windows(states, ref_size, height, width):
+    """The window (x, y, w, h arrays) of each (x, y, scale) state: ``ref_size``
+    scaled, at least 2 px, centred on (x, y) and clipped to the frame like
+    ``_clip_rect``. np.rint rounds half to even."""
+    w = np.maximum(2, np.rint(ref_size[0] * states[:, 2])).astype(np.intp)
+    h = np.maximum(2, np.rint(ref_size[1] * states[:, 2])).astype(np.intp)
+    x = np.rint(states[:, 0] - (w - 1) / 2.0).astype(np.intp)
+    y = np.rint(states[:, 1] - (h - 1) / 2.0).astype(np.intp)
+    np.minimum(w, width, out=w)
+    np.minimum(h, height, out=h)
+    return np.clip(x, 0, width - w), np.clip(y, 0, height - h), w, h
+
+
 def _particle_weights(plane, states, ref_size, sqrt_ref):
     """Bhattacharyya coefficient of each particle window's UV histogram.
 
@@ -221,17 +226,7 @@ def _particle_weights(plane, states, ref_size, sqrt_ref):
     the union's area: no count can carry into the next field, and a window's
     four-corner difference leaves every field at its count.
     """
-    height, width = plane.shape
-    # the windows of _state_rect, all at once; np.rint rounds half to even, as round does
-    w = np.maximum(2, np.rint(ref_size[0] * states[:, 2])).astype(np.intp)
-    h = np.maximum(2, np.rint(ref_size[1] * states[:, 2])).astype(np.intp)
-    x = np.rint(states[:, 0] - (w - 1) / 2.0).astype(np.intp)
-    y = np.rint(states[:, 1] - (h - 1) / 2.0).astype(np.intp)
-    np.minimum(w, width, out=w)
-    np.minimum(h, height, out=h)
-    x = np.clip(x, 0, width - w)
-    y = np.clip(y, 0, height - h)
-
+    x, y, w, h = _state_windows(states, ref_size, *plane.shape)
     x0, y0 = int(x.min()), int(y.min())
     union = plane[y0 : int((y + h).max()), x0 : int((x + w).max())]
     bins = np.flatnonzero(sqrt_ref > 0)
@@ -319,8 +314,8 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     y0, y1, x0, x1 = foreground_box(fg) or (0, 0, 0, 0)
     crop = np.s_[y0:y1, x0:x1]
     wimg[crop] = np.where(fg[crop], ref.take(plane[crop]), 0.0)
-    seed = (best_state[0], best_state[1], 1.0)
-    win0 = _state_rect(seed, (prev.bbox[2], prev.bbox[3]), frame.width, frame.height)
+    seed = np.array([[best_state[0], best_state[1], 1.0]])
+    win0 = tuple(int(v[0]) for v in _state_windows(seed, prev.bbox[2:], *fg.shape))
     win, _, _ = mean_shift(wimg, win0)
     wx, wy, ww, wh = win
     sub = fg[wy : wy + wh, wx : wx + ww]

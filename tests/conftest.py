@@ -55,6 +55,25 @@ def fill_holes(mask):
     return filled
 
 
+def nesting_masks(rng, count):
+    """Random masks of many sizes and densities; every other one has a 1-px
+    ring drawn near its border around random pixels 2-4 px inside it, so
+    that components lie in the ring's hole."""
+    for k in range(count):
+        h, w = (int(v) for v in rng.integers(3, 26, 2))
+        m = rng.random((h, w)) < rng.choice([0.02, 0.1, 0.3, 0.6])
+        if k % 2 and h >= 9 and w >= 9:
+            y0, x0 = (int(v) for v in rng.integers(0, 3, 2))
+            y1, x1 = h - int(rng.integers(0, 3)), w - int(rng.integers(0, 3))
+            m[y0:y1, x0:x1] = False
+            m[y0:y1, (x0, x1 - 1)] = True
+            m[(y0, y1 - 1), x0:x1] = True
+            g = int(rng.integers(2, 5))
+            inner = m[y0 + g : y1 - g, x0 + g : x1 - g]
+            inner[...] = rng.random(inner.shape) < rng.uniform(0.1, 0.6)
+        yield m
+
+
 @dataclass
 class Components:
     labels: np.ndarray  # (h, w) int32, 0 = background

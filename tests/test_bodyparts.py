@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from hbpt import bodyparts as bp
+from hbpt import maskops as mo
 from hbpt.blobmodel import fit_blob
 from hbpt.config import PipelineConfig
 from hbpt.synthgen import render_person_mask
 from hbpt.tracker import TorsoDisc
 
-from conftest import connected_components, fill_holes, frame_from_rgb, largest_index
+from conftest import connected_components, fill_holes, frame_from_rgb, largest_index, nesting_masks
 
 MIN_PART_AREA = PipelineConfig().parts_min_area
 
@@ -324,15 +325,6 @@ def test_crop_matches_reference_equal_area_tie_takes_first_label():
     assert set(rows.tolist()) == {22, 23, 24}
 
 
-def test_crop_matches_reference_fills_enclosed_hole():
-    mask, disc = _torso_block()
-    mask[27:34, 37:44] = False  # hole inside the disc
-    model = assert_crop_matches_reference(mask, disc)
-    pixels = {tuple(p) for p in model.part_pixels["torso"].tolist()}
-    assert (40, 30) in pixels  # the hole's center came back through fill_holes
-    assert model.blobs["torso"].area == len(pixels)
-
-
 def test_crop_matches_reference_one_pixel_limb():
     mask, disc = _torso_block()
     mask[30, 0:30] = True  # 1-px-wide arm reaching the left frame edge
@@ -351,8 +343,8 @@ def test_crop_matches_reference_at_min_part_area(area):
 
 
 def _random_silhouettes(rng, count=60, shape=(60, 80)):
-    """Blocks with holes and specks, fragmented noise, thin strokes, some at
-    the frame edge."""
+    """Blocks with specks, fragmented noise, thin strokes, some at the frame
+    edge; holes filled, as ``refine_mask`` hands over every silhouette."""
     h, w = shape
     for i in range(count):
         mask = np.zeros(shape, bool)
@@ -368,7 +360,7 @@ def _random_silhouettes(rng, count=60, shape=(60, 80)):
         else:
             mask ^= rng.random(shape) < 0.3
         if mask.any():
-            yield mask
+            yield fill_holes(mask)
 
 
 def test_build_part_model_matches_reference_on_random_silhouettes():
@@ -380,3 +372,33 @@ def test_build_part_model_matches_reference_on_random_silhouettes():
         disc = TorsoDisc(center=(cx, cy), radius=float(rng.uniform(1.0, 15.0)))
         for min_part_area in (0, 1, 15, 40):
             assert_crop_matches_reference(mask, disc, min_part_area)
+
+
+# ---------------------------------------------------------------------------
+# regions cut from a hole-free silhouette have hole-free largest components
+
+def test_region_components_of_refined_silhouettes_have_no_holes():
+    rng = np.random.default_rng(53)
+    discs = outside = components = 0
+    for m in nesting_masks(rng, 3000):
+        _, stats, silhouette = mo.refine_mask(m, 1, (3, 3), 1)
+        if stats is None:
+            continue
+        x, y, w, h = stats.bbox
+        for reach in (0, 1):
+            # centres inside the box, then up to a box size beyond it; radii
+            # from 1 px to the box width
+            cx = float(rng.uniform(x - reach * w, x + (1 + reach) * w))
+            cy = float(rng.uniform(y - reach * h, y + (1 + reach) * h))
+            disc = TorsoDisc(center=(cx, cy), radius=float(rng.uniform(1.0, max(w, 1.0))))
+            discs += 1
+            outside += not (x <= cx < x + w and y <= cy < y + h)
+            partition = bp.partition_regions(silhouette, disc, stats.bbox)
+            masks = [partition.masks[label] for label in bp.PART_LABELS]
+            for found in mo.largest_components(masks):
+                if found is not None:
+                    comp = found[2]
+                    assert np.array_equal(fill_holes(comp), comp)
+                    components += 1
+    assert discs >= 5000 and 2000 <= outside <= discs - 2500, (discs, outside)
+    assert components >= 2 * discs, (components, discs)

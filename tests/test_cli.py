@@ -542,6 +542,19 @@ def test_track_rejects_depth_count_mismatch(tmp_path, capsys, scenario_dir):
     assert not (tmp_path / "out" / "blobs.jsonl").exists()
 
 
+def test_track_rejects_depth_rasters_numbered_off_their_frames(tmp_path, capsys, scenario_dir):
+    src, truth = scenario_dir("carry_box", frames=40, seed=3)
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    for i in reversed(range(40)):  # depth_000001 .. depth_000040: one frame late
+        (indir / f"depth_{i:06d}.pgm").rename(indir / f"depth_{i + 1:06d}.pgm")
+    assert _track(indir, tmp_path / "out", "--config", str(_box_config(tmp_path, truth))) == 1
+    err = capsys.readouterr().err
+    want = f"error: {indir / 'depth_000001.pgm'} does not match {indir / 'frame_000000.ppm'}\n"
+    assert err == want
+    assert not (tmp_path / "out" / "blobs.jsonl").exists()
+
+
 def test_track_rejects_single_frame_input(tmp_path, capsys, scenario_dir):
     src, _ = scenario_dir("walker", frames=32, seed=12)
     indir = tmp_path / "in"
@@ -1070,7 +1083,7 @@ def test_track_rejects_depth_rasters_of_the_wrong_size(tmp_path, capsys, scenari
     assert not (tmp_path / "out" / "blobs.jsonl").exists()
 
 
-def test_track_labels_at_most_four_times_per_frame(tmp_path, monkeypatch, scenario_dir):
+def test_track_labels_at_most_three_times_per_frame(tmp_path, monkeypatch, scenario_dir):
     indir, truth = scenario_dir("carry_box", frames=40, seed=3)
     counts = [0]  # labelling passes before the first frame, then one count per frame
     label, detect = mo.ndimage.label, sm.detect_foreground
@@ -1089,5 +1102,5 @@ def test_track_labels_at_most_four_times_per_frame(tmp_path, monkeypatch, scenar
     records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
     assert sum(r["tracked"] for r in records) >= 5  # the part model ran
     assert len(counts) == len(records) + 1 and counts[0] == 0
-    # refinement labels twice (components, holes), the part model twice
-    assert max(counts) == 4, counts
+    # refinement labels twice (components, holes), the part model once
+    assert max(counts) == 3, counts

@@ -6,7 +6,13 @@ from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 
-from conftest import connected_components, fill_holes, largest_index, person_component
+from conftest import (
+    connected_components,
+    fill_holes,
+    largest_index,
+    nesting_masks,
+    person_component,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +407,6 @@ def test_cropped_mask_ops_match_reference_on_carry_box():
         sm.update_scene(model, f, refined, 0.05)
 
 
-def _nesting_masks(rng, count):
-    """Random masks of many sizes and densities; every other one has a 1-px
-    ring drawn near its border around random pixels 2-4 px inside it, so
-    that kept components lie in the ring's filled hole."""
-    for k in range(count):
-        h, w = (int(v) for v in rng.integers(3, 26, 2))
-        m = rng.random((h, w)) < rng.choice([0.02, 0.1, 0.3, 0.6])
-        if k % 2 and h >= 9 and w >= 9:
-            y0, x0 = (int(v) for v in rng.integers(0, 3, 2))
-            y1, x1 = h - int(rng.integers(0, 3)), w - int(rng.integers(0, 3))
-            m[y0:y1, x0:x1] = False
-            m[y0:y1, (x0, x1 - 1)] = True
-            m[(y0, y1 - 1), x0:x1] = True
-            g = int(rng.integers(2, 5))
-            inner = m[y0 + g : y1 - g, x0 + g : x1 - g]
-            inner[...] = rng.random(inner.shape) < rng.uniform(0.1, 0.6)
-        yield m
-
-
 def _kept_count(mask, min_area, se, iterations):
     """How many filled components of the dilated mask clear ``min_area``."""
     comps = connected_components(mo.morph(mask, "dilate", se, iterations))
@@ -432,7 +419,7 @@ def _kept_count(mask, min_area, se, iterations):
 def test_refine_mask_hands_over_the_largest_component_of_its_result():
     rng = np.random.default_rng(23)
     nested = found = 0
-    for m in _nesting_masks(rng, 6000):
+    for m in nesting_masks(rng, 6000):
         se = [(1, 1), (3, 3), (3, 1), (1, 3)][int(rng.integers(0, 4))]
         iterations = int(rng.integers(1, 3))
         min_area = int(rng.choice([1, 2, 5, 12, 40]))

@@ -352,11 +352,34 @@ def test_mspf_track_matches_int64_where_reference(monkeypatch):
 # ---------------------------------------------------------------------------
 # integral-histogram particle weights against the per-particle loop they replace
 
+def _reference_state_rect(state, ref_size, width, height):
+    """One state's window, with Python's round (half to even)."""
+    w = max(2, int(round(ref_size[0] * state[2])))
+    h = max(2, int(round(ref_size[1] * state[2])))
+    x = int(round(state[0] - (w - 1) / 2.0))
+    y = int(round(state[1] - (h - 1) / 2.0))
+    return tr._clip_rect((x, y, w, h), width, height)
+
+
+def test_state_windows_match_per_state_reference():
+    rng = np.random.default_rng(29)
+    n = 20000
+    states = np.column_stack(
+        [rng.uniform(-20, 340, n), rng.uniform(-20, 260, n), rng.uniform(0.2, 3.0, n)]
+    )
+    tie = rng.random(n) < 0.3  # exact .5 positions, where rounding ties
+    states[tie, :2] = np.floor(states[tie, :2]) + 0.5
+    for ref_size in ((31, 77), (40, 80), (1, 2), (400, 300)):
+        got = np.column_stack(tr._state_windows(states, ref_size, 240, 320))
+        want = [_reference_state_rect(s, ref_size, 320, 240) for s in states]
+        assert got.tolist() == [list(r) for r in want], ref_size
+
+
 def _reference_particle_weights(plane, states, ref_size, sqrt_ref):
     height, width = plane.shape
     weights = np.zeros(len(states))
     for i, state in enumerate(states):
-        x, y, w, h = tr._state_rect(state, ref_size, width, height)
+        x, y, w, h = _reference_state_rect(state, ref_size, width, height)
         counts = np.bincount(plane[y : y + h, x : x + w].ravel(), minlength=tr.N_BINS)[
             : tr.N_BINS
         ]
