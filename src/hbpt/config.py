@@ -9,6 +9,7 @@ Values may be numbers, true/false, quoted strings or [a, b, c] number lists.
 Unknown keys are rejected. CLI flags override file values.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -149,6 +150,10 @@ def check_ranges(cfg):
 
     Raises ValueError naming the config key.
     """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise ValueError(f"{_key(f.name)} must be finite, got {value}")
     if not 0.0 < cfg.scene_alpha < 1.0:
         raise ValueError(f"scene.alpha must lie in (0, 1), got {cfg.scene_alpha}")
     if not cfg.scene_tau > 0.0:

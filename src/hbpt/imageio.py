@@ -15,6 +15,7 @@ byte in a table built the first time a process decodes a row of that type
 
 import re
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -136,12 +137,31 @@ def _read_pnm_header(data, magic, path):
     return fields, pos + 1  # single whitespace after the last header field
 
 
-def read_ppm(path):
-    """Read a binary PPM (P6, maxval 255) into an (h, w, 3) uint8 array."""
+class DimensionMismatch(ValueError):
+    """A frame or depth raster whose size differs from its sequence's."""
+
+
+def _check_size(path, width, height, size):
+    """Raise ``DimensionMismatch`` naming the file when ``size`` = (width,
+    height) is given and (width, height) differs from it."""
+    if size is not None and (width, height) != tuple(size):
+        raise DimensionMismatch(
+            f"dimension mismatch in {path}: {width}x{height} vs {size[0]}x{size[1]}"
+        )
+
+
+def read_ppm(path, size=None):
+    """Read a binary PPM (P6, maxval 255) into an (h, w, 3) uint8 array.
+
+    Only the file's first image is read: Netpbm allows several in one file,
+    so bytes after the first image's payload are ignored. Given ``size``,
+    a header of another size raises ``DimensionMismatch``.
+    """
     data = Path(path).read_bytes()
     (w, h, maxval), pos = _read_pnm_header(data, b"P6", path)
     if maxval != 255:
         raise ValueError(f"{path}: unsupported PPM maxval {maxval}")
+    _check_size(path, w, h, size)
     if len(data) - pos < w * h * 3:
         raise ValueError(f"{path}: truncated PPM payload")
     px = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
@@ -157,7 +177,8 @@ def write_ppm(path, rgb):
 
 
 def read_pgm16(path):
-    """Read a 16-bit big-endian PGM (P5, maxval 65535)."""
+    """Read a 16-bit big-endian PGM (P5, maxval 65535); like ``read_ppm``,
+    only the file's first image."""
     data = Path(path).read_bytes()
     (w, h, maxval), pos = _read_pnm_header(data, b"P5", path)
     if maxval != 65535:
@@ -181,6 +202,7 @@ def write_pgm16(path, z):
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_CHANNELS = {0: 1, 2: 3, 6: 4}
+_PNG_MAX_SIZE = 2**31 - 1  # the largest width or height a PNG may have
 
 
 def _png_chunks(data, path):
@@ -280,13 +302,15 @@ def _unfilter(rows, channels):
     return out
 
 
-def read_png(path):
+def read_png(path, size=None):
     """Read an 8-bit gray, RGB or RGBA PNG into an (h, w, 3) uint8 array.
 
     Raises ValueError for anything it cannot decode exactly: unsupported
-    formats, compression or filter methods, truncated chunks, a missing IHDR
-    or IDAT, a corrupt or truncated zlib stream, image data of the wrong
-    size, or an unknown row filter.
+    formats, compression or filter methods, a width or height beyond PNG's
+    2^31 - 1, truncated chunks, a missing IHDR or IDAT, a corrupt or
+    truncated zlib stream, image data of the wrong size, or an unknown row
+    filter. Given ``size``, a header of another size raises
+    ``DimensionMismatch`` before the image data is inflated.
     """
     data = Path(path).read_bytes()
     if data[:8] != _PNG_SIGNATURE:
@@ -313,14 +337,18 @@ def read_png(path):
         raise ValueError(f"{path}: unsupported PNG color type {color_type}")
     if width == 0 or height == 0:
         raise ValueError(f"{path}: empty PNG ({width}x{height})")
+    if max(width, height) > _PNG_MAX_SIZE:
+        raise ValueError(f"{path}: PNG size {width}x{height} exceeds 2^31 - 1")
+    _check_size(path, width, height, size)
     if not idat:
         raise ValueError(f"{path}: missing IDAT")
     channels = _PNG_CHANNELS[color_type]
     expected = height * (1 + width * channels)
     stream = zlib.decompressobj()
     try:
-        # one byte past the expected size is enough to tell the size is wrong
-        raw = stream.decompress(b"".join(idat), expected + 1)
+        # one byte past the expected size is enough to tell the size is wrong;
+        # near PNG's size limit, that is more than a C size can hold
+        raw = stream.decompress(b"".join(idat), min(expected + 1, sys.maxsize))
     except zlib.error as exc:
         raise ValueError(f"{path}: corrupt PNG image data ({exc})") from None
     if not stream.eof and len(raw) <= expected:
@@ -372,16 +400,17 @@ def read_frame(path, index, size=None):
     """Decode one binary PPM or 8-bit PNG frame into a ``Frame``.
 
     Raises ValueError naming the file when it fails to decode or, given the
-    sequence's ``size`` = (width, height), when its dimensions differ.
+    sequence's ``size`` = (width, height), when its header gives another
+    size; that is checked before the pixels are decoded.
     """
+    reader = read_png if path.suffix.lower() == ".png" else read_ppm
     try:
-        rgb = read_png(path) if path.suffix.lower() == ".png" else read_ppm(path)
+        rgb = reader(path, size)
+    except DimensionMismatch:
+        raise
     except ValueError as exc:
         # the readers' messages already start with the path
         raise ValueError(f"cannot decode {exc}") from exc
-    h, w = rgb.shape[:2]
-    if size is not None and (w, h) != tuple(size):
-        raise ValueError(f"dimension mismatch in {path}: {w}x{h} vs {size[0]}x{size[1]}")
     return Frame(index=index, rgb=rgb)
 
 
@@ -393,9 +422,7 @@ def load_depth_raster(path, size=None):
     (width, height), its dimensions differ.
     """
     z = read_pgm16(path)
-    h, w = z.shape
-    if size is not None and (w, h) != tuple(size):
-        raise ValueError(f"dimension mismatch in {path}: {w}x{h} vs {size[0]}x{size[1]}")
+    _check_size(path, z.shape[1], z.shape[0], size)
     z[z > DEPTH_MAX_MM] = 0
     return z
 

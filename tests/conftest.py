@@ -11,7 +11,13 @@ from hbpt import cli
 from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
+from hbpt.config import PipelineConfig
 from hbpt.imageio import Frame
+
+# the scenarios the acceptance criteria track, each at its default seed (7)
+ACCEPTANCE_SCENARIOS = (
+    "walker", "occluded_arm", "approach_box", "open_box", "carry_box", "null_walk",
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +35,37 @@ def scenario_dir(tmp_path_factory):
         return cache[key]
 
     return build
+
+
+def run_scenario(root, name):
+    """Render scenario ``name`` at its default seed into root/in and track it,
+    with default settings and the box from its truth, into root/out. Returns
+    (root, truth, the ``evaluate`` summary)."""
+    indir = root / "in"
+    truth = sg.write_scenario(sg.Scenario(name), indir)
+    box = truth.get("box") or {}
+    cfg = PipelineConfig(
+        input=str(indir),
+        output=str(root / "out"),
+        box_rect=box.get("rect", []),
+        box_ref_frame=box.get("ref_frame", 0),
+    )
+    cli.run_pipeline(cfg)
+    return root, truth, cli.evaluate(root / "out", indir / "truth.json")
+
+
+@pytest.fixture(scope="session")
+def acceptance_run(tmp_path_factory):
+    """``run_scenario`` of each acceptance scenario, made once per session,
+    so the acceptance criteria and the golden digests read the same files."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            cache[name] = run_scenario(tmp_path_factory.mktemp(f"acc_{name}"), name)
+        return cache[name]
+
+    return run
 
 
 def frame_from_rgb(rgb, index=0):
@@ -134,11 +171,16 @@ def read_jsonl(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def step_in_memory(cfg, frames, depths=None):
-    """Step ``frames`` (and ``depths``) through a ``cli.FrameStep`` over the
-    scene learned from the first ``learn_frames`` of them, as ``track`` does,
-    without reading or writing a file. Returns the step and what each
-    ``step`` call returned."""
+def frame_step(cfg, frames):
+    """A ``cli.FrameStep`` over the scene learned from the first
+    ``learn_frames`` of ``frames``, as ``track`` makes it."""
     model = sm.learn_scene(frames[: cfg.learn_frames], cfg.scene_var_floor)
-    step = cli.FrameStep(cfg, model, defaultdict(float))
+    return cli.FrameStep(cfg, model, defaultdict(float))
+
+
+def step_in_memory(cfg, frames, depths=None):
+    """Step ``frames`` (and ``depths``) through ``frame_step(cfg, frames)``,
+    as ``track`` does, without reading or writing a file. Returns the step
+    and what each ``step`` call returned."""
+    step = frame_step(cfg, frames)
     return step, [step.step(f, d) for f, d in zip(frames, depths or [None] * len(frames))]

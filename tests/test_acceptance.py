@@ -1,7 +1,8 @@
 """End-to-end acceptance suite.
 
 Each test prints one PASS/FAIL line for its criterion. Expensive pipeline
-runs are shared through module-scoped fixtures; everything is driven by the
+runs are made once per session by conftest's ``acceptance_run``, whose files
+the golden digests of ``test_golden`` read too; everything is driven by the
 synthetic scenario generator's ground truth.
 """
 
@@ -17,7 +18,7 @@ from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
-from hbpt.cli import evaluate, run_pipeline
+from hbpt.cli import run_pipeline
 from hbpt.config import PipelineConfig
 
 from conftest import frame_from_rgb, read_jsonl
@@ -30,45 +31,11 @@ def _report(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-def _run_scenario(tmp_path_factory, name, **params):
-    root = tmp_path_factory.mktemp(f"acc_{name}")
-    indir = root / "in"
-    truth = sg.write_scenario(sg.Scenario(name, **params), indir)
-    box = truth.get("box") or {}
-    cfg = PipelineConfig(
-        input=str(indir),
-        output=str(root / "out"),
-        box_rect=box.get("rect", []),
-        box_ref_frame=box.get("ref_frame", 0),
-    )
-    run_pipeline(cfg)
-    summary = evaluate(root / "out", indir / "truth.json")
-    return root, truth, summary
-
-
-@pytest.fixture(scope="module")
-def walker_run(tmp_path_factory):
-    return _run_scenario(tmp_path_factory, "walker")  # 300 frames
-
-
-@pytest.fixture(scope="module")
-def occlusion_run(tmp_path_factory):
-    return _run_scenario(tmp_path_factory, "occluded_arm")
-
-
-@pytest.fixture(scope="module")
-def box_runs(tmp_path_factory):
-    return {
-        name: _run_scenario(tmp_path_factory, name)
-        for name in ("approach_box", "open_box", "carry_box", "null_walk")
-    }
-
-
 # ---------------------------------------------------------------------------
 # 1. throughput
 
-def test_criterion_1_throughput(walker_run):
-    root, truth, _ = walker_run
+def test_criterion_1_throughput(acceptance_run):
+    root, truth, _ = acceptance_run("walker")  # 300 frames
     metrics = json.loads((root / "out" / "metrics.json").read_text())
     ok = metrics["frames"] == 300 and metrics["fps"] >= 10.0
     _report(
@@ -98,8 +65,8 @@ def test_criterion_2_background_learning():
 # ---------------------------------------------------------------------------
 # 3. tracking accuracy
 
-def test_criterion_3_tracking_accuracy(walker_run):
-    _, _, summary = walker_run
+def test_criterion_3_tracking_accuracy(acceptance_run):
+    _, _, summary = acceptance_run("walker")
     rms = summary["centroid_rms_px"]
     torso_frac = summary["torso_center_in_rect"]
     parts = summary["part_agreement"]
@@ -116,8 +83,8 @@ def test_criterion_3_tracking_accuracy(walker_run):
 # ---------------------------------------------------------------------------
 # 4. occlusion contract
 
-def test_criterion_4_occlusion_contract(occlusion_run):
-    root, truth, summary = occlusion_run
+def test_criterion_4_occlusion_contract(acceptance_run):
+    root, truth, summary = acceptance_run("occluded_arm")
     records = {r["frame"]: r for r in read_jsonl(root / "out" / "blobs.jsonl")}
     scripted = {}
     for e in truth["per_frame"]:
@@ -280,10 +247,11 @@ def test_criterion_6_numerical_checks():
 # ---------------------------------------------------------------------------
 # 7. activity events
 
-def test_criterion_7_activity_events(box_runs):
+def test_criterion_7_activity_events(acceptance_run):
     details = []
     ok = True
-    for name, (root, truth, summary) in box_runs.items():
+    for name in ("approach_box", "open_box", "carry_box", "null_walk"):
+        root, truth, summary = acceptance_run(name)
         events = json.loads((root / "out" / "events.json").read_text())
         fired = [(e["kind"], e["frame_index"]) for e in events]
         expect = [(e["kind"], e["frame_index"]) for e in truth["events"]]

@@ -19,7 +19,7 @@ from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob, blob_ellipse
-from hbpt.config import PipelineConfig, load_config, parse_config_text
+from hbpt.config import PipelineConfig, check_ranges, load_config, parse_config_text
 
 from conftest import person_component, read_jsonl, step_in_memory
 from test_baseline import labels_of
@@ -277,7 +277,9 @@ def test_learn_then_track_with_saved_scene(tmp_path, capsys, monkeypatch):
     sg.write_scenario(sg.Scenario("walker", frames=40, seed=5), indir)
     decoded = []
     read_ppm = iio.read_ppm
-    monkeypatch.setattr(iio, "read_ppm", lambda path: decoded.append(path) or read_ppm(path))
+    monkeypatch.setattr(
+        iio, "read_ppm", lambda path, size=None: decoded.append(path) or read_ppm(path, size)
+    )
     rc = cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)])
     assert rc == 0
     assert len(decoded) == 30  # learn.frames, not the whole sequence
@@ -448,6 +450,7 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("activity.carry_min_disp = -0.5", "activity.carry_min_disp"),
         ("activity.carry_z_rate_mm = -200", "activity.carry_z_rate_mm"),
         ("seed = -1", "seed"),
+        ("scene.tau = inf", "scene.tau"),
     ],
 )
 def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line, key):
@@ -463,6 +466,20 @@ def test_track_rejects_out_of_range_config(tmp_path, capsys, scenario_dir, line,
     assert err.startswith(f"error: {key} "), err
     assert "Traceback" not in err
     assert not (out / "blobs.jsonl").exists()
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+FLOAT_KEYS = [key for key in CONFIG_KEYS if _FIELD_TYPES[key.replace(".", "_")] is float]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_infinite_float_values(key, value):
+    """Every float key must be finite; ``scene.tau = inf``, for one, would
+    flag no pixel as foreground and track nothing."""
+    cfg = parse_config_text(f"{key} = {value}")
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} must be finite, got {value}$"):
+        check_ranges(cfg)
 
 
 @pytest.mark.parametrize("key", ["input", "output", "pattern", "scene.file"])

@@ -451,6 +451,8 @@ def _raw_rows(ftypes, w=5):
         (_idat_png(zlib.compress(_raw_rows([0] * 5))), "not 64 bytes"),
         (_idat_png(zlib.compress(_raw_rows([0, 1, 5, 0]))), "bad PNG filter 5 in row 2"),
         (_good_png().replace(b"IDAT", b"iDAT"), "missing IDAT"),
+        # the largest size PNG allows: more image data than a C size can hold
+        (_idat_png(zlib.compress(_raw_rows([0] * 4)), 2**31 - 1, 2**31 - 1), r"not \d+ bytes"),
     ],
     ids=[
         "truncated-chunk",
@@ -461,6 +463,7 @@ def _raw_rows(ftypes, w=5):
         "long-data",
         "bad-filter",
         "missing-idat",
+        "largest-size",
     ],
 )
 def test_corrupt_png_raises_value_error(tmp_path, data, message):
@@ -488,9 +491,9 @@ def test_truncated_png_frame_fails_track_cleanly(tmp_path, capsys):
     assert err.startswith("error: cannot decode") and "frame_000001.png" in err
 
 
-def _png_with_methods(compression, filter_method):
-    """_good_png with its IHDR compression and filter method bytes replaced."""
-    ihdr = struct.pack(">IIBBBBB", 5, 4, 8, 2, compression, filter_method, 0)
+def _png_with_ihdr(w=5, h=4, compression=0, filter_method=0):
+    """_good_png's image data under another IHDR, with a valid CRC."""
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, compression, filter_method, 0)
     data = _good_png()
     return data[:8] + _chunk(b"IHDR", ihdr) + data[8 + 12 + 13 :]
 
@@ -509,7 +512,7 @@ def test_png_with_another_compression_or_filter_method_is_rejected(
     indir = tmp_path / "in"
     indir.mkdir()
     path = indir / "frame_000000.png"
-    path.write_bytes(_png_with_methods(compression, filter_method))
+    path.write_bytes(_png_with_ihdr(compression=compression, filter_method=filter_method))
     with pytest.raises(ValueError, match=message):
         iio.read_png(path)
     (indir / "run.cfg").write_text('pattern = "frame_*.png"\n')
@@ -522,6 +525,49 @@ def test_png_with_another_compression_or_filter_method_is_rejected(
     err = capsys.readouterr().err
     assert err.startswith("error: cannot decode") and f"frame_000000.png: {message}" in err
     assert not (out / "blobs.jsonl").exists()
+
+
+def test_png_beyond_the_size_limit_fails_track_cleanly(tmp_path, capsys):
+    """A 4294967295 x 4294967295 header is refused before its image data is
+    inflated: the run ends with an ``error:`` line naming the file."""
+    indir = tmp_path / "in"
+    indir.mkdir()
+    bad = indir / "frame_000000.png"
+    bad.write_bytes(_png_with_ihdr(2**32 - 1, 2**32 - 1))
+    for i in range(1, 4):
+        (indir / f"frame_{i:06d}.png").write_bytes(_good_png())
+    (indir / "run.cfg").write_text('pattern = "frame_*.png"\n')
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["track", "--input", str(indir), "--output", str(out),
+         "--config", str(indir / "run.cfg")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot decode {bad}: PNG size 4294967295x4294967295 exceeds 2^31 - 1\n"
+    )
+    assert not (out / "blobs.jsonl").exists()
+
+
+def test_png_header_of_another_size_is_refused_before_inflating(tmp_path, monkeypatch):
+    """A header claiming 60000 x 60000 in a 5 x 4 sequence gets the dimension
+    mismatch message, and zlib is never asked to inflate its image data."""
+    path = tmp_path / "frame_000001.png"
+    path.write_bytes(_png_with_ihdr(60000, 60000))
+    monkeypatch.setattr(iio.zlib, "decompressobj", None)  # any inflate would raise
+    with pytest.raises(ValueError) as info:
+        iio.read_frame(path, 1, (5, 4))
+    assert str(info.value) == f"dimension mismatch in {path}: 60000x60000 vs 5x4"
+
+
+def test_ppm_with_a_second_image_appended_decodes_to_the_first(tmp_path):
+    """Netpbm allows several images in one file; a frame is the first one."""
+    first = np.arange(36, dtype=np.uint8).reshape(3, 4, 3)
+    path = tmp_path / "frame_000000.ppm"
+    iio.write_ppm(path, first)
+    path.write_bytes(path.read_bytes() + b"P6\n2 2\n255\n" + bytes(range(12)))
+    np.testing.assert_array_equal(iio.read_ppm(path), first)
+    np.testing.assert_array_equal(iio.read_frame(path, 0, (4, 3)).rgb, first)
 
 
 def _ppm_bytes(w=4, h=3):
