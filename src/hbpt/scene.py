@@ -1,5 +1,9 @@
 """Background scene model: per-pixel YUV mean/variance, deviation detection,
-and exponential adaptation of pixels not covered by the person."""
+and exponential adaptation of pixels not covered by the person.
+
+The model is held in float32, the type ``save_scene`` writes, so a model
+loaded from a file and one learned in the same process are the same numbers.
+"""
 
 import struct
 from dataclasses import dataclass
@@ -9,22 +13,22 @@ import numpy as np
 
 _MAGIC = b"HBPTSCN1"
 
-# Pixels per block of the full-frame passes: a block's float64 temporaries
-# (384 KB each) stay in cache from one numpy op to the next.
+# Pixels per block of the full-frame passes: a block's float32 temporaries
+# (192 KB each) stay in cache from one numpy op to the next.
 _BLOCK_PIXELS = 16384
 
 
 @dataclass
 class SceneModel:
-    mean: np.ndarray  # (h, w, 3) float64
-    var: np.ndarray  # (h, w, 3) float64, floored at var_floor
+    mean: np.ndarray  # (h, w, 3) float32
+    var: np.ndarray  # (h, w, 3) float32, floored at var_floor
     frames_seen: int
     var_floor: float
 
     def __post_init__(self):
         # update_scene writes through (h*w, 3) views of these two arrays
-        self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        self.var = np.ascontiguousarray(self.var, dtype=np.float64)
+        self.mean = np.ascontiguousarray(self.mean, dtype=np.float32)
+        self.var = np.ascontiguousarray(self.var, dtype=np.float32)
 
     @property
     def height(self):
@@ -43,7 +47,8 @@ class ForegroundMask:
 
 
 def learn_scene(frames, var_floor):
-    """Accumulate per-pixel mean and population variance over person-free frames."""
+    """Accumulate per-pixel mean and population variance over person-free
+    frames, in float64 from exact integer sums, and round both once to float32."""
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames to learn a scene, got {len(frames)}")
     w, h = frames[0].width, frames[0].height
@@ -56,7 +61,7 @@ def learn_scene(frames, var_floor):
     # Exact sums of the uint8 values and their squares, each in the smallest
     # unsigned type that holds it. Every sum is below 2**53, so it converts
     # to float64 exactly, and mean and var are what a float64 accumulation
-    # gives.
+    # gives until the final operations round them to float32.
     acc = np.zeros((h, w, 3), dtype=np.min_scalar_type(len(frames) * 255))
     acc2 = np.zeros((h, w, 3), dtype=np.min_scalar_type(len(frames) * 255**2))
     sq = np.empty((h, w, 3), dtype=np.uint16)  # 255**2 fits
@@ -66,21 +71,32 @@ def learn_scene(frames, var_floor):
         acc2 += sq
     n = float(len(frames))
     mean = acc / n
-    var = np.maximum(acc2 / n - mean * mean, var_floor)
-    return SceneModel(mean=mean, var=var, frames_seen=len(frames), var_floor=var_floor)
+    var = acc2 / n
+    var -= mean * mean
+    # Rounding is monotonic, so the maximum of the values rounded to float32
+    # is the float64 maximum rounded to float32.
+    var = np.maximum(var, np.float32(var_floor), dtype=np.float32)
+    return SceneModel(
+        mean=mean.astype(np.float32), var=var, frames_seen=len(frames), var_floor=var_floor
+    )
 
 
 def detect_foreground(model, frame, tau):
-    """Flag pixels whose squared Mahalanobis distance over Y,U,V exceeds tau^2."""
+    """Flag pixels whose squared Mahalanobis distance over Y,U,V exceeds tau^2.
+
+    The distance is computed in float32, block by block, with the operations
+    and the channel order of one full-frame pass, and is compared with tau^2
+    rounded once to float32.
+    """
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
     x = frame.yuv.reshape(-1, 3)
     mean = model.mean.reshape(-1, 3)
     var = model.var.reshape(-1, 3)
     bits = np.empty(x.shape[0], dtype=bool)
-    q = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3))  # d = x - mean, d*d, d*d/var
-    dist2 = np.empty(q.shape[0])
-    tau2 = tau * tau
+    q = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3), np.float32)  # d, d*d, d*d/var
+    dist2 = np.empty(q.shape[0], np.float32)
+    tau2 = np.float32(tau * tau)
     for s in range(0, x.shape[0], _BLOCK_PIXELS):
         e = min(s + _BLOCK_PIXELS, x.shape[0])
         qb, db = q[: e - s], dist2[: e - s]
@@ -97,9 +113,11 @@ def update_scene(model, frame, fg, alpha):
     """Blend the pixels outside the bool mask ``fg`` into the model in place.
 
     mean <- (1-a)*mean + a*x, var <- (1-a)*var + a*(x-mean)^2, then the
-    variance floor is re-applied. ``model.mean`` and ``model.var`` are updated
-    in place over the whole frame, block by block, and the foreground pixels'
-    values, saved beforehand, are written back, so they are left untouched.
+    variance floor is re-applied, all in float32: ``a``, ``1-a`` (computed in
+    float64) and the floor are each rounded once to float32. ``model.mean``
+    and ``model.var`` are updated in place over the whole frame, block by
+    block, and the foreground pixels' values, saved beforehand, are written
+    back, so they are left untouched.
     """
     if frame.width != model.width or frame.height != model.height:
         raise ValueError("frame dimensions do not match scene model")
@@ -116,22 +134,22 @@ def update_scene(model, frame, fg, alpha):
     saved_mean = np.take(mean, rows, axis=0)
     saved_var = np.take(var, rows, axis=0)
     x = frame.yuv.reshape(-1, 3)
-    d = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3))  # x, then x - mean
+    d = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3), np.float32)  # x, then x - mean
     ad = np.empty_like(d)  # a*x, then (a*d)*d
-    keep = 1.0 - alpha
+    a, keep, floor = np.float32(alpha), np.float32(1.0 - alpha), np.float32(model.var_floor)
     for s in range(0, x.shape[0], _BLOCK_PIXELS):
         e = min(s + _BLOCK_PIXELS, x.shape[0])
         db, adb, mb, vb = d[: e - s], ad[: e - s], mean[s:e], var[s:e]
         np.copyto(db, x[s:e])
-        np.multiply(db, alpha, out=adb)
+        np.multiply(db, a, out=adb)
         mb *= keep
         mb += adb
         db -= mb
-        np.multiply(db, alpha, out=adb)
+        np.multiply(db, a, out=adb)
         adb *= db
         vb *= keep
         vb += adb
-        np.maximum(vb, model.var_floor, out=vb)
+        np.maximum(vb, floor, out=vb)
     mean[rows] = saved_mean
     var[rows] = saved_var
     model.frames_seen += 1
@@ -152,8 +170,8 @@ def save_scene(model, path):
 
 
 def load_scene(path):
-    """Read a ``save_scene`` file; raises ValueError naming the path if it is
-    not one or is cut short."""
+    """Read a ``save_scene`` file into a writable float32 model; raises
+    ValueError naming the path if it is not one or is cut short."""
     data = Path(path).read_bytes()
     if data[:8] != _MAGIC[: len(data)]:  # a cut-off magic is a short file
         raise ValueError(f"{path}: not a scene model file")
@@ -168,8 +186,8 @@ def load_scene(path):
     mean = np.frombuffer(data, dtype="<f4", count=n, offset=24)
     var = np.frombuffer(data, dtype="<f4", count=n, offset=24 + 4 * n)
     return SceneModel(
-        mean=mean.reshape(h, w, 3).astype(np.float64),
-        var=var.reshape(h, w, 3).astype(np.float64),
+        mean=mean.reshape(h, w, 3).astype(np.float32),
+        var=var.reshape(h, w, 3).astype(np.float32),
         frames_seen=frames_seen,
         var_floor=var_floor,
     )

@@ -292,6 +292,10 @@ def test_learn_then_track_with_saved_scene(tmp_path, capsys, monkeypatch):
     cli.run_pipeline(cfg)
     records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
     assert sum(1 for r in records if r["tracked"]) >= 8
+    # the saved float32 model is the one track learns in process
+    cli.run_pipeline(PipelineConfig(input=str(indir), output=str(tmp_path / "learned")))
+    blobs = (tmp_path / "out" / "blobs.jsonl").read_bytes()
+    assert blobs == (tmp_path / "learned" / "blobs.jsonl").read_bytes()
 
 
 def test_overlays_written_when_enabled(tmp_path):

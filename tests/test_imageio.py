@@ -670,6 +670,81 @@ def test_truncated_depth_pgm_is_rejected(tmp_path, data, message):
         [iio.load_depth_raster(p) for p in cli._depth_paths(tmp_path, 2)]
 
 
+def _mutants(rng, data, n):
+    """``n`` seeded mutations of ``data``: truncations, flips of 1-3 bytes and
+    insertions of 1-8 random bytes, each with a label that reproduces it."""
+    for i in range(n):
+        kind = ("truncate", "flip", "insert")[i % 3]
+        if kind == "truncate":
+            cut = int(rng.integers(0, len(data)))
+            yield f"truncate {cut}", data[:cut]
+        elif kind == "flip":
+            out = bytearray(data)
+            at = rng.integers(0, len(data), size=int(rng.integers(1, 4)))
+            for pos in at:
+                out[pos] ^= int(rng.integers(1, 256))
+            yield f"flip {at.tolist()}", bytes(out)
+        else:
+            pos = int(rng.integers(0, len(data) + 1))
+            extra = rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8)
+            yield f"insert {extra.tobytes()!r} at {pos}", data[:pos] + extra.tobytes() + data[pos:]
+
+
+_MUTATION_SIZE = (7, 5)  # (width, height) of every base file
+
+
+def _mutation_base(name):
+    """The file bytes of one base format, and a function from mutated bytes to
+    file bytes. ``png-raw`` mutates the filtered rows and compresses them
+    again, so its mutants reach the row filters instead of failing in zlib."""
+    w, h = _MUTATION_SIZE
+    rng = np.random.default_rng(5)
+    rgb = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+    filters = [0, 1, 2, 3, 4]
+    if name == "ppm":
+        return b"P6\n# c\n%d %d\n255\n" % (w, h) + rgb.tobytes(), bytes
+    if name == "pgm":
+        z = rng.integers(0, 2**16, size=(h, w)).astype(">u2")
+        return b"P5\n%d %d\n65535\n" % (w, h) + z.tobytes(), bytes
+    if name == "png-raw":
+        # the IDAT body sits between the signature, IHDR and the IDAT chunk's
+        # length and type (41 bytes) and its CRC and the IEND chunk (16 bytes)
+        raw = zlib.decompress(_png_bytes(rgb, filters)[41:-16])
+        return raw, lambda mutant: _idat_png(zlib.compress(mutant), w, h)
+    channels = {"png-gray": 1, "png-rgb": 3, "png-rgba": 4}[name]
+    px = rng.integers(0, 256, size=(h, w, channels)).astype(np.uint8)
+    return _png_bytes(px[..., 0] if channels == 1 else px, filters), bytes
+
+
+@pytest.mark.parametrize("name", ["ppm", "pgm", "png-gray", "png-rgb", "png-rgba", "png-raw"])
+def test_mutated_files_decode_or_raise_value_error(tmp_path, name):
+    """Every seeded mutant of a PPM, PGM or PNG file either decodes to a
+    raster of the expected shape or raises ValueError, with and without the
+    sequence size."""
+    w, h = _MUTATION_SIZE
+    data, wrap = _mutation_base(name)
+    path = tmp_path / f"frame.{name[:3]}"
+    rng = np.random.default_rng(sum(name.encode()))
+    decoded = 0
+    for i, (label, mutant) in enumerate(_mutants(rng, data, 1500)):
+        path.write_bytes(wrap(mutant))
+        size = _MUTATION_SIZE if i % 2 else None
+        try:
+            if name == "pgm":
+                out = iio.load_depth_raster(path, size)
+                ok = out.ndim == 2 and out.dtype == np.int32
+            else:
+                out = iio.read_frame(path, 0, size).rgb
+                ok = out.ndim == 3 and out.shape[2] == 3 and out.dtype == np.uint8
+        except ValueError:
+            continue
+        except Exception as exc:  # any other exception fails, naming the mutant
+            pytest.fail(f"{name}: {label} raised {exc!r}")
+        assert ok and (size is None or out.shape[:2] == (h, w)), f"{name}: {label}"
+        decoded += 1
+    assert 0 < decoded < 1500  # some mutants decode and some are refused
+
+
 def test_depth_raster_constant(tmp_path):
     z = np.full((6, 8), 2000, np.int32)
     iio.write_pgm16(tmp_path / "d.pgm", z)

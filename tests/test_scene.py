@@ -49,12 +49,12 @@ def test_learn_matches_accumulation_oracle_exactly():
                 acc2 += v * v
             mean = acc / 30.0
             var = acc2 / 30.0 - mean * mean
-            assert model.mean[y, x, c] == mean
-            assert model.var[y, x, c] == max(var, 0.0)
+            assert model.mean[y, x, c] == np.float32(mean)
+            assert model.var[y, x, c] == np.float32(max(var, 0.0))
 
 
 def _reference_learn_scene(frames, var_floor):
-    """Mean and variance from float64 sums, as learn_scene once computed them."""
+    """Mean and variance from float64 sums, each rounded once to float32."""
     acc = np.zeros(frames[0].yuv.shape)
     acc2 = np.zeros(frames[0].yuv.shape)
     for f in frames:
@@ -63,7 +63,8 @@ def _reference_learn_scene(frames, var_floor):
         acc2 += x * x
     n = float(len(frames))
     mean = acc / n
-    return mean, np.maximum(acc2 / n - mean * mean, var_floor)
+    var = np.maximum(acc2 / n - mean * mean, var_floor)
+    return mean.astype(np.float32), var.astype(np.float32)
 
 
 # 257 frames are the most whose sums fit uint16; white frames reach the
@@ -156,16 +157,21 @@ def test_update_fixed_point_at_mean():
 
 
 def test_update_geometric_decay():
+    """After a step in Y the mean follows m <- (1-a)*m + a*x, evaluated in
+    float32 one step at a time."""
     frames = [flat_frame((90, 120, 60), index=i) for i in range(3)]
     model = sm.learn_scene(frames, var_floor=4.0)
-    stepped = flat_frame((120, 120, 60))  # Y steps by c
-    c = float(stepped.yuv[0, 0, 0]) - model.mean[0, 0, 0]
+    stepped = flat_frame((120, 120, 60))
     fg = np.zeros((30, 40), bool)
     alpha, k = 0.1, 12
+    a, keep = np.float32(alpha), np.float32(1.0 - alpha)
+    x = np.float32(stepped.yuv[0, 0, 0])
+    m0 = m = model.mean[0, 0, 0]
     for _ in range(k):
         sm.update_scene(model, stepped, fg, alpha=alpha)
-    residual = float(stepped.yuv[0, 0, 0]) - model.mean[0, 0, 0]
-    assert residual == pytest.approx(c * (1 - alpha) ** k, rel=1e-9)
+        m = keep * m + a * x
+    assert m.dtype == np.float32 and m0 < m < x  # moved towards x, not there yet
+    assert (model.mean[..., 0] == m).all()
 
 
 def test_update_never_touches_masked_pixels():
@@ -224,8 +230,9 @@ def test_scene_save_load_round_trip(tmp_path):
     loaded = sm.load_scene(path)
     assert loaded.frames_seen == model.frames_seen
     assert loaded.var_floor == model.var_floor
-    assert np.allclose(loaded.mean, model.mean, atol=1e-3)
-    assert np.allclose(loaded.var, model.var, atol=1e-3)
+    for got, want in ((loaded.mean, model.mean), (loaded.var, model.var)):
+        assert got.dtype == np.float32 and got.flags.c_contiguous and got.flags.writeable
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_scene_load_rejects_bad_magic(tmp_path):
@@ -242,13 +249,14 @@ def test_scene_load_rejects_bad_dimensions(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# detect_foreground and the in-place update_scene against the float64
-# full-frame code they replace
+# detect_foreground and the in-place update_scene against one full-frame
+# float32 pass
 
 def _reference_detect_foreground(model, frame, tau):
-    d = frame.yuv.astype(np.float64) - model.mean
+    d = frame.yuv.astype(np.float32) - model.mean
     dist2 = np.sum(d * d / model.var, axis=2)
-    return dist2 > tau * tau
+    assert dist2.dtype == np.float32
+    return dist2 > np.float32(tau * tau)
 
 
 def _reference_update_scene(model, frame, bits, alpha):
@@ -256,10 +264,12 @@ def _reference_update_scene(model, frame, bits, alpha):
     vis = ~bits
     if not vis.any():
         return model.mean.copy(), model.var.copy(), model.frames_seen
-    x = frame.yuv.astype(np.float64)
-    new_mean = (1.0 - alpha) * model.mean + alpha * x
+    x = frame.yuv.astype(np.float32)
+    a, keep = np.float32(alpha), np.float32(1.0 - alpha)
+    new_mean = keep * model.mean + a * x
     d = x - new_mean
-    new_var = np.maximum((1.0 - alpha) * model.var + alpha * d * d, model.var_floor)
+    new_var = np.maximum(keep * model.var + a * d * d, np.float32(model.var_floor))
+    assert new_mean.dtype == new_var.dtype == np.float32
     keep = vis[:, :, None]
     return (
         np.where(keep, new_mean, model.mean),
@@ -311,15 +321,16 @@ def test_detect_foreground_sums_channels_in_np_sum_order():
     h, w, tau = 120, 160, 4.0
     frame = frame_from_rgb(np.zeros((h, w, 3), np.uint8))
     frame.yuv = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
-    mean = frame.yuv + rng.uniform(-40.0, 40.0, size=(h, w, 3))
+    mean = (frame.yuv + rng.uniform(-40.0, 40.0, size=(h, w, 3))).astype(np.float32)
     d = frame.yuv - mean
-    scale = (d * d).sum(axis=2) / (tau * tau)
-    scale *= 1.0 + rng.integers(-4, 5, size=(h, w)) * np.finfo(float).eps
+    scale = (d * d).sum(axis=2) / np.float32(tau * tau)
+    scale *= 1 + rng.integers(-4, 5, size=(h, w)).astype(np.float32) * np.finfo(np.float32).eps
     var = np.repeat(scale[:, :, None], 3, axis=2)
+    assert d.dtype == var.dtype == np.float32
     model = sm.SceneModel(mean=mean, var=var, frames_seen=2, var_floor=1e-9)
     q = d * d / var
-    left = (q[:, :, 0] + q[:, :, 1]) + q[:, :, 2] > tau * tau
-    right = q[:, :, 0] + (q[:, :, 1] + q[:, :, 2]) > tau * tau
+    left = (q[:, :, 0] + q[:, :, 1]) + q[:, :, 2] > np.float32(tau * tau)
+    right = q[:, :, 0] + (q[:, :, 1] + q[:, :, 2]) > np.float32(tau * tau)
     assert (left != right).sum() > 100  # the case is sensitive to the order
     bits = sm.detect_foreground(model, frame, tau).bits
     assert np.array_equal(bits, _reference_detect_foreground(model, frame, tau))
@@ -344,10 +355,11 @@ def test_scene_passes_match_reference_on_synthgen(name):
     _assert_scene_passes_match(model, frames[30:80:5], alpha=0.05, tau=4.0)
 
 
-def test_scene_model_arrays_are_contiguous_float64():
-    mean = np.zeros((4, 5, 3), np.float32)[:, ::-1]
+def test_scene_model_arrays_are_contiguous_float32():
+    mean = np.zeros((4, 5, 3))[:, ::-1]
     model = sm.SceneModel(mean=mean, var=np.ones((4, 5, 3)), frames_seen=2, var_floor=1.0)
-    assert model.mean.flags.c_contiguous and model.mean.dtype == np.float64
+    for a in (model.mean, model.var):
+        assert a.flags.c_contiguous and a.dtype == np.float32
     frame = flat_frame((10, 20, 30), width=5, height=4)
     sm.update_scene(model, frame, np.zeros((4, 5), bool), alpha=0.5)
     assert (model.mean[..., 0] == 0.5 * frame.yuv[0, 0, 0]).all()
@@ -363,3 +375,74 @@ def test_scene_passes_match_reference_at_block_boundaries(blocks, extra):
     frames = _random_frames(rng, 5, w=n // h, h=h)
     model = sm.learn_scene(frames[:3], var_floor=4.0)
     _assert_scene_passes_match(model, frames[3:], alpha=0.05, tau=4.0)
+
+
+def test_detect_foreground_compares_with_tau2_rounded_to_float32():
+    """tau = 3.3: float32(tau^2) lies above tau^2, so a distance equal to it
+    exceeds tau^2 but is not flagged."""
+    tau = 3.3
+    t32 = np.float32(tau * tau)
+    assert float(t32) > tau * tau
+    # one pixel per float32 var within 32 ulps of 1/tau^2; the distance of
+    # each is float32(1/var), from x - mean = 1 in Y and 0 in U and V
+    n = 64
+    var = np.ones((1, n, 3), np.float32)
+    start = (np.float32(1.0) / t32).view(np.int32)
+    var[0, :, 0] = (start + np.arange(-n // 2, n // 2, dtype=np.int32)).view(np.float32)
+    frame = frame_from_rgb(np.zeros((1, n, 3), np.uint8))
+    frame.yuv = np.zeros((1, n, 3), np.uint8)
+    frame.yuv[..., 0] = 1
+    model = sm.SceneModel(np.zeros((1, n, 3)), var, frames_seen=2, var_floor=1e-9)
+    dist2 = np.float32(1.0) / var[0, :, 0]
+    at_t32 = dist2 == t32
+    assert at_t32.any() and (dist2 < t32).any() and (dist2 > t32).any()
+    bits = sm.detect_foreground(model, frame, tau).bits[0]
+    assert np.array_equal(bits, dist2 > t32)
+    assert not bits[at_t32].any()
+    assert (dist2[at_t32].astype(np.float64) > tau * tau).all()
+
+
+def _flips_within_rounding_bound(model, frame, tau):
+    """Pixels where the float32 foreground test and a float64 evaluation of
+    the same model disagree; asserts that each lies within the float32
+    rounding bound of tau^2 and returns how many there are.
+
+    With u = 2**-24, each float32 channel term (x - m)^2 / v carries at most
+    four roundings and the two additions two more, so the float32 distance
+    is within (1+u)**6 - 1 < 6.1u of the exact one, all terms being
+    non-negative. tau^2 rounded to float32 moves by at most u*tau^2, and the
+    float64 distance by about 2**-50 of itself. A decision can therefore
+    differ only where |dist2_64 - tau^2| < 7.2u * tau^2, stated here as
+    4 * eps32 * tau^2 = 8u * tau^2.
+    """
+    bits = sm.detect_foreground(model, frame, tau).bits
+    d = frame.yuv.astype(np.float64) - model.mean.astype(np.float64)
+    dist2 = np.sum(d * d / model.var.astype(np.float64), axis=2)
+    flips = bits != (dist2 > tau * tau)
+    bound = 4 * np.finfo(np.float32).eps * tau * tau
+    assert (np.abs(dist2[flips] - tau * tau) <= bound).all()
+    return int(flips.sum())
+
+
+@pytest.mark.parametrize("name", ["walker", "carry_box"])
+def test_float32_decisions_match_float64_on_synthgen(name):
+    frames, _, _ = sg.generate_scenario(sg.Scenario(name, frames=80, seed=5))
+    model = sm.learn_scene(frames[:30], var_floor=4.0)
+    for frame in frames[30:]:
+        _flips_within_rounding_bound(model, frame, 4.0)
+        sm.update_scene(model, frame, sm.detect_foreground(model, frame, 4.0).bits, 0.05)
+
+
+@pytest.mark.parametrize("tau", [4.0, 3.3, 3.7])
+def test_float32_decisions_flip_only_near_tau2(tau):
+    """Distances built within a few float32 ulps of tau^2, where flips occur."""
+    rng = np.random.default_rng(int(tau * 10))
+    h, w = 60, 80
+    frame = frame_from_rgb(np.zeros((h, w, 3), np.uint8))
+    frame.yuv = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+    mean = (frame.yuv + rng.uniform(-40.0, 40.0, size=(h, w, 3))).astype(np.float32)
+    d = (frame.yuv - mean).astype(np.float64)
+    var = np.repeat(((d * d).sum(axis=2) / (tau * tau))[:, :, None], 3, axis=2)
+    var *= 1 + rng.integers(-6, 7, size=(h, w, 1)) * np.finfo(np.float32).eps
+    model = sm.SceneModel(mean=mean, var=var, frames_seen=2, var_floor=1e-9)
+    assert _flips_within_rounding_bound(model, frame, tau) > 50  # the case flips decisions
