@@ -1,19 +1,19 @@
 """Activity recognizers: approach (proximity + depth gate), open (reference
 histogram divergence under mean-shift region tracking) and carry (point-
-tracked object moving with the hand), sequenced by an explicit state machine.
+tracked object moving with the hand).
 
-Every sustained condition is debounced: its counter resets on a single
-non-qualifying frame. Open and Carry are gated on a prior Approach.
+Each event fires once, on the frame its condition has held for its number of
+frames in a row; a single frame that fails the condition, or has no torso,
+restarts the count. Approach fires once; Open needs a prior Approach and never
+follows Carry; Carry needs a prior Approach.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tracker import back_project, color_hist16, mean_shift
-
-_PHASES = {"Idle": 0, "Approached": 1, "Opened": 2, "Carrying": 3}
 
 
 @dataclass
@@ -48,19 +48,21 @@ class ActivityEvent:
 
 @dataclass
 class ActivityState:
-    phase: str = "Idle"
-    approach_streak: int = 0
-    open_streak: int = 0
-    carry_streak: int = 0
+    fired: set = field(default_factory=set)  # event kinds fired so far
+    streaks: dict = field(default_factory=dict)  # kind -> frames in a row its condition held
     prev_z_hand: float | None = None
     prev_z_obj: float | None = None
 
-    def reached(self, phase):
-        return _PHASES[self.phase] >= _PHASES[phase]
 
-    def advance(self, phase):
-        if _PHASES[phase] > _PHASES[self.phase]:
-            self.phase = phase
+def _held(state, kind, ok, frames):
+    """Count one more frame of ``kind``'s condition, or restart the count when
+    ``ok`` is false; once it reaches ``frames``, mark ``kind`` fired and
+    return True."""
+    state.streaks[kind] = state.streaks.get(kind, 0) + 1 if ok else 0
+    if state.streaks[kind] < frames:
+        return False
+    state.fired.add(kind)
+    return True
 
 
 def make_box_region(frame, rect):
@@ -93,10 +95,7 @@ def track_box_region(box, frame):
 
 def hand_point(model):
     """Arm pixel farthest from the torso center, or None without arms."""
-    torso = model.blobs.get("torso")
-    if torso is None:
-        return None
-    tx, ty = torso.mu
+    tx, ty = model.torso.mu
     best, best_d = None, -1.0
     for label in ("armL", "armR"):
         pts = model.part_pixels.get(label)
@@ -121,11 +120,8 @@ def _hand_depth_sample(model, hand, inset=3.0):
     """Sample point for hand depth, nudged toward the torso so the silhouette
     edge (where depth returns flicker between person and background) is
     avoided."""
-    torso = model.blobs.get("torso")
-    if torso is None:
-        return hand
-    dx = torso.mu[0] - hand[0]
-    dy = torso.mu[1] - hand[1]
+    dx = model.torso.mu[0] - hand[0]
+    dy = model.torso.mu[1] - hand[1]
     norm = math.hypot(dx, dy)
     if norm < 1e-9:
         return hand
@@ -135,8 +131,6 @@ def _hand_depth_sample(model, hand, inset=3.0):
 def depth_at(depth, point, win=5):
     """Median of the valid depths in a win x win window of the (h, w)
     millimeter array ``depth``; None when all are invalid."""
-    if depth is None:
-        return None
     half = win // 2
     x, y = int(round(point[0])), int(round(point[1]))
     h, w = depth.shape
@@ -157,13 +151,10 @@ def detect_approach(model, box, depth, state, frame_index, cfg):
     depth available, the hand and box must also sit within
     ``cfg.activity_z_gate_mm`` millimeters of each other.
     """
-    if state.reached("Approached"):
+    if "Approach" in state.fired:
         return None
     hand = hand_point(model)
-    if hand is None:
-        state.approach_streak = 0
-        return None
-    dist = _point_rect_distance(hand, box.tracked_rect)
+    dist = _point_rect_distance(hand, box.tracked_rect) if hand else math.inf
     ok = dist <= cfg.activity_d_xy
     z_hand = z_box = None
     depth_used = False
@@ -177,10 +168,8 @@ def detect_approach(model, box, depth, state, frame_index, cfg):
             and z_box is not None
             and abs(z_hand - z_box) <= cfg.activity_z_gate_mm
         )
-    state.approach_streak = state.approach_streak + 1 if ok else 0
-    if state.approach_streak < cfg.activity_approach_frames:
+    if not _held(state, "Approach", ok, cfg.activity_approach_frames):
         return None
-    state.advance("Approached")
     payload = {
         "distance_px": dist,
         "depth_used": depth_used,
@@ -199,14 +188,13 @@ def detect_approach(model, box, depth, state, frame_index, cfg):
 def detect_open(box, frame, state, frame_index, cfg):
     """Fire Open once the box rect's histogram has stayed more than
     ``cfg.activity_theta_open`` from its reference for
-    ``cfg.activity_open_frames`` frames."""
-    if not state.reached("Approached") or state.reached("Opened"):
+    ``cfg.activity_open_frames`` frames. Open needs a prior Approach and
+    never follows Carry."""
+    if "Approach" not in state.fired or "Open" in state.fired or "Carry" in state.fired:
         return None
     d = hist_distance(color_hist16(frame, box.tracked_rect), box.ref_hist)
-    state.open_streak = state.open_streak + 1 if d > cfg.activity_theta_open else 0
-    if state.open_streak < cfg.activity_open_frames:
+    if not _held(state, "Open", d > cfg.activity_theta_open, cfg.activity_open_frames):
         return None
-    state.advance("Opened")
     return ActivityEvent(
         kind="Open",
         frame_index=frame_index,
@@ -224,9 +212,9 @@ def detect_carry(model, track, depth, state, frame_index, cfg):
     object depth changed together within ``cfg.activity_carry_z_rate_mm`` mm
     per frame.
     """
-    if not state.reached("Approached") or state.phase == "Carrying":
+    if "Approach" not in state.fired or "Carry" in state.fired:
         return None
-    centroid = track.centroid if track is not None else None
+    centroid = track.centroid
     hand = hand_point(model)
     z_hand = (
         depth_at(depth, _hand_depth_sample(model, hand))
@@ -250,10 +238,8 @@ def detect_carry(model, track, depth, state, frame_index, cfg):
                 ok = abs(dz) <= cfg.activity_carry_z_rate_mm
     state.prev_z_hand = z_hand
     state.prev_z_obj = z_obj
-    state.carry_streak = state.carry_streak + 1 if ok else 0
-    if state.carry_streak < cfg.activity_carry_frames:
+    if not _held(state, "Carry", ok, cfg.activity_carry_frames):
         return None
-    state.advance("Carrying")
     return ActivityEvent(
         kind="Carry",
         frame_index=frame_index,
@@ -445,57 +431,50 @@ class ActivityMonitor:
         # Carry fires
         self._lk_pyramid = None
 
-    def _track_points(self, frame):
-        """Move the alive object points from the previous frame to this one."""
-        alive = np.flatnonzero(self.track.alive)
+    def _track_points(self, prev, frame):
+        """Move the alive object points from frame ``prev`` to ``frame``,
+        keeping their centroid on ``prev`` as the track's prev_centroid."""
+        track = self.track
+        track.prev_centroid = track.centroid
+        alive = np.flatnonzero(track.alive)
         if alive.size == 0:
             return
         pts, ok, self._lk_pyramid = lk_flow(
-            self.prev_frame, frame, self.track.points[alive], prev_pyramid=self._lk_pyramid
+            prev, frame, track.points[alive], prev_pyramid=self._lk_pyramid
         )
-        self.track.points[alive] = pts
-        self.track.alive[alive] = ok
+        track.points[alive] = pts
+        track.alive[alive] = ok
 
     def process(self, frame_index, frame, model, depth=None):
         """Run the recognizers for one frame; returns newly fired events."""
         cfg = self.cfg
-        fired = []
-        if not cfg.box_rect:
-            self.prev_frame = frame
-            return fired
+        prev, self.prev_frame = self.prev_frame, frame
+        if not cfg.box_rect or (self.box is None and frame_index < cfg.box_ref_frame):
+            return []
         if self.box is None:
-            if frame_index < cfg.box_ref_frame:
-                self.prev_frame = frame
-                return fired
             self.box = make_box_region(frame, cfg.box_rect)
         self.box = track_box_region(self.box, frame)
 
         # the points feed only detect_carry, which has nothing left to do once
-        # Carry fired; the box rectangle above is still tracked for overlays
-        if (
-            self.track is not None
-            and self.prev_frame is not None
-            and not self.state.reached("Carrying")
-        ):
-            prev_centroid = self.track.centroid
-            self._track_points(frame)
-            self.track.prev_centroid = prev_centroid
+        # Carry fired; the box rectangle above is still tracked for overlays.
+        # The track is seeded at Approach, so prev is an earlier frame.
+        if self.track is not None and "Carry" not in self.state.fired:
+            self._track_points(prev, frame)
 
-        if model is not None and model.torso is not None:
-            ev = detect_approach(model, self.box, depth, self.state, frame_index, cfg)
-            if ev:
-                fired.append(ev)
-                self.track = seed_object_points(self.box.tracked_rect)
-            ev = detect_open(self.box, frame, self.state, frame_index, cfg)
-            if ev:
-                fired.append(ev)
-            ev = detect_carry(model, self.track, depth, self.state, frame_index, cfg)
-            if ev:
-                fired.append(ev)
-        else:
-            self.state.approach_streak = 0
-            self.state.open_streak = 0
-            self.state.carry_streak = 0
+        if model is None or model.torso is None:
+            self.state.streaks.clear()
+            return []
+        approach = detect_approach(model, self.box, depth, self.state, frame_index, cfg)
+        if approach:
+            self.track = seed_object_points(self.box.tracked_rect)
+        fired = [
+            ev
+            for ev in (
+                approach,
+                detect_open(self.box, frame, self.state, frame_index, cfg),
+                detect_carry(model, self.track, depth, self.state, frame_index, cfg),
+            )
+            if ev
+        ]
         self.events.extend(fired)
-        self.prev_frame = frame
         return fired

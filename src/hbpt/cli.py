@@ -254,91 +254,135 @@ def run_pipeline(cfg):
 # ---------------------------------------------------------------------------
 # evaluation against ground truth
 
+_PART_CHECKS = ("head", "torso", "leg1", "leg2", "leg3", "leg4")
+
+
+@contextmanager
+def _fields_of(path):
+    """Report a missing or mistyped field in what is read from ``path`` as a
+    ValueError that names the file."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
+
+
+def _sized(value, n):
+    """``value``, checked to hold ``n`` items."""
+    if len(value) != n:
+        raise ValueError(f"expected {n} values, got {value!r}")
+    return value
+
+
+def _visible_truth(truth):
+    """(frame, person centroid, torso rect or None, centroids of the visible
+    checked parts, armR visibility or None) of each truth frame that shows
+    the person."""
+    for entry in truth["per_frame"]:
+        if entry.get("person_visible"):
+            parts = entry.get("parts", {})
+            gt_parts = {
+                label: _sized(parts[label]["centroid"], 2)
+                for label in _PART_CHECKS
+                if parts.get(label) and parts[label].get("visible")
+            }
+            arm = parts.get("armR")
+            rect = entry.get("torso_rect")
+            yield (
+                entry["frame"],
+                _sized(entry["person_centroid"], 2),
+                _sized(rect, 4) if rect else None,
+                gt_parts,
+                None if arm is None else arm["visible"],
+            )
+
+
+def _record_fields(rec):
+    """(person centroid when tracked, torso disc center, part means, whether
+    armR is present) of one blobs.jsonl record."""
+    parts = rec.get("parts", {})
+    tracked = rec.get("tracked") and rec.get("person")
+    return (
+        _sized(rec["person"]["centroid"], 2) if tracked else None,
+        _sized(rec["torso_disc"]["center"], 2) if rec.get("torso_disc") else None,
+        {label: _sized(blob["mu"], 2) for label, blob in parts.items() if blob},
+        "armR" in parts,
+    )
+
+
 def evaluate(output_dir, truth_path):
-    """Compare pipeline outputs with scenario ground truth."""
+    """Compare pipeline outputs with scenario ground truth. A missing or
+    mistyped field in truth.json, blobs.jsonl or events.json raises a
+    ValueError that names the file."""
     output_dir = Path(output_dir)
-    with open(truth_path) as fh:
+    blobs_path, events_path = output_dir / "blobs.jsonl", output_dir / "events.json"
+    with open(truth_path) as fh, _fields_of(truth_path):
         truth = json.load(fh)
-    with open(output_dir / "blobs.jsonl") as fh:
-        by_frame = {r["frame"]: r for r in (json.loads(line) for line in fh if line.strip())}
-    with open(output_dir / "events.json") as fh:
-        events = json.load(fh)
+        scenario = truth.get("scenario")
+        visible = list(_visible_truth(truth))
+        scripted = [(ev["kind"], ev["frame_index"]) for ev in truth.get("events", [])]
+    with open(blobs_path) as fh, _fields_of(blobs_path):
+        records = (json.loads(line) for line in fh if line.strip())
+        by_frame = {r["frame"]: _record_fields(r) for r in records}
+    with open(events_path) as fh, _fields_of(events_path):
+        events = [(e["kind"], e["frame_index"]) for e in json.load(fh)]
 
     sq_err, n_err = 0.0, 0
     torso_in_rect, torso_frames = 0, 0
     part_hits = defaultdict(int)
     part_totals = defaultdict(int)
     arm_match, arm_total = 0, 0
-    part_checks = ("head", "torso", "leg1", "leg2", "leg3", "leg4")
 
-    for entry in truth["per_frame"]:
-        if not entry.get("person_visible"):
-            continue
-        rec = by_frame.get(entry["frame"])
+    for frame, (gx, gy), torso_rect, gt_parts, gt_arm in visible:
+        rec = by_frame.get(frame)
         if rec is None:
             continue
-        tw = entry["torso_rect"][2] if entry.get("torso_rect") else 30
-        tol = 0.15 * tw
-        if rec.get("tracked") and rec.get("person"):
-            gx, gy = entry["person_centroid"]
-            px, py = rec["person"]["centroid"]
+        person, disc, part_mus, has_arm = rec
+        tol = 0.15 * (torso_rect[2] if torso_rect else 30)
+        if person is not None:
+            px, py = person
             sq_err += (px - gx) ** 2 + (py - gy) ** 2
             n_err += 1
-        if rec.get("torso_disc") and entry.get("torso_rect"):
-            cx, cy = rec["torso_disc"]["center"]
-            x, y, w, h = entry["torso_rect"]
+        if disc is not None and torso_rect is not None:
+            cx, cy = disc
+            x, y, w, h = torso_rect
             torso_frames += 1
             if x <= cx <= x + w - 1 and y <= cy <= y + h - 1:
                 torso_in_rect += 1
-        parts = rec.get("parts", {})
-        for label in part_checks:
-            gt = entry.get("parts", {}).get(label)
-            if not gt or not gt.get("visible"):
-                continue
+        for label, (tx, ty) in gt_parts.items():
             part_totals[label] += 1
-            blob = parts.get(label)
-            if blob:
-                bx, by = blob["mu"]
-                gx, gy = gt["centroid"]
-                if math.hypot(bx - gx, by - gy) <= tol:
-                    part_hits[label] += 1
-        gt_arm = entry.get("parts", {}).get("armR")
+            mu = part_mus.get(label)
+            if mu is not None and math.hypot(mu[0] - tx, mu[1] - ty) <= tol:
+                part_hits[label] += 1
         if gt_arm is not None:
             arm_total += 1
-            if (gt_arm["visible"]) == ("armR" in parts):
-                arm_match += 1
+            arm_match += gt_arm == has_arm
 
     event_matches = []
-    for gt_ev in truth.get("events", []):
-        found = [
-            e
-            for e in events
-            if e["kind"] == gt_ev["kind"]
-            and abs(e["frame_index"] - gt_ev["frame_index"]) <= 5
-        ]
+    for kind, scripted_frame in scripted:
+        found = [f for k, f in events if k == kind and abs(f - scripted_frame) <= 5]
         event_matches.append(
             {
-                "kind": gt_ev["kind"],
-                "scripted_frame": gt_ev["frame_index"],
-                "fired_frame": found[0]["frame_index"] if found else None,
+                "kind": kind,
+                "scripted_frame": scripted_frame,
+                "fired_frame": found[0] if found else None,
                 "matched": bool(found),
             }
         )
-    approach_frames = [e["frame_index"] for e in events if e["kind"] == "Approach"]
+    approach_frames = [f for k, f in events if k == "Approach"]
     gate_ok = all(
-        e["kind"] == "Approach"
-        or (approach_frames and e["frame_index"] >= min(approach_frames))
-        for e in events
+        k == "Approach" or (approach_frames and f >= min(approach_frames))
+        for k, f in events
     )
 
     summary = {
-        "scenario": truth.get("scenario"),
+        "scenario": scenario,
         "frames_compared": n_err,
         "centroid_rms_px": math.sqrt(sq_err / n_err) if n_err else None,
         "torso_center_in_rect": torso_in_rect / torso_frames if torso_frames else None,
         "part_agreement": {
             label: (part_hits[label] / part_totals[label])
-            for label in part_checks
+            for label in _PART_CHECKS
             if part_totals[label]
         },
         "armR_presence_accuracy": arm_match / arm_total if arm_total else None,

@@ -114,9 +114,8 @@ def _read_pnm_header(data, magic, path):
         raise ValueError(f"{path}: expected {magic.decode()} header")
     # header tokens may be separated by whitespace and '#' comments
     pos = 2
-    fields = []
-    want = 3 if magic in (b"P5", b"P6") else 2
-    while len(fields) < want:
+    fields = []  # width, height, maxval
+    while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":

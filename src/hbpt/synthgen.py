@@ -188,10 +188,9 @@ def _render_person(rgb, mask, script):
     }
     for part in ("legL", "legR", "torso", "armL", "armR", "head"):
         prim = prims[part]
-        if prim is None:
-            continue
-        _stamp(rgb, prim, ox, oy, colors[part])
-        _stamp(mask, prim, ox, oy, True)
+        if prim is not None:
+            _stamp(rgb, prim, ox, oy, colors[part])
+    render_person_mask(mask, ox, oy, pose)
 
 
 def _clip_rect(rect, shape):

@@ -163,7 +163,7 @@ def test_approach_fires_after_sustained_contact():
         if ev:
             events.append(ev)
     assert [e.frame_index for e in events] == [2]  # third consecutive frame
-    assert state.phase == "Approached"
+    assert state.fired == {"Approach"}
     assert events[0].payload["depth_used"] is False
 
 
@@ -180,7 +180,7 @@ def test_approach_depth_gate_blocks_distant_hand():
     state = act.ActivityState()
     for i in range(10):
         assert act.detect_approach(model, box, z, state, i, CFG) is None
-    assert state.phase == "Idle"
+    assert state.fired == set()
 
 
 def test_approach_depth_gate_passes_same_plane():
@@ -208,7 +208,7 @@ def test_approach_streak_resets_on_gap():
     assert act.detect_approach(near, box, None, state, 0, CFG) is None
     assert act.detect_approach(near, box, None, state, 1, CFG) is None
     assert act.detect_approach(far, box, None, state, 2, CFG) is None  # resets
-    assert state.approach_streak == 0
+    assert state.streaks["Approach"] == 0
     assert act.detect_approach(near, box, None, state, 3, CFG) is None
     assert act.detect_approach(near, box, None, state, 4, CFG) is None
     ev = act.detect_approach(near, box, None, state, 5, CFG)
@@ -230,20 +230,20 @@ def test_open_requires_prior_approach():
     changed = _opened_frame(rect)
     for i in range(20):
         assert act.detect_open(box, changed, state, i, CFG) is None
-    assert state.phase == "Idle"
+    assert state.fired == set()
 
 
 def test_open_fires_after_sustained_change():
     frame, rect = scene_with_box()
     box = act.make_box_region(frame, rect)
     state = act.ActivityState()
-    state.advance("Approached")
+    state.fired.add("Approach")
     changed = _opened_frame(rect)
     events = [act.detect_open(box, changed, state, i, CFG) for i in range(6)]
     fired = [e for e in events if e]
     assert len(fired) == 1
     assert fired[0].frame_index == 4  # fifth consecutive frame
-    assert state.phase == "Opened"
+    assert state.fired == {"Approach", "Open"}
     # no re-fire afterwards
     assert act.detect_open(box, changed, state, 9, CFG) is None
 
@@ -252,7 +252,7 @@ def test_open_ignores_unchanged_box():
     frame, rect = scene_with_box()
     box = act.make_box_region(frame, rect)
     state = act.ActivityState()
-    state.advance("Approached")
+    state.fired.add("Approach")
     for i in range(50):
         assert act.detect_open(box, frame, state, i, CFG) is None
 
@@ -605,7 +605,7 @@ def _advance_track(track, dx, dy):
 
 def test_carry_fires_on_sustained_joint_motion():
     state = act.ActivityState()
-    state.advance("Approached")
+    state.fired.add("Approach")
     track = act.seed_object_points((40, 40, 12, 10))
     model = stub_model(torso_mu=(70.0, 60.0), hand=(48, 44))
     events = []
@@ -616,12 +616,12 @@ def test_carry_fires_on_sustained_joint_motion():
         if ev:
             events.append(ev)
     assert [e.frame_index for e in events] == [4]
-    assert state.phase == "Carrying"
+    assert state.fired == {"Approach", "Carry"}
 
 
 def test_carry_requires_motion():
     state = act.ActivityState()
-    state.advance("Approached")
+    state.fired.add("Approach")
     track = act.seed_object_points((40, 40, 12, 10))
     model = stub_model(hand=(48, 44))
     for i in range(20):
@@ -631,7 +631,7 @@ def test_carry_requires_motion():
 
 def test_carry_requires_hand_nearby():
     state = act.ActivityState()
-    state.advance("Approached")
+    state.fired.add("Approach")
     track = act.seed_object_points((40, 40, 12, 10))
     model = stub_model(hand=(110, 5))  # permanently > 30 px from the object row
     for i in range(20):
@@ -646,12 +646,12 @@ def test_carry_gated_without_approach():
     for i in range(10):
         _advance_track(track, 3.0, 0.0)
         assert act.detect_carry(model, track, None, state, i, CFG) is None
-    assert state.phase == "Idle"
+    assert state.fired == set()
 
 
 def test_carry_depth_rate_gate():
     state = act.ActivityState()
-    state.advance("Approached")
+    state.fired.add("Approach")
     track = act.seed_object_points((40, 40, 12, 10))
     # object depth jumps 600 mm/frame while the hand depth stays: rejected
     zs = [2000, 2600, 3200, 3800, 4400, 5000, 5600, 6200]
@@ -665,27 +665,54 @@ def test_carry_depth_rate_gate():
         z = np.full((90, 160), 2000, np.int32)
         z[int(cy) - 2 : int(cy) + 3, int(cx) - 2 : int(cx) + 3] = zs[i]
         assert act.detect_carry(model, track, z, state, i, CFG) is None
-    assert state.phase == "Approached"
+    assert state.fired == {"Approach"}
+
+
+def test_open_never_follows_carry():
+    """Once Carry has fired, a box that then changes colour does not fire Open."""
+    frame, rect = scene_with_box()
+    box = act.make_box_region(frame, rect)
+    state = act.ActivityState()
+    near = stub_model(hand=(rect[0] - 5, rect[1] + 4))
+    kinds = [act.detect_approach(near, box, None, state, i, CFG) for i in range(3)]
+    track = act.seed_object_points(rect)
+    for i in range(3, 8):
+        _advance_track(track, 3.0, 0.0)
+        cx, cy = track.centroid
+        model = stub_model(torso_mu=(cx + 30.0, cy), hand=(int(cx) + 10, int(cy)))
+        kinds.append(act.detect_carry(model, track, None, state, i, CFG))
+    assert [(i, e.kind) for i, e in enumerate(kinds) if e] == [(2, "Approach"), (7, "Carry")]
+    changed = _opened_frame(rect)
+    for i in range(8, 30):
+        assert act.detect_open(box, changed, state, i, CFG) is None
 
 
 # ---------------------------------------------------------------------------
-# state machine
-
-def test_phase_order_is_monotone():
-    state = act.ActivityState()
-    assert not state.reached("Approached")
-    state.advance("Approached")
-    state.advance("Opened")
-    assert state.reached("Approached") and state.reached("Opened")
-    state.advance("Approached")  # never regresses
-    assert state.phase == "Opened"
-
+# monitor
 
 def test_monitor_without_box_is_inert():
     mon = act.ActivityMonitor(PipelineConfig())
     frame, _ = scene_with_box()
     assert mon.process(0, frame, stub_model()) == []
     assert mon.events == []
+
+
+@pytest.mark.parametrize("gap", ["no model", "no torso"])
+def test_monitor_resets_streaks_on_a_frame_without_torso(gap):
+    """A frame with no model, or a model without a torso, breaks the
+    Approach streak: Approach then needs a full new streak."""
+    frame, rect = scene_with_box()
+    mon = act.ActivityMonitor(PipelineConfig(box_rect=list(rect), box_ref_frame=0))
+    near = stub_model(hand=(rect[0] - 5, rect[1] + 4))
+    blank = None if gap == "no model" else stub_model(hand=None)
+    if blank is not None:
+        del blank.blobs["torso"]
+    n = CFG.activity_approach_frames
+    calls = [near] * (n - 1) + [blank] + [near] * n
+    fired = {
+        i: [e.kind for e in mon.process(i, frame, model)] for i, model in enumerate(calls)
+    }
+    assert {i: kinds for i, kinds in fired.items() if kinds} == {2 * n - 1: ["Approach"]}
 
 
 # ---------------------------------------------------------------------------
@@ -833,10 +860,8 @@ def test_monitor_tracks_points_from_approach_through_carry_only(
     keeps = act.ActivityMonitor(cfg)
     kept = []
     for args in calls:
-        if keeps.state.reached("Carrying"):  # the point step process skips
-            prev_centroid = keeps.track.centroid
-            keeps._track_points(args[1])
-            keeps.track.prev_centroid = prev_centroid
+        if "Carry" in keeps.state.fired:  # the point step process skips
+            keeps._track_points(keeps.prev_frame, args[1])
         kept += [asdict(e) for e in keeps.process(*args)]
     assert lk_frames == list(range(fired["Approach"] + 1, last + 1))
     assert kept == events

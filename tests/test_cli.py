@@ -256,6 +256,46 @@ def test_synth_track_eval_round_trip(tmp_path, capsys):
     assert summary["centroid_rms_px"] < 2.5
 
 
+_EVAL_RECORD = {"frame": 0, "tracked": True, "person": {"centroid": [10.0, 20.0]}}
+_EVAL_TRUTH = {
+    "scenario": "x",
+    "per_frame": [{"frame": 0, "person_visible": True, "person_centroid": [10.0, 23.0]}],
+}
+
+
+@pytest.mark.parametrize(
+    "bad, truth, record",
+    [
+        (None, _EVAL_TRUTH, _EVAL_RECORD),
+        ("truth.json", {"scenario": "x"}, _EVAL_RECORD),
+        ("truth.json", [1, 2], _EVAL_RECORD),
+        (
+            "truth.json",
+            {"scenario": "x", "per_frame": [{"frame": 0, "person_visible": True}]},
+            _EVAL_RECORD,
+        ),
+        ("blobs.jsonl", _EVAL_TRUTH, {"tracked": False}),
+    ],
+    ids=["well-formed", "no per_frame", "truth not an object", "no person_centroid", "no frame"],
+)
+def test_eval_rejects_malformed_input(bad, truth, record, tmp_path, capsys):
+    """hbpt eval ends in an error naming the malformed file, not a traceback."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "truth.json").write_text(json.dumps(truth))
+    (out / "blobs.jsonl").write_text(json.dumps(record) + "\n")
+    (out / "events.json").write_text("[]")
+    paths = {"truth.json": tmp_path / "truth.json", "blobs.jsonl": out / "blobs.jsonl"}
+    rc = cli.main(["eval", "--output", str(out), "--truth", str(paths["truth.json"])])
+    err = capsys.readouterr().err
+    if bad is None:
+        assert rc == 0 and err == ""
+        assert json.loads((out / "eval.json").read_text())["centroid_rms_px"] == 3.0
+    else:
+        assert rc == 1
+        assert err.startswith(f"error: {paths[bad]}: malformed "), err
+
+
 def test_track_runs_are_byte_identical(tmp_path):
     indir = tmp_path / "seq"
     sg.write_scenario(sg.Scenario("walker", frames=45, seed=4), indir)
