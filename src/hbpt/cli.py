@@ -216,6 +216,7 @@ def run_pipeline(cfg):
 
     names = ("blobs.jsonl", "baseline.jsonl") if cfg.baseline_mode else ("blobs.jsonl",)
     partials = [outdir / f"{name}.partial" for name in names]
+    tracked = 0  # frames with a person
     try:
         with ExitStack() as stack:
             # line-buffered, so each record is in the file once it is written
@@ -226,6 +227,7 @@ def run_pipeline(cfg):
                     frame = head.popleft() if head else iio.read_frame(paths[fi], fi, size)
                     depth = iio.load_depth_raster(depth_paths[fi], size) if depth_paths else None
                 record, labels, overlay = step.step(frame, depth)
+                tracked += record["tracked"]
                 with _timed(stage_ms, "write"):
                     for fh, rec in zip(files, (record, {"frame": fi, "labels": labels})):
                         fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
@@ -244,7 +246,8 @@ def run_pipeline(cfg):
     wall = time.perf_counter() - t0
     learn_ms = stage_ms.pop("learn", 0.0)  # once, not per frame
     stage_ms["other"] = wall * 1e3 - learn_ms - sum(stage_ms.values())
-    metrics = {"frames": n, "wall_time_s": wall, "fps": n / wall, "learn_ms": learn_ms}
+    metrics = {"frames": n, "tracked_frames": tracked, "wall_time_s": wall, "fps": n / wall}
+    metrics["learn_ms"] = learn_ms
     metrics["stage_ms"] = {k: v / n for k, v in sorted(stage_ms.items())}
     with open(outdir / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=1)
@@ -485,7 +488,8 @@ def main(argv=None):
             with open(outdir / "metrics.json") as fh:
                 metrics = json.load(fh)
             print(
-                f"tracked {metrics['frames']} frames at {metrics['fps']:.1f} fps -> {outdir}"
+                f"tracked a person in {metrics['tracked_frames']} of {metrics['frames']} "
+                f"frames at {metrics['fps']:.1f} fps -> {outdir}"
             )
         elif args.command == "baseline":
             cfg = _build_config(args)

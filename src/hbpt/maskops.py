@@ -28,15 +28,12 @@ def morph(mask, op, se, iterations):
     Out-of-frame cells are neutral for each op (background for dilation, so
     nothing grows in from outside; foreground for erosion, so the border is
     not eaten just for lying next to the frame edge). This keeps closing
-    extensive and idempotent.
+    extensive and idempotent. ``se`` (odd sizes) and ``iterations`` (>= 1)
+    come checked from ``config.check_ranges``.
     """
     if op not in ("dilate", "erode"):
         raise ValueError(f"unknown morphology op {op!r}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     sh, sw = se
-    if sh < 1 or sw < 1 or sh % 2 == 0 or sw % 2 == 0:
-        raise ValueError("structuring element must have odd positive dimensions")
     ry, rx = sh // 2, sw // 2
     out = mask.astype(bool)
     h, w = out.shape

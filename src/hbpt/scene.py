@@ -3,6 +3,9 @@ and exponential adaptation of pixels not covered by the person.
 
 The model is held in float32, the type ``save_scene`` writes, so a model
 loaded from a file and one learned in the same process are the same numbers.
+
+Frame, mask and model sizes and ``scene.alpha`` are checked where they
+enter the run (as frames are decoded, and in ``config.check_ranges``).
 """
 
 import struct
@@ -52,12 +55,6 @@ def learn_scene(frames, var_floor):
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames to learn a scene, got {len(frames)}")
     w, h = frames[0].width, frames[0].height
-    for f in frames:
-        if f.width != w or f.height != h:
-            raise ValueError(
-                f"dimension mismatch in learning set: frame {f.index} is "
-                f"{f.width}x{f.height}, expected {w}x{h}"
-            )
     # Exact sums of the uint8 values and their squares, each in the smallest
     # unsigned type that holds it. Every sum is below 2**53, so it converts
     # to float64 exactly, and mean and var are what a float64 accumulation
@@ -88,8 +85,6 @@ def detect_foreground(model, frame, tau):
     and the channel order of one full-frame pass, and is compared with tau^2
     rounded once to float32.
     """
-    if frame.width != model.width or frame.height != model.height:
-        raise ValueError("frame dimensions do not match scene model")
     x = frame.yuv.reshape(-1, 3)
     mean = model.mean.reshape(-1, 3)
     var = model.var.reshape(-1, 3)
@@ -119,12 +114,6 @@ def update_scene(model, frame, fg, alpha):
     block, and the foreground pixels' values, saved beforehand, are written
     back, so they are left untouched.
     """
-    if frame.width != model.width or frame.height != model.height:
-        raise ValueError("frame dimensions do not match scene model")
-    if fg.shape != model.mean.shape[:2]:
-        raise ValueError("mask dimensions do not match scene model")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     rows = np.flatnonzero(fg)
     if rows.size == fg.size:
         return model

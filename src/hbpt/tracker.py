@@ -51,12 +51,9 @@ def hist16_of_bins(bins):
 
 
 def color_hist16(frame, rect):
-    """Normalized 16-bin joint UV histogram of the pixels inside rect."""
+    """Normalized 16-bin joint UV histogram of the pixels inside rect, which
+    is non-empty and inside the frame (``config.check_box``, ``_clip_rect``)."""
     x, y, w, h = (int(v) for v in rect)
-    if w <= 0 or h <= 0:
-        raise ValueError("histogram rect is empty")
-    if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
-        raise ValueError("histogram rect is outside the frame")
     return hist16_of_bins(frame.uv_bins[y : y + h, x : x + w])
 
 
@@ -274,8 +271,6 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     velocity and confidence decays by 0.8 per frame; a coast that carries
     the centroid out of the frame ends the track and returns (None, None).
     """
-    if fg.shape != (frame.height, frame.width):
-        raise ValueError("foreground mask does not match frame dimensions")
     if component is None:
         coast = _shift_blob(prev, frame.width, frame.height)
         cx, cy = coast.centroid
@@ -350,8 +345,8 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
 
 
 def torso_from_person(person):
-    """Torso disc at the person centroid, radius = half the blob width."""
+    """Torso disc at the person centroid, radius = half the blob width, for a
+    person at least 2 px wide: ``cli.FrameStep`` skips the part stage for a
+    narrower one."""
     w = person.bbox[2]
-    if w < 2:
-        raise ValueError(f"person blob width {w} is too narrow for a torso disc")
     return TorsoDisc(center=person.centroid, radius=w / 2.0)

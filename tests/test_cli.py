@@ -21,7 +21,7 @@ from hbpt import tracker as tr
 from hbpt.blobmodel import GaussianBlob, blob_ellipse
 from hbpt.config import PipelineConfig, check_ranges, load_config, parse_config_text
 
-from conftest import person_component, read_jsonl, step_in_memory
+from conftest import frame_from_rgb, person_component, read_jsonl, step_in_memory
 from test_baseline import labels_of
 from test_bodyparts import _reference_build_part_model, _reference_partition_regions
 
@@ -581,6 +581,30 @@ def test_track_accepts_box_at_frame_border(tmp_path, scenario_dir):
     assert len(read_jsonl(tmp_path / "out" / "blobs.jsonl")) == 32
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("box.rect = [300, 112, 24, 20]",
+         "box.rect [300, 112, 24, 20] does not fit the 320x240 frame"),
+        ("box.rect = [-1, 112, 24, 20]",
+         "box.rect [-1, 112, 24, 20] does not fit the 320x240 frame"),
+        ("box.rect = [230, 112, 0, 20]",
+         "box.rect needs a positive width and height, got [230, 112, 0, 20]"),
+        ("box.rect = [230, 112, 24, 20]\nbox.ref_frame = 200",
+         "box.ref_frame must lie in [0, 200) for 200 frames, got 200"),
+    ],
+)
+def test_track_rejects_a_box_that_does_not_fit(tmp_path, capsys, scenario_dir, lines, message):
+    """``config.check_box`` is the one check of ``box.rect`` and ``box.ref_frame``."""
+    indir, _ = scenario_dir("carry_box", frames=200, seed=1)
+    cfg_path = tmp_path / "box.cfg"
+    cfg_path.write_text(lines + "\n")
+    out = tmp_path / "out"
+    assert _track(indir, out, "--config", str(cfg_path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "blobs.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # faulty and degenerate inputs through hbpt track
 
@@ -637,6 +661,19 @@ def test_track_person_free_sequence(tmp_path, scenario_dir):
     assert json.loads((tmp_path / "out" / "events.json").read_text()) == []
 
 
+@pytest.mark.parametrize("scenario", ["background", "walker"])
+def test_track_summary_counts_the_frames_with_a_person(tmp_path, capsys, scenario_dir, scenario):
+    indir, _ = scenario_dir(scenario, frames=45, seed=2)
+    out = tmp_path / "out"
+    assert _track(indir, out) == 0
+    tracked = sum(r["tracked"] for r in read_jsonl(out / "blobs.jsonl"))
+    assert (tracked > 0) == (scenario == "walker")
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["frames"] == 45 and metrics["tracked_frames"] == tracked
+    want = rf"tracked a person in {tracked} of 45 frames at \d+\.\d fps -> {re.escape(str(out))}\n"
+    assert re.fullmatch(want, capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("fault", ["corrupt", "dimensions"])
 def test_track_fails_on_bad_frame_after_learn_set(tmp_path, capsys, scenario_dir, fault):
     """A bad frame past the read-ahead learning frames stops the run mid-loop."""
@@ -671,6 +708,22 @@ def test_failed_run_leaves_no_earlier_results(tmp_path, capsys, scenario_dir):
     assert cli.main(["baseline", "--input", str(indir), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: cannot decode {bad}: truncated PPM payload\n"
     assert not [name for name in results if (out / name).exists()]
+
+
+@pytest.mark.parametrize("command", ["track", "learn"])
+def test_frame_of_another_size_in_the_learning_set_stops_the_run(
+    tmp_path, capsys, scenario_dir, command
+):
+    """Each learning frame's size is checked as it is decoded, before learning."""
+    src, _ = scenario_dir("walker", frames=32, seed=12)
+    indir = tmp_path / "in"
+    shutil.copytree(src, indir)
+    bad = indir / "frame_000005.ppm"
+    iio.write_ppm(bad, np.zeros((4, 4, 3), np.uint8))
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", str(indir), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dimension mismatch in {bad}: 4x4 vs 320x240\n"
+    assert not (out / "blobs.jsonl").exists() and not (out / "scene.bin").exists()
 
 
 def _track_with_scene(tmp_path, indir, scene_file):
@@ -757,6 +810,24 @@ def test_track_ends_when_the_person_leaves_the_frame(tmp_path, monkeypatch):
         (x, y), (gx, gy) = rec["person"]["centroid"], entry["person_centroid"]
         assert math.hypot(x - gx, y - gy) <= 0.15 * entry["torso_rect"][2], entry["frame"]
     assert not any(r["tracked"] for r in records[visible[-1] + 1 :])
+
+
+def test_person_one_pixel_wide_is_tracked_without_a_torso_disc():
+    """``FrameStep`` skips the part stage for a person under 2 px wide, the
+    one place that rule is checked."""
+    cfg = PipelineConfig(mask_se=1, mask_min_area_frac=0.001, person_min_area_frac=0.001)
+    frames = []
+    for i in range(36):
+        rgb = np.full((240, 320, 3), 90, np.uint8)
+        if i >= 30:  # after the learning frames
+            rgb[60:180, 100 + i] = (250, 30, 30)  # a 1-px strip, 120 px tall
+        frames.append(frame_from_rgb(rgb, i))
+    _, stepped = step_in_memory(cfg, frames)
+    records = [record for record, _, _ in stepped]
+    assert not any(r["tracked"] for r in records[:30])
+    for r in records[30:]:
+        assert r["tracked"] and r["person"]["bbox"][2] == 1, r
+        assert r["torso_disc"] is None and r["parts"] == {}, r
 
 
 # ---------------------------------------------------------------------------
