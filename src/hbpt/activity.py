@@ -15,6 +15,17 @@ import numpy as np
 
 from .tracker import back_project, color_hist16, mean_shift
 
+# Bouguet's pyramidal Lucas-Kanade settings, used by lk_flow
+LK_WINDOW = 15  # px side of the square patch solved around each point
+LK_LEVELS = 3  # pyramid levels, the full-size image included
+LK_ITERS = 20  # solver steps per level at most
+LK_MIN_EIG = 1e-3  # per-pixel minimum eigenvalue below which a patch is flat
+
+OBJECT_POINT_SPACING = 4  # px between the grid points seeded inside the box
+OBJECT_POINT_MARGIN = 2  # px kept clear of the box edges by that grid
+DEPTH_WIN = 5  # px side of the window whose valid depths give a median
+HAND_DEPTH_INSET = 3.0  # px the hand's depth sample moves toward the torso
+
 
 @dataclass
 class BoxRegion:
@@ -116,7 +127,7 @@ def _point_rect_distance(p, rect):
     return math.hypot(dx, dy)
 
 
-def _hand_depth_sample(model, hand, inset=3.0):
+def _hand_depth_sample(model, hand):
     """Sample point for hand depth, nudged toward the torso so the silhouette
     edge (where depth returns flicker between person and background) is
     avoided."""
@@ -125,13 +136,13 @@ def _hand_depth_sample(model, hand, inset=3.0):
     norm = math.hypot(dx, dy)
     if norm < 1e-9:
         return hand
-    return (hand[0] + inset * dx / norm, hand[1] + inset * dy / norm)
+    return (hand[0] + HAND_DEPTH_INSET * dx / norm, hand[1] + HAND_DEPTH_INSET * dy / norm)
 
 
-def depth_at(depth, point, win=5):
-    """Median of the valid depths in a win x win window of the (h, w)
-    millimeter array ``depth``; None when all are invalid."""
-    half = win // 2
+def depth_at(depth, point):
+    """Median of the valid depths in a DEPTH_WIN x DEPTH_WIN window of the
+    (h, w) millimeter array ``depth``; None when all are invalid."""
+    half = DEPTH_WIN // 2
     x, y = int(round(point[0])), int(round(point[1]))
     h, w = depth.shape
     x0, x1 = max(0, x - half), min(w, x + half + 1)
@@ -294,43 +305,36 @@ def _gray(frame):
     return frame.yuv[:, :, 0].astype(np.float64) / 255.0
 
 
-def lk_flow(
-    prev_frame,
-    frame,
-    points,
-    window=15,
-    levels=3,
-    iters=20,
-    min_eig=1e-3,
-    prev_pyramid=None,
-):
+def lk_flow(prev_frame, frame, points, prev_pyramid=None):
     """Track points between frames with pyramidal iterative least squares.
 
     Works on the Y channel normalized to [0, 1]. Each point's flow is solved
-    coarse to fine inside a ``window`` x ``window`` patch (Bouguet's pyramidal
-    Lucas-Kanade). A point is lost when its structure tensor is too flat
-    (minimum eigenvalue per pixel below ``min_eig``) at the finest level, the
-    solution diverges, or it leaves the frame. A point that is flat only at a
-    coarser level carries its flow on to the next level unchanged.
+    coarse to fine over ``LK_LEVELS`` pyramid levels, inside an ``LK_WINDOW``
+    x ``LK_WINDOW`` patch, in at most ``LK_ITERS`` steps per level (Bouguet's
+    pyramidal Lucas-Kanade). A point is lost when its structure tensor is too
+    flat (minimum eigenvalue per pixel below ``LK_MIN_EIG``) at the finest
+    level, the solution diverges, or it leaves the frame. A point that is
+    flat only at a coarser level carries its flow on to the next level
+    unchanged.
 
     All points are solved together, one pyramid level at a time: each point's
-    patch is a row of an ``(n, window**2)`` array, its sums run along that
+    patch is a row of an ``(n, LK_WINDOW**2)`` array, its sums run along that
     row, and each point stops iterating on its own convergence test. The
     arithmetic per point is the same, in the same order, as solving the
     points one by one.
 
     ``prev_pyramid`` is the pyramid of ``prev_frame`` as returned by an
-    earlier call with the same ``levels``; passing it skips rebuilding it.
+    earlier call; passing it skips rebuilding it.
     Returns ``(points, status, pyramid)``: the new positions (lost points
     keep their input position), which points were tracked, and the pyramid
     of ``frame`` for the next call.
     """
-    pyr0 = prev_pyramid if prev_pyramid is not None else _pyramid(_gray(prev_frame), levels)
-    pyr1 = _pyramid(_gray(frame), levels)
-    half = window // 2
+    pyr0 = prev_pyramid if prev_pyramid is not None else _pyramid(_gray(prev_frame), LK_LEVELS)
+    pyr1 = _pyramid(_gray(frame), LK_LEVELS)
+    half = LK_WINDOW // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
     oy, ox = (o.ravel() for o in np.meshgrid(offs, offs, indexing="ij"))
-    npx = window * window
+    npx = LK_WINDOW * LK_WINDOW
     out = np.array(points, dtype=np.float64).reshape(-1, 2).copy()
     flow = np.zeros_like(out)
     live = np.arange(len(out))  # points not lost so far
@@ -351,7 +355,7 @@ def lk_flow(
         tr2 = (gxx + gyy) / 2.0
         det = gxx * gyy - gxy * gxy
         lam_min = tr2 - np.sqrt(np.maximum(tr2 * tr2 - det, 0.0))
-        flat = lam_min / npx < min_eig
+        flat = lam_min / npx < LK_MIN_EIG
         if lvl == 0:
             keep = ~flat
         else:
@@ -362,7 +366,7 @@ def lk_flow(
         f = flow[live[rows]]
         v = np.zeros_like(f)
         todo = np.arange(rows.size)  # solves still iterating
-        for _ in range(iters):
+        for _ in range(LK_ITERS):
             if todo.size == 0:
                 break
             sel = rows[todo]
@@ -381,7 +385,7 @@ def lk_flow(
             v[todo, 0] += dvx
             v[todo, 1] += dvy
             todo = todo[~(dvx * dvx + dvy * dvy < 1e-4)]
-        diverged = np.hypot(v[:, 0], v[:, 1]) > window
+        diverged = np.hypot(v[:, 0], v[:, 1]) > LK_WINDOW
         keep[rows[diverged]] = False
         ok = ~diverged
         f = f[ok] + v[ok]
@@ -400,11 +404,12 @@ def lk_flow(
     return out, status, pyr1
 
 
-def seed_object_points(rect, spacing=4, margin=2):
+def seed_object_points(rect):
     """Grid of trackable points inside a rectangle."""
     x, y, w, h = rect
-    xs = np.arange(x + margin, x + w - margin, spacing, dtype=np.float64)
-    ys = np.arange(y + margin, y + h - margin, spacing, dtype=np.float64)
+    m, step = OBJECT_POINT_MARGIN, OBJECT_POINT_SPACING
+    xs = np.arange(x + m, x + w - m, step, dtype=np.float64)
+    ys = np.arange(y + m, y + h - m, step, dtype=np.float64)
     if xs.size == 0 or ys.size == 0:
         xs = np.array([x + w / 2.0])
         ys = np.array([y + h / 2.0])

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_REG = 0.25  # px^2 eigenvalue floor
+ELLIPSE_SIGMAS = 2.0  # a drawn ellipse's semi-axes, in standard deviations
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,12 @@ def eig2x2_sym(kxx, kxy, kyy):
     return (l1, l2), (v1, v2)
 
 
-def _floor_eigenvalues(kxx, kxy, kyy, eps=EPS_REG):
-    """Raise eigenvalues below eps; exact pass-through when none need it."""
+def _floor_eigenvalues(kxx, kxy, kyy):
+    """Raise eigenvalues below EPS_REG; exact pass-through when none need it."""
     (l1, l2), (v1, v2) = eig2x2_sym(kxx, kxy, kyy)
-    if l2 >= eps and l1 >= eps:
+    if l2 >= EPS_REG and l1 >= EPS_REG:
         return kxx, kxy, kyy
-    f1, f2 = max(l1, eps), max(l2, eps)
+    f1, f2 = max(l1, EPS_REG), max(l2, EPS_REG)
     kxx = f1 * v1[0] * v1[0] + f2 * v2[0] * v2[0]
     kxy = f1 * v1[0] * v1[1] + f2 * v2[0] * v2[1]
     kyy = f1 * v1[1] * v1[1] + f2 * v2[1] * v2[1]
@@ -110,16 +111,17 @@ def blob_density(blob, point):
     return math.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
 
 
-def blob_ellipse(blob, k=2.0):
-    """Drawable ellipse: center, semi axes k*sqrt(eigenvalue), orientation.
+def blob_ellipse(blob):
+    """Drawable ellipse: center, semi axes ELLIPSE_SIGMAS * sqrt(eigenvalue),
+    orientation.
 
     The orientation is the major eigenvector's angle, normalized to
     (-pi/2, pi/2]; isotropic covariances report 0.
     """
     (kxx, kxy), (_, kyy) = blob.K
     (l1, l2), (v1, _) = eig2x2_sym(kxx, kxy, kyy)
-    a = k * math.sqrt(max(l1, 0.0))
-    b = k * math.sqrt(max(l2, 0.0))
+    a = ELLIPSE_SIGMAS * math.sqrt(max(l1, 0.0))
+    b = ELLIPSE_SIGMAS * math.sqrt(max(l2, 0.0))
     theta = math.atan2(v1[1], v1[0])
     if theta <= -math.pi / 2.0:
         theta += math.pi

@@ -174,9 +174,9 @@ def run_pipeline(cfg):
     check_ranges(cfg)
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a run that fails must not leave an earlier run's results looking like
-    # its own, nor a killed run's partial records
-    for name in ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl"):
+    # a run must not leave an earlier run's results looking like its own (nor
+    # an evaluation of them), nor a killed run's partial records
+    for name in ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl", "eval.json"):
         (outdir / name).unlink(missing_ok=True)
         (outdir / f"{name}.partial").unlink(missing_ok=True)
     for path in outdir.glob("out_*.ppm"):

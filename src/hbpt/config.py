@@ -214,6 +214,6 @@ def check_box(cfg, width, height, frames):
         )
 
 
-def load_config(path, base=None):
+def load_config(path):
     with open(path) as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())

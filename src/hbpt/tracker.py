@@ -13,6 +13,7 @@ import numpy as np
 from .maskops import foreground_box
 
 N_BINS = 16  # joint 4x4 quantization of (U, V)
+MEAN_SHIFT_MAX_ITER = 20  # mean-shift recentring steps per call at most
 
 
 @dataclass
@@ -107,7 +108,7 @@ def _window_sum(weights, rect):
     return float(weights[y : y + h, x : x + w].sum())
 
 
-def mean_shift(weights, window, max_iter=20, trace=None):
+def mean_shift(weights, window, trace=None):
     """Recenter the window on the weighted centroid of its contents.
 
     Moves that would lower the window's weight sum are halved until they gain
@@ -127,7 +128,7 @@ def mean_shift(weights, window, max_iter=20, trace=None):
     ys = np.arange(hgt)
     converged = False
     it = 0
-    while it < max_iter:
+    while it < MEAN_SHIFT_MAX_ITER:
         it += 1
         sub = weights[y : y + h, x : x + w]
         total = sub.sum()
@@ -330,8 +331,9 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
 
     crop = np.s_[bbox[1] : bbox[1] + bbox[3], bbox[0] : bbox[0] + bbox[2]]
     counts = np.bincount(plane[crop][fg[crop]], minlength=N_BINS)
-    total = counts.sum()
-    conf = float((np.sqrt(counts / total) * sqrt_ref).sum()) if total else 0.0
+    # the counts never sum to 0: the crop is either the component's box, and
+    # the component's pixels lie in fg, or a window found to hold foreground
+    conf = float((np.sqrt(counts / counts.sum()) * sqrt_ref).sum())
 
     out = PersonBlob(
         bbox=bbox,

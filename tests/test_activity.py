@@ -299,15 +299,16 @@ def _reference_sample(img, gx, gy):
     return (1 - fy) * top + fy * bot
 
 
-def _reference_lk_flow(
-    prev_frame, frame, points, window=15, levels=3, iters=20, min_eig=1e-3, paths=None
-):
+def _reference_lk_flow(prev_frame, frame, points, paths=None):
     """The original per-point pyramidal LK, kept as the oracle for lk_flow.
 
     When ``paths`` is a list, one ``(point, level, what)`` tuple is appended
     per point and level, ``what`` being "coarse-flat", "lost-flat",
     "diverged" or the number of solver iterations run.
     """
+    # the pipeline's settings, written out here so that a changed
+    # activity.LK_* constant fails the comparison
+    window, levels, iters, min_eig = 15, 3, 20, 1e-3
     g0 = prev_frame.yuv[:, :, 0].astype(np.float64) / 255.0
     g1 = frame.yuv[:, :, 0].astype(np.float64) / 255.0
     pyr0 = _reference_pyramid(g0, levels)
@@ -380,22 +381,21 @@ def _gray_frame(gray):
     return frame_from_rgb(np.stack([gray, gray, gray], axis=2))
 
 
-def _assert_lk_matches_reference(f0, f1, pts, **kwargs):
+def _assert_lk_matches_reference(f0, f1, pts):
     """lk_flow equals the oracle exactly, with the pyramid rebuilt or reused.
 
     Returns the oracle's per-point paths and status.
     """
     paths = []
-    ref_pts, ref_status = _reference_lk_flow(f0, f1, pts, paths=paths, **kwargs)
-    out, status, pyr1 = act.lk_flow(f0, f1, pts, **kwargs)
+    ref_pts, ref_status = _reference_lk_flow(f0, f1, pts, paths=paths)
+    out, status, pyr1 = act.lk_flow(f0, f1, pts)
     assert np.array_equal(out, ref_pts)
     assert np.array_equal(status, ref_status)
-    levels = kwargs.get("levels", 3)
     gray1 = f1.yuv[:, :, 0].astype(np.float64) / 255.0
-    assert all(np.array_equal(a, b) for a, b in zip(pyr1, _reference_pyramid(gray1, levels)))
+    assert all(np.array_equal(a, b) for a, b in zip(pyr1, _reference_pyramid(gray1, 3)))
     # the pyramid a call returns for its frame, passed back as the previous one
-    _, _, pyr0 = act.lk_flow(f1, f0, [], **kwargs)
-    out, status, _ = act.lk_flow(None, f1, pts, prev_pyramid=pyr0, **kwargs)
+    _, _, pyr0 = act.lk_flow(f1, f0, [])
+    out, status, _ = act.lk_flow(None, f1, pts, prev_pyramid=pyr0)
     assert np.array_equal(out, ref_pts)
     assert np.array_equal(status, ref_status)
     return paths, ref_status
@@ -520,34 +520,18 @@ def test_lk_matches_reference_flat_only_at_coarse_levels():
     assert status[:3].all()
 
 
-def _divergent_scene():
-    """Left half: texture moved by 1 px. Right half: faint noise replaced by
-    unrelated strong noise, where a permissive ``min_eig`` lets the solve run
-    away."""
-    rng = np.random.default_rng(0)
-    a = _textured_frame(rng, w=80, h=60)[:, :, 0].copy()
-    a[:, 40:] = rng.integers(100, 103, size=(60, 40))
-    b = np.roll(a, 1, axis=1)
-    b[:, 40:] = rng.integers(0, 256, size=(60, 40))
+def test_lk_matches_reference_divergent_solves():
+    # Pixel noise rolled 23 px: blurred down to the coarsest level it is flat
+    # under 53 of the 54 points, and the one solve there runs off by more
+    # than a window; the 53 carry on to solve at levels 1 and 0.
+    a = np.random.default_rng(11).integers(0, 256, (60, 80))
     pts = [(float(x), float(y)) for x in range(10, 72, 7) for y in range(10, 52, 7)]
-    return _gray_frame(a), _gray_frame(b), pts
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"min_eig": 1e-6},
-        {"window": 7, "min_eig": 1e-6},
-        {"window": 7, "levels": 2, "min_eig": 1e-6},
-        {"window": 9, "levels": 4, "iters": 5, "min_eig": 1e-6},
-    ],
-)
-def test_lk_matches_reference_divergent_solves(kwargs):
-    f0, f1, pts = _divergent_scene()
-    paths, status = _assert_lk_matches_reference(f0, f1, pts, **kwargs)
-    assert any(what == "diverged" for _, _, what in paths)
-    assert any(what == "coarse-flat" for _, _, what in paths)
-    assert status.any() and not status.all()
+    paths, status = _assert_lk_matches_reference(
+        _gray_frame(a), _gray_frame(np.roll(a, 23, axis=1)), pts
+    )
+    assert sum(what == "diverged" for _, _, what in paths) == 1
+    assert sum(what == "coarse-flat" for _, _, what in paths) == 53
+    assert status.sum() == 43
 
 
 def test_lk_matches_reference_points_leaving_frame():

@@ -116,7 +116,7 @@ def test_density_integrates_to_one():
 
 def test_ellipse_isotropic_circle():
     blob = bm.GaussianBlob(mu=(3.0, 4.0), K=((4.0, 0.0), (0.0, 4.0)), color_mean=(0, 0, 0), area=1)
-    center, (a, b), theta = bm.blob_ellipse(blob, k=2.0)
+    center, (a, b), theta = bm.blob_ellipse(blob)
     assert center == (3.0, 4.0)
     assert a == pytest.approx(4.0) and b == pytest.approx(4.0)
     assert theta == 0.0
@@ -124,7 +124,7 @@ def test_ellipse_isotropic_circle():
 
 def test_ellipse_axis_aligned():
     blob = bm.GaussianBlob(mu=(0.0, 0.0), K=((9.0, 0.0), (0.0, 1.0)), color_mean=(0, 0, 0), area=1)
-    _, (a, b), theta = bm.blob_ellipse(blob, k=2.0)
+    _, (a, b), theta = bm.blob_ellipse(blob)
     assert a == pytest.approx(6.0) and b == pytest.approx(2.0)
     assert theta == 0.0
 
@@ -136,7 +136,7 @@ def test_ellipse_matches_eigh_oracle():
         blob = bm.GaussianBlob(
             mu=(0.0, 0.0), K=((kxx, kxy), (kxy, kyy)), color_mean=(0, 0, 0), area=1
         )
-        _, (a, b), theta = bm.blob_ellipse(blob, k=2.0)
+        _, (a, b), theta = bm.blob_ellipse(blob)
         evals, evecs = np.linalg.eigh(np.array([[kxx, kxy], [kxy, kyy]]))
         a_ref = 2.0 * math.sqrt(evals[1])
         b_ref = 2.0 * math.sqrt(evals[0])

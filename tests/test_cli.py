@@ -710,6 +710,18 @@ def test_failed_run_leaves_no_earlier_results(tmp_path, capsys, scenario_dir):
     assert not [name for name in results if (out / name).exists()]
 
 
+def test_track_removes_an_earlier_evaluation(tmp_path, scenario_dir):
+    """eval.json describes the blobs.jsonl it was computed from, so a new run
+    removes it."""
+    src, _ = scenario_dir("walker", frames=32, seed=12)
+    out = tmp_path / "out"
+    assert _track(src, out) == 0
+    assert cli.main(["eval", "--output", str(out), "--truth", str(src / "truth.json")]) == 0
+    assert (out / "eval.json").exists()
+    assert _track(src, out, "--seed", "5") == 0
+    assert not (out / "eval.json").exists()
+
+
 @pytest.mark.parametrize("command", ["track", "learn"])
 def test_frame_of_another_size_in_the_learning_set_stops_the_run(
     tmp_path, capsys, scenario_dir, command

@@ -34,6 +34,51 @@ def _matrix_products(tree):
     return found
 
 
+# (module, function, parameter) of every default-valued parameter; each
+# carries data or a hook a caller uses. A fixed algorithm setting is a module
+# constant instead, so a new default is listed here only once justified.
+DEFAULTED_PARAMETERS = {
+    ("imageio", "read_ppm", "size"),  # frame size to check, unknown for the first frame
+    ("imageio", "read_png", "size"),
+    ("imageio", "read_frame", "size"),
+    ("imageio", "load_depth_raster", "size"),
+    ("blobmodel", "fit_blob", "frame"),  # a colour source, absent for shape-only fits
+    ("blobmodel", "fit_blob", "label"),
+    ("activity", "ActivityMonitor.process", "depth"),  # sequences without depth
+    ("activity", "lk_flow", "prev_pyramid"),  # the pyramid of the previous call
+    ("tracker", "mean_shift", "trace"),  # weight sums for acceptance criterion 6
+    ("maskops", "foreground_box", "my"),  # the reach refine_mask grows the box by
+    ("maskops", "foreground_box", "mx"),
+    ("config", "parse_config_text", "base"),  # a config to layer the lines on
+    ("cli", "main", "argv"),  # the command line, sys.argv when None
+}
+
+
+def _defaulted_parameters(tree, module):
+    """(module, function, parameter) of each parameter with a default, a
+    method's function named ``Class.method`` and a nested one ``outer.inner``."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults) :] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                name = prefix + getattr(child, "name", "<lambda>")
+                found.update((module, name, arg.arg) for arg in named)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"imageio.py", "blobmodel.py", "cli.py"}
 
@@ -63,3 +108,25 @@ def test_no_matrix_product_in_the_pipeline(path):
 )
 def test_guard_catches_each_form(code):
     assert _matrix_products(ast.parse(code))
+
+
+def test_defaulted_parameters_are_the_listed_ones():
+    """No fixed setting hides in a keyword default: each is a named constant."""
+    found = set().union(
+        *(_defaulted_parameters(ast.parse(p.read_text(), str(p)), p.stem) for p in SOURCES)
+    )
+    assert found == DEFAULTED_PARAMETERS
+
+
+def test_defaulted_parameter_walk_sees_every_kind():
+    code = (
+        "def f(a, b=1, /, c=2, *args, d, e=3, **kw):\n"
+        "    g = lambda x, y=4: x\n"
+        "    def inner(z=5): pass\n"
+        "class A:\n"
+        "    async def m(self, w=6): pass\n"
+    )
+    assert _defaulted_parameters(ast.parse(code), "m") == {
+        ("m", "f", "b"), ("m", "f", "c"), ("m", "f", "e"), ("m", "f.<lambda>", "y"),
+        ("m", "f.inner", "z"), ("m", "A.m", "w"),
+    }
