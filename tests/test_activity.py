@@ -520,18 +520,26 @@ def test_lk_matches_reference_flat_only_at_coarse_levels():
     assert status[:3].all()
 
 
-def test_lk_matches_reference_divergent_solves():
-    # Pixel noise rolled 23 px: blurred down to the coarsest level it is flat
-    # under 53 of the 54 points, and the one solve there runs off by more
-    # than a window; the 53 carry on to solve at levels 1 and 0.
-    a = np.random.default_rng(11).integers(0, 256, (60, 80))
+# Pixel noise rolled along x: blurred down to the coarsest level it is flat
+# under most of the 54 points, and at least one solve there runs off by more
+# than a window; the flat points carry on to solve at levels 1 and 0. Each
+# scene (noise seed, roll in px) maps to its (diverged, coarse-flat, tracked)
+# counts at the pipeline's LK settings.
+_DIVERGENT_COUNTS = {(11, 23): (1, 53, 43), (22, 25): (1, 51, 45),
+                     (34, 19): (1, 52, 46), (55, 23): (8, 39, 41)}
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": s, "roll": r} for s, r in _DIVERGENT_COUNTS])
+def test_lk_matches_reference_divergent_solves(kwargs):
+    a = np.random.default_rng(kwargs["seed"]).integers(0, 256, (60, 80))
     pts = [(float(x), float(y)) for x in range(10, 72, 7) for y in range(10, 52, 7)]
     paths, status = _assert_lk_matches_reference(
-        _gray_frame(a), _gray_frame(np.roll(a, 23, axis=1)), pts
+        _gray_frame(a), _gray_frame(np.roll(a, kwargs["roll"], axis=1)), pts
     )
-    assert sum(what == "diverged" for _, _, what in paths) == 1
-    assert sum(what == "coarse-flat" for _, _, what in paths) == 53
-    assert status.sum() == 43
+    diverged, coarse_flat, tracked = _DIVERGENT_COUNTS[kwargs["seed"], kwargs["roll"]]
+    assert sum(what == "diverged" for _, _, what in paths) == diverged
+    assert sum(what == "coarse-flat" for _, _, what in paths) == coarse_flat
+    assert status.sum() == tracked
 
 
 def test_lk_matches_reference_points_leaving_frame():
