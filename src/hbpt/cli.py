@@ -441,8 +441,8 @@ def main(argv=None):
     _add_flags(p_synth, "output", "seed")
     p_synth.add_argument("--scenario", required=True, choices=sg.SCENARIO_NAMES)
     p_synth.add_argument("--frames", type=int, help="frame count override")
-    p_synth.add_argument("--width", type=int, default=320)
-    p_synth.add_argument("--height", type=int, default=240)
+    p_synth.add_argument("--width", type=int, help="frame width in px")
+    p_synth.add_argument("--height", type=int, help="frame height in px")
 
     p_learn = sub.add_parser("learn", help="learn and persist a scene model")
     _add_flags(p_learn, "config", "input", "output")
@@ -462,13 +462,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
-            sc = sg.Scenario(
-                name=args.scenario,
-                width=args.width,
-                height=args.height,
-                frames=args.frames,
-                seed=args.seed if args.seed is not None else 7,
-            )
+            given = {k: getattr(args, k) for k in ("frames", "width", "height", "seed")}
+            sc = sg.Scenario(args.scenario, **{k: v for k, v in given.items() if v is not None})
             truth = sg.write_scenario(sc, args.output or ".")
             print(f"wrote {truth['frames']} frames of {sc.name} to {args.output or '.'}")
         elif args.command == "learn":

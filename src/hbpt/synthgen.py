@@ -281,22 +281,19 @@ def _scripted_events(sc):
     return []
 
 
-def generate_scenario(scenario):
-    """Render all frames, depth rasters and ground truth for a scenario.
+def render_frames(sc):
+    """Render a scenario one frame at a time, in frame order.
 
-    Returns (frames, depths, truth): depths is a list of (h, w) int32
-    millimeter arrays, or None for scenarios without a box. The same (name,
-    params, seed) always produces identical output.
+    Yields (frame, depth, entry) per frame: the ``Frame``, its (h, w) int32
+    millimeter depth raster or None for scenarios without a box, and its
+    ``truth.json`` ``per_frame`` entry. Only one frame is held at a time.
     """
-    sc = scenario if isinstance(scenario, Scenario) else Scenario(name=str(scenario))
     w, h = sc.width, sc.height
     rng = np.random.default_rng(sc.seed)
     blocks = rng.integers(-12, 13, size=(h // 8 + 1, w // 8 + 1, 3))
     texture = np.repeat(np.repeat(blocks, 8, axis=0), 8, axis=1)[:h, :w]
     background = np.clip(np.array(BG_BASE) + texture, 0, 255).astype(np.float64)
 
-    with_depth = sc.name in _BOX_SCENARIOS
-    frames, depths, per_frame = [], [] if with_depth else None, []
     for f in range(sc.frames):
         rgb = background.copy()
         mask = np.zeros((h, w), dtype=bool)
@@ -308,42 +305,61 @@ def generate_scenario(scenario):
             _render_person(rgb, mask, script)
         noisy = rgb + rng.normal(0.0, NOISE_SIGMA, size=rgb.shape)
         out = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-        frames.append(Frame(index=f, rgb=out))
-        if with_depth:
+        z = None
+        if sc.name in _BOX_SCENARIOS:
             z = np.full((h, w), BG_DEPTH_MM, dtype=np.int32)
             if box is not None:
                 y0, y1, x0, x1 = _clip_rect(box["rect"], z.shape)
                 z[y0:y1, x0:x1] = BOX_DEPTH_MM
             if script is not None:
                 z[mask] = PERSON_DEPTH_MM
-            depths.append(z)
-        per_frame.append(_truth_for_frame(sc, f, mask, script, box))
+        yield Frame(index=f, rgb=out), z, _truth_for_frame(sc, f, mask, script, box)
 
-    truth = {
+
+def _truth(sc, per_frame):
+    return {
         "scenario": sc.name,
-        "width": w,
-        "height": h,
+        "width": sc.width,
+        "height": sc.height,
         "frames": sc.frames,
         "seed": sc.seed,
         "noise_sigma": NOISE_SIGMA,
         "learn_frames": LEARN_FRAMES,
-        "box": {"rect": list(BOX_RECT), "ref_frame": BOX_REF_FRAME} if with_depth else None,
+        "box": (
+            {"rect": list(BOX_RECT), "ref_frame": BOX_REF_FRAME}
+            if sc.name in _BOX_SCENARIOS
+            else None
+        ),
         "events": _scripted_events(sc),
         "per_frame": per_frame,
     }
-    return frames, depths, truth
+
+
+def generate_scenario(scenario):
+    """Render all frames, depth rasters and ground truth for a scenario.
+
+    Returns (frames, depths, truth): depths is a list of (h, w) int32
+    millimeter arrays, or None for scenarios without a box. The same (name,
+    params, seed) always produces identical output.
+    """
+    frames, depths, per_frame = (list(col) for col in zip(*render_frames(scenario)))
+    if scenario.name not in _BOX_SCENARIOS:
+        depths = None
+    return frames, depths, _truth(scenario, per_frame)
 
 
 def write_scenario(scenario, outdir):
-    """Generate and write frame_%06d.ppm, depth_%06d.pgm and truth.json."""
+    """Write frame_%06d.ppm and depth_%06d.pgm as each frame is rendered,
+    then truth.json; returns the truth."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    frames, depths, truth = generate_scenario(scenario)
-    for f in frames:
-        write_ppm(outdir / f"frame_{f.index:06d}.ppm", f.rgb)
-    if depths is not None:
-        for i, z in enumerate(depths):
-            write_pgm16(outdir / f"depth_{i:06d}.pgm", z)
+    per_frame = []
+    for frame, z, entry in render_frames(scenario):
+        write_ppm(outdir / f"frame_{frame.index:06d}.ppm", frame.rgb)
+        if z is not None:
+            write_pgm16(outdir / f"depth_{frame.index:06d}.pgm", z)
+        per_frame.append(entry)
+    truth = _truth(scenario, per_frame)
     with open(outdir / "truth.json", "w") as fh:
         json.dump(truth, fh)
     return truth

@@ -224,6 +224,14 @@ def test_synth_rejects_bad_scenario_before_writing(flags, message, tmp_path, cap
     assert not out.exists()
 
 
+def test_synth_defaults_are_the_scenarios(tmp_path):
+    """Flags not given fall through to Scenario's own defaults."""
+    out = tmp_path / "seq"
+    assert cli.main(["synth", "--scenario", "walker", "--frames", "31", "--output", str(out)]) == 0
+    sg.write_scenario(sg.Scenario("walker", frames=31), tmp_path / "direct")
+    assert (out / "truth.json").read_bytes() == (tmp_path / "direct" / "truth.json").read_bytes()
+
+
 def test_missing_input_directory_errors(tmp_path, capsys):
     rc = cli.main(
         ["track", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "out")]
@@ -863,16 +871,26 @@ def test_each_frame_and_depth_raster_is_decoded_once(tmp_path, monkeypatch, scen
 
 
 def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
-    peaks = []
-    for frames in (40, 120):
-        indir, _ = scenario_dir("background", frames=frames, seed=2)
-        tracemalloc.start()
-        try:
-            cli.run_pipeline(PipelineConfig(input=str(indir), output=str(tmp_path / f"{frames}")))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
+    # carry_box at 120 frames also loads depth, builds parts, runs LK and
+    # fires Approach and Carry
+    for name in ("background", "carry_box"):
+        peaks = []
+        for frames in (40, 120):
+            indir, truth = scenario_dir(name, frames=frames, seed=2)
+            box = truth["box"] or {"rect": [], "ref_frame": 0}
+            cfg = PipelineConfig(
+                input=str(indir),
+                output=str(tmp_path / f"{name}_{frames}"),
+                box_rect=box["rect"],
+                box_ref_frame=box["ref_frame"],
+            )
+            tracemalloc.start()
+            try:
+                cli.run_pipeline(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], (name, [p / 2**20 for p in peaks])
 
 
 def test_frame_step_in_memory_matches_the_files_run_pipeline_writes(tmp_path, scenario_dir):

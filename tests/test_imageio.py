@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import zlib
@@ -170,15 +171,24 @@ def test_load_sequence_dimension_mismatch_names_frame(tmp_path):
         _read_sequence(tmp_path)
 
 
-def test_reloaded_walker_frames_match_generator(tmp_path):
-    sc = sg.Scenario("walker", frames=34)
-    frames, _, _ = sg.generate_scenario(sc)
-    sg.write_scenario(sc, tmp_path)
+@pytest.mark.parametrize("name", ["walker", "carry_box"])
+def test_reloaded_frames_match_generator(name, tmp_path):
+    """What write_scenario writes reads back as what generate_scenario returns."""
+    sc = sg.Scenario(name, frames=34)
+    frames, depths, truth = sg.generate_scenario(sc)
+    assert sg.write_scenario(sc, tmp_path) == truth
     loaded = _read_sequence(tmp_path)
     assert len(loaded) == 34
     for a, b in zip(frames, loaded):
         assert np.array_equal(a.yuv, b.yuv)
         assert np.array_equal(a.rgb, b.rgb)
+    if depths is None:
+        assert not list(tmp_path.glob("depth_*.pgm"))
+    else:
+        assert len(depths) == 34
+        for i, z in enumerate(depths):
+            assert np.array_equal(iio.load_depth_raster(tmp_path / f"depth_{i:06d}.pgm"), z)
+    assert json.loads((tmp_path / "truth.json").read_text()) == truth
 
 
 def _reference_read_png(path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_write_scenario_converts_no_frame_to_yuv(tmp_path, monkeypatch):
     frame = iio.read_frame(tmp_path / "frame_000035.ppm", 35)
     assert calls == []
     assert frame.yuv is frame.yuv and len(calls) == 1 and calls[0] is frame.rgb
+
+
+def test_write_scenario_memory_does_not_grow_with_frame_count(tmp_path):
+    """Each frame and depth raster is written as it is rendered, so the peak
+    holds one frame whatever the sequence length."""
+    peaks = []
+    for frames in (40, 120):
+        tracemalloc.start()
+        try:
+            sg.write_scenario(sg.Scenario("carry_box", frames=frames, seed=2), tmp_path / f"{frames}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
 
 
 def _reference_truth_for_frame(sc, f, mask, script, box):
