@@ -301,16 +301,21 @@ def _sample(img, gx, gy):
     return (1 - fy) * top + fy * bot
 
 
-def _gray(frame):
-    return frame.yuv[:, :, 0].astype(np.float64) / 255.0
+def lk_pyramid(frame):
+    """The image pyramid ``lk_flow`` tracks on: the frame's Y channel
+    normalized to [0, 1], then up to ``LK_LEVELS - 1`` blurred and
+    decimated levels."""
+    return _pyramid(frame.yuv[:, :, 0].astype(np.float64) / 255.0, LK_LEVELS)
 
 
-def lk_flow(prev_frame, frame, points, prev_pyramid=None):
-    """Track points between frames with pyramidal iterative least squares.
+def lk_flow(prev_pyramid, frame, points):
+    """Track points from the frame of ``prev_pyramid`` to ``frame`` with
+    pyramidal iterative least squares.
 
-    Works on the Y channel normalized to [0, 1]. Each point's flow is solved
-    coarse to fine over ``LK_LEVELS`` pyramid levels, inside an ``LK_WINDOW``
-    x ``LK_WINDOW`` patch, in at most ``LK_ITERS`` steps per level (Bouguet's
+    ``prev_pyramid`` is ``lk_pyramid`` of the previous frame, or the pyramid
+    an earlier call returned for it. Each point's flow is solved coarse to
+    fine over ``LK_LEVELS`` pyramid levels, inside an ``LK_WINDOW`` x
+    ``LK_WINDOW`` patch, in at most ``LK_ITERS`` steps per level (Bouguet's
     pyramidal Lucas-Kanade). A point is lost when its structure tensor is too
     flat (minimum eigenvalue per pixel below ``LK_MIN_EIG``) at the finest
     level, the solution diverges, or it leaves the frame. A point that is
@@ -323,14 +328,11 @@ def lk_flow(prev_frame, frame, points, prev_pyramid=None):
     arithmetic per point is the same, in the same order, as solving the
     points one by one.
 
-    ``prev_pyramid`` is the pyramid of ``prev_frame`` as returned by an
-    earlier call; passing it skips rebuilding it.
     Returns ``(points, status, pyramid)``: the new positions (lost points
     keep their input position), which points were tracked, and the pyramid
     of ``frame`` for the next call.
     """
-    pyr0 = prev_pyramid if prev_pyramid is not None else _pyramid(_gray(prev_frame), LK_LEVELS)
-    pyr1 = _pyramid(_gray(frame), LK_LEVELS)
+    pyr0, pyr1 = prev_pyramid, lk_pyramid(frame)
     half = LK_WINDOW // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
     oy, ox = (o.ravel() for o in np.meshgrid(offs, offs, indexing="ij"))
@@ -430,30 +432,26 @@ class ActivityMonitor:
         self.track = None
         self.state = ActivityState()
         self.events = []
-        self.prev_frame = None
-        # LK pyramid of prev_frame: once a track is seeded, every frame's
-        # _track_points call builds the next one, until no point is alive or
-        # Carry fires
+        # LK pyramid of the last frame the points moved to: built on the
+        # frame Approach seeds them, then returned by each lk_flow call
         self._lk_pyramid = None
 
-    def _track_points(self, prev, frame):
-        """Move the alive object points from frame ``prev`` to ``frame``,
-        keeping their centroid on ``prev`` as the track's prev_centroid."""
+    def _track_points(self, frame):
+        """Move the alive object points to ``frame``, keeping their centroid
+        before the move as the track's prev_centroid."""
         track = self.track
         track.prev_centroid = track.centroid
         alive = np.flatnonzero(track.alive)
         if alive.size == 0:
             return
-        pts, ok, self._lk_pyramid = lk_flow(
-            prev, frame, track.points[alive], prev_pyramid=self._lk_pyramid
-        )
+        pts, ok, self._lk_pyramid = lk_flow(self._lk_pyramid, frame, track.points[alive])
         track.points[alive] = pts
         track.alive[alive] = ok
 
-    def process(self, frame_index, frame, model, depth=None):
-        """Run the recognizers for one frame; returns newly fired events."""
+    def process(self, frame_index, frame, model, depth):
+        """Run the recognizers for one frame and its depth raster (or None);
+        returns newly fired events."""
         cfg = self.cfg
-        prev, self.prev_frame = self.prev_frame, frame
         if not cfg.box_rect or (self.box is None and frame_index < cfg.box_ref_frame):
             return []
         if self.box is None:
@@ -461,10 +459,9 @@ class ActivityMonitor:
         self.box = track_box_region(self.box, frame)
 
         # the points feed only detect_carry, which has nothing left to do once
-        # Carry fired; the box rectangle above is still tracked for overlays.
-        # The track is seeded at Approach, so prev is an earlier frame.
+        # Carry fired; the box rectangle above is still tracked for overlays
         if self.track is not None and "Carry" not in self.state.fired:
-            self._track_points(prev, frame)
+            self._track_points(frame)
 
         if model is None or model.torso is None:
             self.state.streaks.clear()
@@ -472,6 +469,7 @@ class ActivityMonitor:
         approach = detect_approach(model, self.box, depth, self.state, frame_index, cfg)
         if approach:
             self.track = seed_object_points(self.box.tracked_rect)
+            self._lk_pyramid = lk_pyramid(frame)
         fired = [
             ev
             for ev in (

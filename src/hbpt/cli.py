@@ -1,10 +1,10 @@
-"""Command line front end: synth, learn, track, baseline and eval.
+"""Command line front end: synth, learn, track and eval.
 
 ``track`` wires the full pipeline: scene learning, foreground detection and
 refinement, person tracking, torso-relative part modeling, scene adaptation
 and activity recognition, writing blobs.jsonl, events.json and metrics.json.
-``baseline`` is the same run with the contour-vertex labeler switched on; it
-labels the same person component the part model uses.
+With ``baseline_mode = true`` it also runs the contour-vertex labeler on the
+same person component the part model uses and writes baseline.jsonl.
 
 ``FrameStep`` is the per-frame core: its ``step(frame, depth)`` returns the
 frame's record, baseline labels and overlay without touching a file, so tests
@@ -441,19 +441,13 @@ def main(argv=None):
     _add_flags(p_synth, "output", "seed")
     p_synth.add_argument("--scenario", required=True, choices=sg.SCENARIO_NAMES)
     p_synth.add_argument("--frames", type=int, help="frame count override")
-    p_synth.add_argument("--width", type=int, help="frame width in px")
-    p_synth.add_argument("--height", type=int, help="frame height in px")
 
     p_learn = sub.add_parser("learn", help="learn and persist a scene model")
     _add_flags(p_learn, "config", "input", "output")
     p_learn.add_argument("--scene-out", default="scene.bin", help="scene file name")
 
-    pipeline_flags = ("config", "input", "output", "seed", "overlays")
     p_track = sub.add_parser("track", help="run the full tracking pipeline")
-    _add_flags(p_track, *pipeline_flags)
-
-    p_base = sub.add_parser("baseline", help="contour-vertex part labeler")
-    _add_flags(p_base, *pipeline_flags)
+    _add_flags(p_track, "config", "input", "output", "seed", "overlays")
 
     p_eval = sub.add_parser("eval", help="compare outputs against truth.json")
     _add_flags(p_eval, "output")
@@ -462,7 +456,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
-            given = {k: getattr(args, k) for k in ("frames", "width", "height", "seed")}
+            given = {k: getattr(args, k) for k in ("frames", "seed")}
             sc = sg.Scenario(args.scenario, **{k: v for k, v in given.items() if v is not None})
             truth = sg.write_scenario(sc, args.output or ".")
             print(f"wrote {truth['frames']} frames of {sc.name} to {args.output or '.'}")
@@ -486,11 +480,6 @@ def main(argv=None):
                 f"tracked a person in {metrics['tracked_frames']} of {metrics['frames']} "
                 f"frames at {metrics['fps']:.1f} fps -> {outdir}"
             )
-        elif args.command == "baseline":
-            cfg = _build_config(args)
-            cfg.baseline_mode = True
-            outdir = run_pipeline(cfg)
-            print(f"baseline labels -> {outdir / 'baseline.jsonl'}")
         elif args.command == "eval":
             summary = evaluate(args.output or ".", args.truth)
             for key in ("scenario", "centroid_rms_px", "torso_center_in_rect",

@@ -125,9 +125,9 @@ def _strip_comment(raw, lineno):
     return (key + eq + body[: end + 1] + body[end + 1 :].split("#", 1)[0]).strip()
 
 
-def parse_config_text(text, base=None):
-    """Apply key=value lines to a config, rejecting unknown keys."""
-    cfg = base if base is not None else PipelineConfig()
+def parse_config_text(text):
+    """The default config with key=value lines applied, rejecting unknown keys."""
+    cfg = PipelineConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw, lineno)
         if not line:

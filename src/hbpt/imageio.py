@@ -463,40 +463,30 @@ def draw_ellipse(img, center, semi_axes, angle, color):
 
 
 _FONT = {
-    # 3x5 bitmap glyphs, rows top to bottom
-    "0": ("111", "101", "101", "101", "111"),
+    # 3x5 bitmap glyphs, rows top to bottom: the person box's "P" and the
+    # upper-case part labels
     "1": ("010", "110", "010", "010", "111"),
     "2": ("111", "001", "111", "100", "111"),
     "3": ("111", "001", "111", "001", "111"),
     "4": ("101", "101", "111", "001", "001"),
-    "5": ("111", "100", "111", "001", "111"),
-    "6": ("111", "100", "111", "101", "111"),
-    "7": ("111", "001", "010", "010", "010"),
-    "8": ("111", "101", "111", "101", "111"),
-    "9": ("111", "101", "111", "001", "111"),
     "A": ("010", "101", "111", "101", "101"),
-    "B": ("110", "101", "110", "101", "110"),
-    "C": ("011", "100", "100", "100", "011"),
     "D": ("110", "101", "101", "101", "110"),
     "E": ("111", "100", "110", "100", "111"),
     "G": ("011", "100", "101", "101", "011"),
     "H": ("101", "101", "111", "101", "101"),
     "L": ("100", "100", "100", "100", "111"),
     "M": ("101", "111", "111", "101", "101"),
-    "N": ("101", "111", "111", "111", "101"),
     "O": ("010", "101", "101", "101", "010"),
     "P": ("110", "101", "110", "100", "100"),
     "R": ("110", "101", "110", "101", "101"),
     "S": ("011", "100", "010", "001", "110"),
     "T": ("111", "010", "010", "010", "010"),
-    "X": ("101", "101", "010", "101", "101"),
-    "Y": ("101", "101", "010", "010", "010"),
-    " ": ("000", "000", "000", "000", "000"),
 }
 
 
 def draw_text(img, origin, text, color):
-    """Tiny 3x5 uppercase/digit font; unknown glyphs are skipped."""
+    """Tiny 3x5 font of the overlay labels, in upper case; a character
+    without a glyph leaves a blank."""
     x0, y0 = int(round(origin[0])), int(round(origin[1]))
     xs, ys = [], []
     for ch in text.upper():

@@ -1,5 +1,5 @@
-"""Deterministic synthetic scenarios: color frames, depth rasters and ground
-truth for an articulated stick figure over a textured static background.
+"""Deterministic synthetic scenarios: 320x240 color frames, depth rasters and
+ground truth for an articulated stick figure over a textured static background.
 
 Every scenario is reproducible bit for bit from (name, params, seed). The
 figure is drawn from rectangles plus a disc head, with chrominance picked so
@@ -43,6 +43,9 @@ BOX_B = (190, 170, 30)
 BOX_OPEN_A = (150, 40, 180)
 BOX_OPEN_B = (120, 30, 150)
 
+# frame size; every script below places the figure and box in these pixels
+WIDTH, HEIGHT = 320, 240
+
 BG_DEPTH_MM = 4000
 PERSON_DEPTH_MM = 2000
 BOX_DEPTH_MM = 2000
@@ -75,8 +78,6 @@ _POSES = {
 @dataclass
 class Scenario:
     name: str
-    width: int = 320
-    height: int = 240
     frames: int | None = None
     seed: int = 7
 
@@ -85,12 +86,8 @@ class Scenario:
             raise ValueError(f"unknown scenario {self.name!r}")
         if self.frames is None:
             self.frames = _DEFAULT_FRAMES[self.name]
-        if self.width < 120 or self.height < 160 or self.frames < 2:
-            raise ValueError(
-                "scenario dimensions or frame count too small: "
-                f"{self.width}x{self.height}, {self.frames} frames "
-                "(need at least 120x160 and 2 frames)"
-            )
+        if self.frames < 2:
+            raise ValueError(f"scenario needs at least 2 frames, got {self.frames}")
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
 
@@ -288,7 +285,7 @@ def render_frames(sc):
     millimeter depth raster or None for scenarios without a box, and its
     ``truth.json`` ``per_frame`` entry. Only one frame is held at a time.
     """
-    w, h = sc.width, sc.height
+    w, h = WIDTH, HEIGHT
     rng = np.random.default_rng(sc.seed)
     blocks = rng.integers(-12, 13, size=(h // 8 + 1, w // 8 + 1, 3))
     texture = np.repeat(np.repeat(blocks, 8, axis=0), 8, axis=1)[:h, :w]
@@ -319,8 +316,8 @@ def render_frames(sc):
 def _truth(sc, per_frame):
     return {
         "scenario": sc.name,
-        "width": sc.width,
-        "height": sc.height,
+        "width": WIDTH,
+        "height": HEIGHT,
         "frames": sc.frames,
         "seed": sc.seed,
         "noise_sigma": NOISE_SIGMA,

@@ -160,7 +160,7 @@ def test_criterion_5_oracle_equivalence():
         f0, f1 = frame_from_rgb(rgb), frame_from_rgb(moved)
         px = float(rng.integers(25, 55))
         py = float(rng.integers(25, 45))
-        out, status, _ = act.lk_flow(f0, f1, [(px, py)])
+        out, status, _ = act.lk_flow(act.lk_pyramid(f0), f1, [(px, py)])
         assert status.all()
         g0 = rgb[:, :, 0].astype(float)
         g1 = moved[:, :, 0].astype(float)

@@ -382,20 +382,21 @@ def _gray_frame(gray):
 
 
 def _assert_lk_matches_reference(f0, f1, pts):
-    """lk_flow equals the oracle exactly, with the pyramid rebuilt or reused.
+    """lk_flow equals the oracle exactly, from the previous frame's
+    lk_pyramid or from the pyramid an earlier call returned for it.
 
     Returns the oracle's per-point paths and status.
     """
     paths = []
     ref_pts, ref_status = _reference_lk_flow(f0, f1, pts, paths=paths)
-    out, status, pyr1 = act.lk_flow(f0, f1, pts)
+    out, status, pyr1 = act.lk_flow(act.lk_pyramid(f0), f1, pts)
     assert np.array_equal(out, ref_pts)
     assert np.array_equal(status, ref_status)
     gray1 = f1.yuv[:, :, 0].astype(np.float64) / 255.0
     assert all(np.array_equal(a, b) for a, b in zip(pyr1, _reference_pyramid(gray1, 3)))
     # the pyramid a call returns for its frame, passed back as the previous one
-    _, _, pyr0 = act.lk_flow(f1, f0, [])
-    out, status, _ = act.lk_flow(None, f1, pts, prev_pyramid=pyr0)
+    _, _, pyr0 = act.lk_flow(act.lk_pyramid(f1), f0, [])
+    out, status, _ = act.lk_flow(pyr0, f1, pts)
     assert np.array_equal(out, ref_pts)
     assert np.array_equal(status, ref_status)
     return paths, ref_status
@@ -417,7 +418,7 @@ def test_lk_identical_frames_zero_flow():
     rgb = _textured_frame(rng)
     f = frame_from_rgb(rgb)
     pts = [(30.0, 30.0), (45.0, 25.0), (60.0, 40.0)]
-    out, status, _ = act.lk_flow(f, f, pts)
+    out, status, _ = act.lk_flow(act.lk_pyramid(f), f, pts)
     assert status.all()
     assert np.allclose(out, pts, atol=1e-3)
 
@@ -430,7 +431,7 @@ def test_lk_recovers_integer_shift_vs_ssd():
     f0 = frame_from_rgb(rgb)
     f1 = frame_from_rgb(moved)
     pts = [(30.0, 35.0), (50.0, 30.0), (40.0, 45.0)]
-    out, status, _ = act.lk_flow(f0, f1, pts)
+    out, status, _ = act.lk_flow(act.lk_pyramid(f0), f1, pts)
     assert status.all()
     g0 = rgb[:, :, 0].astype(float)
     g1 = moved[:, :, 0].astype(float)
@@ -451,7 +452,7 @@ def test_lk_recovers_integer_shift_vs_ssd():
 def test_lk_flat_region_is_lost():
     rgb = np.full((60, 60, 3), 128, np.uint8)
     f = frame_from_rgb(rgb)
-    out, status, _ = act.lk_flow(f, f, [(30.0, 30.0)])
+    out, status, _ = act.lk_flow(act.lk_pyramid(f), f, [(30.0, 30.0)])
     assert not status.any()
 
 
@@ -685,7 +686,7 @@ def test_open_never_follows_carry():
 def test_monitor_without_box_is_inert():
     mon = act.ActivityMonitor(PipelineConfig())
     frame, _ = scene_with_box()
-    assert mon.process(0, frame, stub_model()) == []
+    assert mon.process(0, frame, stub_model(), None) == []
     assert mon.events == []
 
 
@@ -702,7 +703,7 @@ def test_monitor_resets_streaks_on_a_frame_without_torso(gap):
     n = CFG.activity_approach_frames
     calls = [near] * (n - 1) + [blank] + [near] * n
     fired = {
-        i: [e.kind for e in mon.process(i, frame, model)] for i, model in enumerate(calls)
+        i: [e.kind for e in mon.process(i, frame, model, None)] for i, model in enumerate(calls)
     }
     assert {i: kinds for i, kinds in fired.items() if kinds} == {2 * n - 1: ["Approach"]}
 
@@ -776,10 +777,10 @@ def test_monitor_builds_one_pyramid_per_frame_and_tracks_alive_points(
     monkeypatch.setattr(act, "_pyramid", lambda *a: builds.append(1) or pyramid(*a))
     received = []
 
-    def spy_lk(prev_frame, frame, points, **kwargs):
+    def spy_lk(prev_pyramid, frame, points):
         assert np.array_equal(points, mon.track.points[mon.track.alive])
         received.append(len(points))
-        return lk_flow(prev_frame, frame, points, **kwargs)
+        return lk_flow(prev_pyramid, frame, points)
 
     monkeypatch.setattr(act, "lk_flow", spy_lk)
     per_call = []
@@ -790,10 +791,10 @@ def test_monitor_builds_one_pyramid_per_frame_and_tracks_alive_points(
         after_call=lambda: per_call.append(len(builds) - sum(per_call)),
     )
 
-    builds_per_lk_frame = [n for n in per_call if n]
-    assert len(builds_per_lk_frame) == len(received) >= 30
-    # both pyramids on the first LK frame, then only the new frame's
-    assert builds_per_lk_frame[0] == 2 and set(builds_per_lk_frame[1:]) == {1}
+    # one pyramid on the Approach frame, then one per LK frame: the new frame's
+    builds_per_frame = [n for n in per_call if n]
+    assert len(builds_per_frame) == len(received) + 1 >= 31
+    assert set(builds_per_frame) == {1}
     assert max(received) < len(mon.track.alive)  # the killed points never went in
     assert [e["kind"] for f in frames for e in f[0]] == ["Approach", "Carry"]
 
@@ -803,13 +804,12 @@ def test_monitor_matches_reference_lk(carry_monitor_calls, monkeypatch):
     every_third = slice(None, None, 3)
     fast = _replay(act.ActivityMonitor(cfg), calls)
     fast_killed = _replay(act.ActivityMonitor(cfg), calls, kill=every_third)
+    # the oracle works on frames, so each frame stands in for its pyramid
+    monkeypatch.setattr(act, "lk_pyramid", lambda frame: frame)
     monkeypatch.setattr(
         act,
         "lk_flow",
-        lambda prev_frame, frame, points, prev_pyramid=None: (
-            *_reference_lk_flow(prev_frame, frame, points),
-            None,
-        ),
+        lambda prev_frame, frame, points: (*_reference_lk_flow(prev_frame, frame, points), frame),
     )
     assert fast == _replay(act.ActivityMonitor(cfg), calls)
     assert fast_killed == _replay(act.ActivityMonitor(cfg), calls, kill=every_third)
@@ -820,7 +820,7 @@ def test_monitor_skips_lk_without_alive_points(carry_monitor_calls, monkeypatch)
     cfg, calls = carry_monitor_calls
     lk_calls = []
     lk_flow = act.lk_flow
-    monkeypatch.setattr(act, "lk_flow", lambda *a, **k: lk_calls.append(1) or lk_flow(*a, **k))
+    monkeypatch.setattr(act, "lk_flow", lambda *a: lk_calls.append(1) or lk_flow(*a))
     frames = _replay(act.ActivityMonitor(cfg), calls, kill=slice(None))
     assert lk_calls == []
     seeded = [f for f in frames if f[1] is not None]
@@ -837,9 +837,9 @@ def test_monitor_tracks_points_from_approach_through_carry_only(
     lk_frames = []
     lk_flow = act.lk_flow
 
-    def spy(prev_frame, frame, points, **kwargs):
+    def spy(prev_pyramid, frame, points):
         lk_frames.append(frame.index)
-        return lk_flow(prev_frame, frame, points, **kwargs)
+        return lk_flow(prev_pyramid, frame, points)
 
     monkeypatch.setattr(act, "lk_flow", spy)
     events = [e for f in _replay(act.ActivityMonitor(cfg), calls) for e in f[0]]
@@ -853,7 +853,7 @@ def test_monitor_tracks_points_from_approach_through_carry_only(
     kept = []
     for args in calls:
         if "Carry" in keeps.state.fired:  # the point step process skips
-            keeps._track_points(keeps.prev_frame, args[1])
+            keeps._track_points(args[1])
         kept += [asdict(e) for e in keeps.process(*args)]
     assert lk_frames == list(range(fired["Approach"] + 1, last + 1))
     assert kept == events
@@ -945,10 +945,17 @@ def test_config_value_changes_what_the_stage_returns(
 ):
     """A non-default value set through a config file changes what
     ActivityMonitor or mspf_track return on the same input."""
+    def with_line(default):
+        """A copy of ``default`` with the one field the line sets."""
+        name = line.split("=")[0].strip().replace(".", "_")
+        cfg = copy.deepcopy(default)
+        setattr(cfg, name, getattr(parse_config_text(line), name))
+        return cfg
+
     if run == "track":
         indir, _ = scenario_dir("walker", frames=40, seed=12)
         default = PipelineConfig(input=str(indir), output=str(tmp_path))
-        cfg = parse_config_text(line, base=copy.deepcopy(default))
+        cfg = with_line(default)
         want = _tracked_persons(default)
         assert len(want) >= 5
         assert _tracked_persons(cfg) != want
@@ -956,7 +963,7 @@ def test_config_value_changes_what_the_stage_returns(
     default, calls = carry_monitor_calls if run == "carry" else open_monitor_calls
     if run == "carry":
         calls = _depth_ramp(calls)
-    cfg = parse_config_text(line, base=copy.deepcopy(default))
+    cfg = with_line(default)
     want = _replay(act.ActivityMonitor(default), calls)
     assert len([e for f in want for e in f[0]]) == 2  # Approach, then Carry or Open
     assert _replay(act.ActivityMonitor(cfg), calls) != want

@@ -170,8 +170,7 @@ def test_help_exits_zero(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for sub in ("synth", "learn", "track", "baseline", "eval"):
-        assert sub in out
+    assert "{synth,learn,track,eval}" in out
 
 
 @pytest.mark.parametrize(
@@ -180,6 +179,8 @@ def test_help_exits_zero(capsys):
         ["synth", "--scenario", "walker", "--config", "run.cfg"],
         ["synth", "--scenario", "walker", "--input", "seq"],
         ["synth", "--scenario", "walker", "--overlays"],
+        ["synth", "--scenario", "walker", "--width", "200"],
+        ["synth", "--scenario", "walker", "--height", "200"],
         ["learn", "--input", "seq", "--seed", "3"],
         ["learn", "--input", "seq", "--overlays"],
         ["eval", "--truth", "truth.json", "--config", "run.cfg"],
@@ -197,24 +198,23 @@ def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_baseline_is_not_a_subcommand(tmp_path, monkeypatch, capsys):
+    """Baseline labels come from ``track`` with ``baseline_mode = true``."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["baseline", "--input", "seq", "--output", "out"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'baseline'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--seed", "-1"], "error: seed must not be negative, got -1\n"),
-        (
-            ["--width", "119"],
-            "error: scenario dimensions or frame count too small: 119x240, 3 frames",
-        ),
-        (
-            ["--height", "159"],
-            "error: scenario dimensions or frame count too small: 320x159, 3 frames",
-        ),
-        (
-            ["--frames", "1"],
-            "error: scenario dimensions or frame count too small: 320x240, 1 frames",
-        ),
+        (["--frames", "1"], "error: scenario needs at least 2 frames, got 1\n"),
     ],
-    ids=["seed", "width", "height", "frames"],
+    ids=["seed", "frames"],
 )
 def test_synth_rejects_bad_scenario_before_writing(flags, message, tmp_path, capsys):
     out = tmp_path / "seq"
@@ -383,32 +383,29 @@ def test_annotate_draws_labels_over_their_ellipses_on_a_copy():
         assert all(tuple(out[y, x]) == (255, 255, 255) for x, y in glyph), label
 
 
-def test_baseline_subcommand(tmp_path, capsys):
+def _baseline_config(tmp_path, *lines):
+    """A config file that turns ``baseline_mode`` on, followed by ``lines``."""
+    path = tmp_path / "baseline.cfg"
+    path.write_text("".join(f"{line}\n" for line in ("baseline_mode = true", *lines)))
+    return path
+
+
+def test_baseline_mode_flag_emits_labels_during_track(tmp_path):
     indir = tmp_path / "seq"
     sg.write_scenario(sg.Scenario("walker", frames=40, seed=8), indir)
-    rc = cli.main(["baseline", "--input", str(indir), "--output", str(tmp_path / "out")])
-    assert rc == 0
-    entries = read_jsonl(tmp_path / "out" / "baseline.jsonl")
+    out = tmp_path / "out"
+    assert _track(indir, out, "--config", str(_baseline_config(tmp_path))) == 0
+    entries = read_jsonl(out / "baseline.jsonl")
     assert len(entries) == 40
     labeled = [e for e in entries if e["labels"]]
     assert len(labeled) >= 8
     for e in labeled:
         assert e["labels"]["torso"] is not None
         assert e["labels"]["head"] is not None
-    # the same run as track, so its other outputs are written too
-    assert len(read_jsonl(tmp_path / "out" / "blobs.jsonl")) == 40
-    assert (tmp_path / "out" / "events.json").exists()
-    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["frames"] == 40
-
-
-def test_baseline_mode_flag_emits_labels_during_track(tmp_path):
-    indir = tmp_path / "seq"
-    sg.write_scenario(sg.Scenario("walker", frames=36, seed=10), indir)
-    cfg = PipelineConfig(input=str(indir), output=str(tmp_path / "out"), baseline_mode=True)
-    cli.run_pipeline(cfg)
-    entries = read_jsonl(tmp_path / "out" / "baseline.jsonl")
-    assert len(entries) == 36
-    assert any(e["labels"] for e in entries)
+    # the track run's own outputs, over the same frames
+    assert len(read_jsonl(out / "blobs.jsonl")) == 40
+    assert isinstance(json.loads((out / "events.json").read_text()), list)
+    assert json.loads((out / "metrics.json").read_text())["frames"] == 40
 
 
 def test_record_shape(tmp_path):
@@ -444,13 +441,9 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         return real(mask, min_area, se, iterations)
 
     monkeypatch.setattr(mo, "refine_mask", spy)
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("mask.se = 5\nmask.iterations = 2\n")
-    rc = cli.main(
-        ["baseline", "--input", str(indir), "--output", str(tmp_path / "out"),
-         "--config", str(cfg_path)]
-    )
-    assert rc == 0
+    cfg_path = _baseline_config(tmp_path, "mask.se = 5", "mask.iterations = 2")
+    assert _track(indir, tmp_path / "out", "--config", str(cfg_path)) == 0
+    assert (tmp_path / "out" / "baseline.jsonl").exists()
     assert len(calls) == 32
     assert set(calls) == {((5, 5), 2)}
 
@@ -548,17 +541,17 @@ def test_track_rejects_non_string_config(tmp_path, capsys, key):
 
 
 def test_baseline_rejects_out_of_range_config(tmp_path, capsys, scenario_dir):
-    """``baseline``, and ``learn`` likewise, stop before writing anything."""
+    """``track`` in baseline mode, and ``learn`` likewise, stop before writing
+    anything."""
     indir, _ = scenario_dir("walker", frames=32, seed=12)
-    cfg_path = tmp_path / "run.cfg"
-    for command in ("baseline", "learn"):
+    for command in ("track", "learn"):
         for line, key in (
             ("mask.se = 4", "mask.se"),
             ("scene.tau = -2", "scene.tau"),
             ("scene.var_floor = 0", "scene.var_floor"),
             ("learn.frames = 1", "learn.frames"),
         ):
-            cfg_path.write_text(line + "\n")
+            cfg_path = _baseline_config(tmp_path, line)
             rc = cli.main(
                 [command, "--input", str(indir), "--output", str(tmp_path / "out"),
                  "--config", str(cfg_path)]
@@ -707,13 +700,14 @@ def test_failed_run_leaves_no_earlier_results(tmp_path, capsys, scenario_dir):
     src, _ = scenario_dir("walker", frames=60, seed=12)
     out = tmp_path / "out"
     results = ("blobs.jsonl", "events.json", "metrics.json", "baseline.jsonl")
-    assert cli.main(["baseline", "--input", str(src), "--output", str(out)]) == 0
+    baseline = ("--config", str(_baseline_config(tmp_path)))
+    assert _track(src, out, *baseline) == 0
     assert all((out / name).exists() for name in results)
     indir = tmp_path / "in"
     shutil.copytree(src, indir)
     bad = indir / "frame_000050.ppm"
     bad.write_bytes(bad.read_bytes()[:-7])
-    assert cli.main(["baseline", "--input", str(indir), "--output", str(out)]) == 1
+    assert _track(indir, out, *baseline) == 1
     assert capsys.readouterr().err == f"error: cannot decode {bad}: truncated PPM payload\n"
     assert not [name for name in results if (out / name).exists()]
 
@@ -952,7 +946,8 @@ def test_records_stream_to_partial_files_that_replace_the_results_at_the_end(
         return detect(model, frame, tau)
 
     monkeypatch.setattr(sm, "detect_foreground", spy)
-    assert cli.main(["baseline", "--input", str(src), "--output", str(out)]) == 0
+    baseline = ("--config", str(_baseline_config(tmp_path)))
+    assert _track(src, out, *baseline) == 0
     assert seen == list(range(32))
     assert not list(out.glob("*.partial"))
     assert len(read_jsonl(out / "baseline.jsonl")) == 32
@@ -961,13 +956,13 @@ def test_records_stream_to_partial_files_that_replace_the_results_at_the_end(
     shutil.copytree(src, indir)
     bad = indir / "frame_000031.ppm"
     bad.write_bytes(bad.read_bytes()[:-7])
-    assert cli.main(["baseline", "--input", str(indir), "--output", str(out)]) == 1
+    assert _track(indir, out, *baseline) == 1
     assert capsys.readouterr().err == f"error: cannot decode {bad}: truncated PPM payload\n"
     assert not list(out.glob("*.partial")) and not (out / "blobs.jsonl").exists()
 
     interrupt_at = 20
     with pytest.raises(KeyboardInterrupt):
-        cli.main(["baseline", "--input", str(src), "--output", str(out)])
+        _track(src, out, *baseline)
     assert not list(out.glob("*.partial")) and not (out / "blobs.jsonl").exists()
 
 
@@ -1202,12 +1197,9 @@ def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, sc
     def run(tag):
         cfg = PipelineConfig(input=str(indir), output=str(tmp_path / tag), baseline_mode=True)
         cli.run_pipeline(cfg)
-        assert cli.main(
-            ["baseline", "--input", str(indir), "--output", str(tmp_path / tag / "base")]
-        ) == 0
         return [
             (tmp_path / tag / name).read_bytes()
-            for name in ("blobs.jsonl", "events.json", "baseline.jsonl", "base/baseline.jsonl")
+            for name in ("blobs.jsonl", "events.json", "baseline.jsonl")
         ]
 
     got = run("crop")
@@ -1218,7 +1210,6 @@ def test_track_and_baseline_match_full_frame_reference(tmp_path, monkeypatch, sc
     assert got == want
     records = read_jsonl(tmp_path / "crop" / "blobs.jsonl")
     assert sum(len(r["parts"]) == 6 for r in records) == 30
-    assert got[2] == got[3]
 
 
 # ---------------------------------------------------------------------------

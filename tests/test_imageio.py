@@ -10,6 +10,7 @@ import pytest
 from hbpt import cli
 from hbpt import imageio as iio
 from hbpt import synthgen as sg
+from hbpt.bodyparts import PART_LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -864,3 +865,10 @@ def test_draw_text_matches_per_pixel_reference(monkeypatch):
             iio.draw_text(img, origin, text, (250, 1, 128))
         assert img.tobytes() == want.tobytes(), (text, origin)
         assert len(calls) == 1
+
+
+def test_font_holds_the_glyphs_of_the_overlay_labels():
+    """Overlays write "P" on the person box and each part label, upper-cased;
+    every character of those has a glyph, and the font holds no other."""
+    chars = set("P").union(*(label.upper() for label in PART_LABELS))
+    assert set(iio._FONT) == chars

@@ -44,12 +44,9 @@ DEFAULTED_PARAMETERS = {
     ("imageio", "load_depth_raster", "size"),
     ("blobmodel", "fit_blob", "frame"),  # a colour source, absent for shape-only fits
     ("blobmodel", "fit_blob", "label"),
-    ("activity", "ActivityMonitor.process", "depth"),  # sequences without depth
-    ("activity", "lk_flow", "prev_pyramid"),  # the pyramid of the previous call
     ("tracker", "mean_shift", "trace"),  # weight sums for acceptance criterion 6
     ("maskops", "foreground_box", "my"),  # the reach refine_mask grows the box by
     ("maskops", "foreground_box", "mx"),
-    ("config", "parse_config_text", "base"),  # a config to layer the lines on
     ("cli", "main", "argv"),  # the command line, sys.argv when None
 }
 

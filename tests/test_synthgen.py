@@ -8,6 +8,7 @@ from hbpt import imageio as iio
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt.bodyparts import PART_LABELS
+from hbpt.config import PipelineConfig, check_box
 from hbpt.tracker import TorsoDisc
 
 from conftest import connected_components
@@ -92,9 +93,21 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         sg.Scenario("warp_field")
     with pytest.raises(ValueError):
-        sg.Scenario("walker", width=50)
-    with pytest.raises(ValueError):
         sg.Scenario("walker", frames=1)
+
+
+@pytest.mark.parametrize("name", sg.SCENARIO_NAMES)
+def test_frames_and_box_fit_the_truth_size(name):
+    """Every frame and depth raster has the truth's width and height, and a
+    box scenario's truth box passes the pipeline's box check at that size
+    and frame count."""
+    frames, depths, truth = sg.generate_scenario(sg.Scenario(name, frames=sg.BOX_REF_FRAME + 1))
+    shape = (truth["height"], truth["width"])
+    assert all(f.rgb.shape == shape + (3,) for f in frames)
+    assert depths is None or all(d.shape == shape for d in depths)
+    if truth["box"] is not None:
+        cfg = PipelineConfig(box_rect=truth["box"]["rect"], box_ref_frame=truth["box"]["ref_frame"])
+        check_box(cfg, truth["width"], truth["height"], truth["frames"])
 
 
 def test_write_scenario_layout(tmp_path):
@@ -125,15 +138,23 @@ def test_write_scenario_converts_no_frame_to_yuv(tmp_path, monkeypatch):
 
 def test_write_scenario_memory_does_not_grow_with_frame_count(tmp_path):
     """Each frame and depth raster is written as it is rendered, so the peak
-    holds one frame whatever the sequence length."""
+    holds one frame whatever the sequence length.
+
+    Each length is written twice and the lower peak kept: pathlib interns
+    every file name, and a run can then hold a one-off resize of the
+    interpreter's table of interned strings (1.8 MiB late in a full test
+    session), which does not fall into both runs."""
     peaks = []
     for frames in (40, 120):
-        tracemalloc.start()
-        try:
-            sg.write_scenario(sg.Scenario("carry_box", frames=frames, seed=2), tmp_path / f"{frames}")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        runs = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                sg.write_scenario(sg.Scenario("carry_box", frames=frames, seed=2), tmp_path / f"{frames}")
+                runs.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(min(runs))
     assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
 
 
@@ -188,7 +209,7 @@ def _scenario_masks(sc):
     """(frame, clean person mask, script, box) for every frame of a scenario."""
     for f in range(sc.frames):
         script = sg._person_script(sc, f)
-        mask = np.zeros((sc.height, sc.width), dtype=bool)
+        mask = np.zeros((sg.HEIGHT, sg.WIDTH), dtype=bool)
         if script is not None:
             sg.render_person_mask(mask, script["ox"], script["oy"], script["pose"])
         yield f, mask, script, sg._box_script(sc, f)
