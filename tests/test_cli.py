@@ -390,7 +390,9 @@ def _baseline_config(tmp_path, *lines):
     return path
 
 
-def test_baseline_mode_flag_emits_labels_during_track(tmp_path):
+def test_baseline_subcommand(tmp_path):
+    """What the removed ``baseline`` subcommand wrote, ``track`` now writes with
+    ``baseline_mode = true``: one label entry per frame beside its own outputs."""
     indir = tmp_path / "seq"
     sg.write_scenario(sg.Scenario("walker", frames=40, seed=8), indir)
     out = tmp_path / "out"
@@ -406,6 +408,16 @@ def test_baseline_mode_flag_emits_labels_during_track(tmp_path):
     assert len(read_jsonl(out / "blobs.jsonl")) == 40
     assert isinstance(json.loads((out / "events.json").read_text()), list)
     assert json.loads((out / "metrics.json").read_text())["frames"] == 40
+
+
+def test_baseline_mode_flag_emits_labels_during_track(tmp_path):
+    indir = tmp_path / "seq"
+    sg.write_scenario(sg.Scenario("walker", frames=36, seed=10), indir)
+    cfg = PipelineConfig(input=str(indir), output=str(tmp_path / "out"), baseline_mode=True)
+    cli.run_pipeline(cfg)
+    entries = read_jsonl(tmp_path / "out" / "baseline.jsonl")
+    assert len(entries) == 36
+    assert any(e["labels"] for e in entries)
 
 
 def test_record_shape(tmp_path):
