@@ -1,4 +1,4 @@
-"""Command line front end: synth, learn, track and eval.
+"""Command line front end: synth, track and eval.
 
 ``track`` wires the full pipeline: scene learning, foreground detection and
 refinement, person tracking, torso-relative part modeling, scene adaptation
@@ -25,8 +25,6 @@ from collections import defaultdict, deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import activity as act
 from . import baseline as bl
@@ -136,7 +134,7 @@ class FrameStep:
                 part_model = bp.build_part_model(partition, frame, cfg.parts_min_area)
         with _timed(ms, "scene_update"):
             fg_mask = refined if silhouette is None else silhouette
-            sm.update_scene(self.model, frame, fg_mask, cfg.scene_alpha)
+            sm.update_scene(self.model, frame, fg_mask, cfg.scene_alpha, cfg.scene_var_floor)
         with _timed(ms, "activity"):
             self.monitor.process(frame.index, frame, part_model, depth)
 
@@ -191,27 +189,11 @@ def run_pipeline(cfg):
         for dp, fp in zip(depth_paths, paths):  # paired by number, not by position
             if iio.frame_sort_key(dp)[0] != iio.frame_sort_key(fp)[0]:
                 raise ValueError(f"{dp} does not match {fp}")
-        # with a scene file only the first frame is read ahead, for its size
-        head = deque(_learn_set(paths, 1 if cfg.scene_file else min(cfg.learn_frames, n)))
+        head = deque(_learn_set(paths, min(cfg.learn_frames, n)))
     size = (head[0].width, head[0].height)
     check_box(cfg, *size, n)
-
-    if cfg.scene_file:
-        model = sm.load_scene(cfg.scene_file)
-        if (model.width, model.height) != size:
-            raise ValueError(
-                f"{cfg.scene_file}: scene is {model.width}x{model.height}, "
-                f"frames are {size[0]}x{size[1]}"
-            )
-        # the file stores var_floor as float32
-        if np.float32(cfg.scene_var_floor) != np.float32(model.var_floor):
-            raise ValueError(
-                f"{cfg.scene_file}: scene was learned with scene.var_floor = "
-                f"{model.var_floor:g}, the config sets {cfg.scene_var_floor:g}"
-            )
-    else:
-        with _timed(stage_ms, "learn"):
-            model = sm.learn_scene(head, cfg.scene_var_floor)
+    with _timed(stage_ms, "learn"):
+        model = sm.learn_scene(head, cfg.scene_var_floor)
     step = FrameStep(cfg, model, stage_ms)
 
     names = ("blobs.jsonl", "baseline.jsonl") if cfg.baseline_mode else ("blobs.jsonl",)
@@ -244,7 +226,7 @@ def run_pipeline(cfg):
     with _timed(stage_ms, "write"), open(outdir / "events.json", "w") as fh:
         json.dump([asdict(e) for e in step.monitor.events], fh, indent=1)
     wall = time.perf_counter() - t0
-    learn_ms = stage_ms.pop("learn", 0.0)  # once, not per frame
+    learn_ms = stage_ms.pop("learn")  # once, not per frame
     stage_ms["other"] = wall * 1e3 - learn_ms - sum(stage_ms.values())
     metrics = {"frames": n, "tracked_frames": tracked, "wall_time_s": wall, "fps": n / wall}
     metrics["learn_ms"] = learn_ms
@@ -417,15 +399,15 @@ def _add_flags(p, *names):
 
 
 def _build_config(args):
-    """The config file, if given, with the flags the subcommand took on top."""
+    """The config file, if given, with track's flags on top."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.input:
         cfg.input = args.input
     if args.output:
         cfg.output = args.output
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "overlays", False):
+    if args.overlays:
         cfg.emit_overlays = True
     return cfg
 
@@ -442,10 +424,6 @@ def main(argv=None):
     p_synth.add_argument("--scenario", required=True, choices=sg.SCENARIO_NAMES)
     p_synth.add_argument("--frames", type=int, help="frame count override")
 
-    p_learn = sub.add_parser("learn", help="learn and persist a scene model")
-    _add_flags(p_learn, "config", "input", "output")
-    p_learn.add_argument("--scene-out", default="scene.bin", help="scene file name")
-
     p_track = sub.add_parser("track", help="run the full tracking pipeline")
     _add_flags(p_track, "config", "input", "output", "seed", "overlays")
 
@@ -460,17 +438,6 @@ def main(argv=None):
             sc = sg.Scenario(args.scenario, **{k: v for k, v in given.items() if v is not None})
             truth = sg.write_scenario(sc, args.output or ".")
             print(f"wrote {truth['frames']} frames of {sc.name} to {args.output or '.'}")
-        elif args.command == "learn":
-            cfg = _build_config(args)
-            check_ranges(cfg)
-            paths = iio.frame_paths(cfg.input, cfg.pattern)
-            model = sm.learn_scene(
-                _learn_set(paths, min(cfg.learn_frames, len(paths))), cfg.scene_var_floor
-            )
-            out = Path(cfg.output or ".")
-            out.mkdir(parents=True, exist_ok=True)
-            sm.save_scene(model, out / args.scene_out)
-            print(f"learned scene from {model.frames_seen} frames -> {out / args.scene_out}")
         elif args.command == "track":
             cfg = _build_config(args)
             outdir = run_pipeline(cfg)
@@ -482,9 +449,12 @@ def main(argv=None):
             )
         elif args.command == "eval":
             summary = evaluate(args.output or ".", args.truth)
-            for key in ("scenario", "centroid_rms_px", "torso_center_in_rect",
-                        "armR_presence_accuracy", "events_fired", "state_gate_ok"):
+            for key in ("scenario", "frames_compared", "centroid_rms_px",
+                        "torso_center_in_rect", "armR_presence_accuracy", "events_fired",
+                        "state_gate_ok"):
                 print(f"{key}: {summary[key]}")
+            for label, value in summary["part_agreement"].items():
+                print(f"part_agreement {label}: {value}")
             for m in summary["event_matches"]:
                 print(
                     f"event {m['kind']}: scripted {m['scripted_frame']}, "

@@ -22,7 +22,6 @@ class PipelineConfig:
     output: str = ""
     pattern: str = "frame_*.ppm"
     seed: int = 0
-    scene_file: str = ""
     learn_frames: int = 30
     scene_var_floor: float = 4.0
     scene_tau: float = 4.0
@@ -160,7 +159,7 @@ def check_ranges(cfg):
         raise ValueError(f"scene.tau must be positive, got {cfg.scene_tau}")
     if not cfg.scene_var_floor > 0.0:
         raise ValueError(f"scene.var_floor must be positive, got {cfg.scene_var_floor}")
-    if not cfg.scene_file and cfg.learn_frames < 2:
+    if cfg.learn_frames < 2:
         raise ValueError(
             f"learn.frames must be at least 2 to learn a scene, got {cfg.learn_frames}"
         )

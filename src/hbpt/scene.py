@@ -1,20 +1,14 @@
 """Background scene model: per-pixel YUV mean/variance, deviation detection,
-and exponential adaptation of pixels not covered by the person.
-
-The model is held in float32, the type ``save_scene`` writes, so a model
-loaded from a file and one learned in the same process are the same numbers.
+and exponential adaptation of pixels not covered by the person. The model
+is held in float32.
 
 Frame, mask and model sizes and ``scene.alpha`` are checked where they
 enter the run (as frames are decoded, and in ``config.check_ranges``).
 """
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-_MAGIC = b"HBPTSCN1"
 
 # Pixels per block of the full-frame passes: a block's float32 temporaries
 # (192 KB each) stay in cache from one numpy op to the next.
@@ -24,9 +18,7 @@ _BLOCK_PIXELS = 16384
 @dataclass
 class SceneModel:
     mean: np.ndarray  # (h, w, 3) float32
-    var: np.ndarray  # (h, w, 3) float32, floored at var_floor
-    frames_seen: int
-    var_floor: float
+    var: np.ndarray  # (h, w, 3) float32, floored at scene.var_floor
 
     def __post_init__(self):
         # update_scene writes through (h*w, 3) views of these two arrays
@@ -73,9 +65,7 @@ def learn_scene(frames, var_floor):
     # Rounding is monotonic, so the maximum of the values rounded to float32
     # is the float64 maximum rounded to float32.
     var = np.maximum(var, np.float32(var_floor), dtype=np.float32)
-    return SceneModel(
-        mean=mean.astype(np.float32), var=var, frames_seen=len(frames), var_floor=var_floor
-    )
+    return SceneModel(mean=mean.astype(np.float32), var=var)
 
 
 def detect_foreground(model, frame, tau):
@@ -104,15 +94,15 @@ def detect_foreground(model, frame, tau):
     return ForegroundMask(bits=bits.reshape(model.height, model.width))
 
 
-def update_scene(model, frame, fg, alpha):
+def update_scene(model, frame, fg, alpha, var_floor):
     """Blend the pixels outside the bool mask ``fg`` into the model in place.
 
     mean <- (1-a)*mean + a*x, var <- (1-a)*var + a*(x-mean)^2, then the
-    variance floor is re-applied, all in float32: ``a``, ``1-a`` (computed in
-    float64) and the floor are each rounded once to float32. ``model.mean``
-    and ``model.var`` are updated in place over the whole frame, block by
-    block, and the foreground pixels' values, saved beforehand, are written
-    back, so they are left untouched.
+    variance floor ``var_floor`` is re-applied, all in float32: ``a``, ``1-a``
+    (computed in float64) and the floor are each rounded once to float32.
+    ``model.mean`` and ``model.var`` are updated in place over the whole frame,
+    block by block, and the foreground pixels' values, saved beforehand, are
+    written back, so they are left untouched.
     """
     rows = np.flatnonzero(fg)
     if rows.size == fg.size:
@@ -125,7 +115,7 @@ def update_scene(model, frame, fg, alpha):
     x = frame.yuv.reshape(-1, 3)
     d = np.empty((min(_BLOCK_PIXELS, x.shape[0]), 3), np.float32)  # x, then x - mean
     ad = np.empty_like(d)  # a*x, then (a*d)*d
-    a, keep, floor = np.float32(alpha), np.float32(1.0 - alpha), np.float32(model.var_floor)
+    a, keep, floor = np.float32(alpha), np.float32(1.0 - alpha), np.float32(var_floor)
     for s in range(0, x.shape[0], _BLOCK_PIXELS):
         e = min(s + _BLOCK_PIXELS, x.shape[0])
         db, adb, mb, vb = d[: e - s], ad[: e - s], mean[s:e], var[s:e]
@@ -141,42 +131,4 @@ def update_scene(model, frame, fg, alpha):
         np.maximum(vb, floor, out=vb)
     mean[rows] = saved_mean
     var[rows] = saved_var
-    model.frames_seen += 1
     return model
-
-
-def save_scene(model, path):
-    """Persist as little-endian binary: magic, dims, mean then var as float32."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(
-            struct.pack(
-                "<iiif", model.width, model.height, model.frames_seen, model.var_floor
-            )
-        )
-        f.write(model.mean.astype("<f4").tobytes())
-        f.write(model.var.astype("<f4").tobytes())
-
-
-def load_scene(path):
-    """Read a ``save_scene`` file into a writable float32 model; raises
-    ValueError naming the path if it is not one or is cut short."""
-    data = Path(path).read_bytes()
-    if data[:8] != _MAGIC[: len(data)]:  # a cut-off magic is a short file
-        raise ValueError(f"{path}: not a scene model file")
-    if len(data) < 24:
-        raise ValueError(f"{path}: truncated scene file")
-    w, h, frames_seen, var_floor = struct.unpack_from("<iiif", data, 8)
-    if w <= 0 or h <= 0:
-        raise ValueError(f"{path}: bad scene dimensions {w}x{h}")
-    n = w * h * 3
-    if len(data) < 24 + 8 * n:
-        raise ValueError(f"{path}: truncated scene file")
-    mean = np.frombuffer(data, dtype="<f4", count=n, offset=24)
-    var = np.frombuffer(data, dtype="<f4", count=n, offset=24 + 4 * n)
-    return SceneModel(
-        mean=mean.reshape(h, w, 3).astype(np.float32),
-        var=var.reshape(h, w, 3).astype(np.float32),
-        frames_seen=frames_seen,
-        var_floor=var_floor,
-    )

@@ -41,8 +41,8 @@ def test_config_defaults():
 
 
 CONFIG_KEYS = (
-    "input", "output", "pattern", "seed", "scene.file", "learn.frames",
-    "scene.var_floor", "scene.tau", "scene.alpha", "mask.min_area_frac", "mask.se",
+    "input", "output", "pattern", "seed", "learn.frames", "scene.var_floor",
+    "scene.tau", "scene.alpha", "mask.min_area_frac", "mask.se",
     "mask.iterations", "person.min_area_frac", "particles.n", "particles.sigma_xy",
     "particles.sigma_scale", "particles.iou_gate", "parts.min_area", "activity.d_xy",
     "activity.z_gate_mm", "activity.approach_frames", "activity.theta_open",
@@ -53,10 +53,10 @@ CONFIG_KEYS = (
 
 
 def test_config_keys_name_every_field_once():
-    """Each of the 30 keys sets its own field, and together they set all of them."""
+    """Each of the 29 keys sets its own field, and together they set all of them."""
     fields = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
     names = [key.replace(".", "_") for key in CONFIG_KEYS]
-    assert len(fields) == 30 and sorted(names) == sorted(fields)
+    assert len(fields) == 29 and sorted(names) == sorted(fields)
     values = {bool: "true", int: "7", float: "0.5", str: '"x"', list: "[1, 2, 3, 4]"}
     default = PipelineConfig()
     for key, name in zip(CONFIG_KEYS, names):
@@ -86,7 +86,9 @@ pattern = "frame_*.png"
 
 def test_config_rejects_unknown_key():
     # a field name, a section alone and a dotted non-section are no second spelling
-    for key in ("scene.gamma", "scene_tau", "activity_d_xy", "scene", "emit.overlays"):
+    for key in (
+        "scene.gamma", "scene_tau", "activity_d_xy", "scene", "emit.overlays", "scene.file",
+    ):
         with pytest.raises(ValueError, match=rf"line 1: unknown config key '{re.escape(key)}'"):
             parse_config_text(f"{key} = 2")
 
@@ -136,7 +138,6 @@ def test_config_converts_numbers_to_field_type():
         ("input = 2.5", "input expects a string, got 2.5"),
         ("output = [1, 2]", "output expects a string, got [1, 2]"),
         ("pattern = true", "pattern expects a string, got True"),
-        ("scene.file = []", "scene.file expects a string, got []"),
     ],
 )
 def test_config_rejects_wrong_types(line, message):
@@ -149,12 +150,11 @@ def test_config_hash_inside_quotes_is_kept():
         'output = "runs/#3"  # third run\n'
         "pattern = 'frame_#*.ppm'\n"
         "input = data # a comment\n"
-        '# scene.file = "unterminated\n'
+        '# output = "unterminated\n'
     )
     assert cfg.output == "runs/#3"
     assert cfg.pattern == "frame_#*.ppm"
     assert cfg.input == "data"
-    assert cfg.scene_file == ""
 
 
 def test_config_rejects_unterminated_quote():
@@ -170,7 +170,7 @@ def test_help_exits_zero(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "{synth,learn,track,eval}" in out
+    assert "{synth,track,eval}" in out
 
 
 @pytest.mark.parametrize(
@@ -181,8 +181,8 @@ def test_help_exits_zero(capsys):
         ["synth", "--scenario", "walker", "--overlays"],
         ["synth", "--scenario", "walker", "--width", "200"],
         ["synth", "--scenario", "walker", "--height", "200"],
-        ["learn", "--input", "seq", "--seed", "3"],
-        ["learn", "--input", "seq", "--overlays"],
+        ["track", "--input", "seq", "--scene-out", "scene.bin"],
+        ["synth", "--scenario", "walker", "--scene-out", "scene.bin"],
         ["eval", "--truth", "truth.json", "--config", "run.cfg"],
         ["eval", "--truth", "truth.json", "--input", "seq"],
         ["eval", "--truth", "truth.json", "--seed", "3"],
@@ -199,13 +199,16 @@ def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, monkeypatch, 
 
 
 def test_baseline_is_not_a_subcommand(tmp_path, monkeypatch, capsys):
-    """Baseline labels come from ``track`` with ``baseline_mode = true``."""
+    """Baseline labels come from ``track`` with ``baseline_mode = true``, and
+    ``track`` learns the scene model itself, so neither ``baseline`` nor
+    ``learn`` is a subcommand."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["baseline", "--input", "seq", "--output", "out"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'baseline'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for command in ("baseline", "learn"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--input", "seq", "--output", "out"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -255,6 +258,7 @@ def test_synth_track_eval_round_trip(tmp_path, capsys):
     metrics = json.loads((outdir / "metrics.json").read_text())
     assert metrics["frames"] == 60
     assert metrics["fps"] == pytest.approx(60 / metrics["wall_time_s"], rel=0.01)
+    capsys.readouterr()
     rc = cli.main(
         ["eval", "--output", str(outdir), "--truth", str(indir / "truth.json")]
     )
@@ -262,6 +266,13 @@ def test_synth_track_eval_round_trip(tmp_path, capsys):
     summary = json.loads((outdir / "eval.json").read_text())
     assert summary["scenario"] == "walker"
     assert summary["centroid_rms_px"] < 2.5
+    # eval prints the frame count and per-label part agreement of eval.json
+    lines = capsys.readouterr().out.splitlines()
+    assert summary["frames_compared"] > 0 and summary["part_agreement"]
+    assert f"frames_compared: {summary['frames_compared']}" in lines
+    assert [line for line in lines if line.startswith("part_agreement ")] == [
+        f"part_agreement {label}: {value}" for label, value in summary["part_agreement"].items()
+    ]
 
 
 _EVAL_RECORD = {"frame": 0, "tracked": True, "person": {"centroid": [10.0, 20.0]}}
@@ -318,32 +329,6 @@ def test_track_runs_are_byte_identical(tmp_path):
             )
         )
     assert outs[0] == outs[1]
-
-
-def test_learn_then_track_with_saved_scene(tmp_path, capsys, monkeypatch):
-    indir = tmp_path / "seq"
-    sg.write_scenario(sg.Scenario("walker", frames=40, seed=5), indir)
-    decoded = []
-    read_ppm = iio.read_ppm
-    monkeypatch.setattr(
-        iio, "read_ppm", lambda path, size=None: decoded.append(path) or read_ppm(path, size)
-    )
-    rc = cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)])
-    assert rc == 0
-    assert len(decoded) == 30  # learn.frames, not the whole sequence
-    monkeypatch.undo()
-    scene_file = tmp_path / "scene.bin"
-    assert scene_file.exists()
-    cfg = PipelineConfig(
-        input=str(indir), output=str(tmp_path / "out"), scene_file=str(scene_file)
-    )
-    cli.run_pipeline(cfg)
-    records = read_jsonl(tmp_path / "out" / "blobs.jsonl")
-    assert sum(1 for r in records if r["tracked"]) >= 8
-    # the saved float32 model is the one track learns in process
-    cli.run_pipeline(PipelineConfig(input=str(indir), output=str(tmp_path / "learned")))
-    blobs = (tmp_path / "out" / "blobs.jsonl").read_bytes()
-    assert blobs == (tmp_path / "learned" / "blobs.jsonl").read_bytes()
 
 
 def test_overlays_written_when_enabled(tmp_path):
@@ -539,7 +524,7 @@ def test_config_rejects_infinite_float_values(key, value):
         check_ranges(cfg)
 
 
-@pytest.mark.parametrize("key", ["input", "output", "pattern", "scene.file"])
+@pytest.mark.parametrize("key", ["input", "output", "pattern"])
 def test_track_rejects_non_string_config(tmp_path, capsys, key):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"seed = 1\n{key} = 5\n")
@@ -553,35 +538,22 @@ def test_track_rejects_non_string_config(tmp_path, capsys, key):
 
 
 def test_baseline_rejects_out_of_range_config(tmp_path, capsys, scenario_dir):
-    """``track`` in baseline mode, and ``learn`` likewise, stop before writing
-    anything."""
+    """``track`` in baseline mode stops before writing anything."""
     indir, _ = scenario_dir("walker", frames=32, seed=12)
-    for command in ("track", "learn"):
-        for line, key in (
-            ("mask.se = 4", "mask.se"),
-            ("scene.tau = -2", "scene.tau"),
-            ("scene.var_floor = 0", "scene.var_floor"),
-            ("learn.frames = 1", "learn.frames"),
-        ):
-            cfg_path = _baseline_config(tmp_path, line)
-            rc = cli.main(
-                [command, "--input", str(indir), "--output", str(tmp_path / "out"),
-                 "--config", str(cfg_path)]
-            )
-            assert rc == 1
-            assert capsys.readouterr().err.startswith(f"error: {key} ")
-            assert not (tmp_path / "out").exists()
-
-
-def test_learn_frames_unchecked_with_scene_file(tmp_path, scenario_dir):
-    indir, _ = scenario_dir("walker", frames=32, seed=12)
-    assert cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)]) == 0
-    cfg = PipelineConfig(
-        input=str(indir), output=str(tmp_path / "out"), learn_frames=1,
-        scene_file=str(tmp_path / "scene.bin"),
-    )
-    cli.run_pipeline(cfg)
-    assert len(read_jsonl(tmp_path / "out" / "blobs.jsonl")) == 32
+    for line, key in (
+        ("mask.se = 4", "mask.se"),
+        ("scene.tau = -2", "scene.tau"),
+        ("scene.var_floor = 0", "scene.var_floor"),
+        ("learn.frames = 1", "learn.frames"),
+    ):
+        cfg_path = _baseline_config(tmp_path, line)
+        rc = cli.main(
+            ["track", "--input", str(indir), "--output", str(tmp_path / "out"),
+             "--config", str(cfg_path)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not (tmp_path / "out").exists()
 
 
 def test_track_accepts_box_at_frame_border(tmp_path, scenario_dir):
@@ -736,7 +708,7 @@ def test_track_removes_an_earlier_evaluation(tmp_path, scenario_dir):
     assert not (out / "eval.json").exists()
 
 
-@pytest.mark.parametrize("command", ["track", "learn"])
+@pytest.mark.parametrize("command", ["track"])
 def test_frame_of_another_size_in_the_learning_set_stops_the_run(
     tmp_path, capsys, scenario_dir, command
 ):
@@ -749,53 +721,7 @@ def test_frame_of_another_size_in_the_learning_set_stops_the_run(
     out = tmp_path / "out"
     assert cli.main([command, "--input", str(indir), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: dimension mismatch in {bad}: 4x4 vs 320x240\n"
-    assert not (out / "blobs.jsonl").exists() and not (out / "scene.bin").exists()
-
-
-def _track_with_scene(tmp_path, indir, scene_file):
-    cfg = tmp_path / "scene.cfg"
-    cfg.write_text(f'scene.file = "{scene_file}"\n')
-    return _track(indir, tmp_path / "out", "--config", str(cfg))
-
-
-def test_track_rejects_truncated_scene_file(tmp_path, capsys, scenario_dir):
-    indir, _ = scenario_dir("walker", frames=32, seed=12)
-    assert cli.main(["learn", "--input", str(indir), "--output", str(tmp_path)]) == 0
-    scene_file = tmp_path / "scene.bin"
-    for keep in (20, len(scene_file.read_bytes()) - 1):
-        scene_file.write_bytes(scene_file.read_bytes()[:keep])
-        assert _track_with_scene(tmp_path, indir, scene_file) == 1
-        assert capsys.readouterr().err == f"error: {scene_file}: truncated scene file\n"
-        assert not (tmp_path / "out" / "blobs.jsonl").exists()
-
-
-def test_track_rejects_scene_of_other_size(tmp_path, capsys, scenario_dir):
-    indir, _ = scenario_dir("walker", frames=32, seed=12)
-    scene_file = tmp_path / "scene.bin"
-    model = sm.SceneModel(np.zeros((120, 160, 3)), np.ones((120, 160, 3)), 30, 4.0)
-    sm.save_scene(model, scene_file)
-    assert _track_with_scene(tmp_path, indir, scene_file) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {scene_file}: scene is 160x120, frames are 320x240\n"
-    assert not (tmp_path / "out" / "blobs.jsonl").exists()
-
-
-def test_track_rejects_var_floor_other_than_the_scene_file(tmp_path, capsys, scenario_dir):
-    indir, _ = scenario_dir("walker", frames=32, seed=12)
-    scene_file = tmp_path / "scene.bin"
-    model = sm.SceneModel(np.zeros((240, 320, 3)), np.full((240, 320, 3), 9.0), 30, 9.0)
-    sm.save_scene(model, scene_file)
-    cfg = tmp_path / "scene.cfg"
-    cfg.write_text(f'scene.file = "{scene_file}"\n')
-    assert _track(indir, tmp_path / "out", "--config", str(cfg)) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        f"error: {scene_file}: scene was learned with scene.var_floor = 9, "
-        "the config sets 4\n"
-    )
-    assert not (tmp_path / "out" / "blobs.jsonl").exists()
-    cfg.write_text(f'scene.file = "{scene_file}"\nscene.var_floor = 9\n')
-    assert _track(indir, tmp_path / "out", "--config", str(cfg)) == 0
+    assert not (out / "blobs.jsonl").exists()
 
 
 def test_track_removes_overlays_of_an_earlier_run(tmp_path, scenario_dir):
@@ -877,6 +803,14 @@ def test_each_frame_and_depth_raster_is_decoded_once(tmp_path, monkeypatch, scen
 
 
 def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
+    """Frames are decoded as the loop reaches them, so the peak does not grow
+    with the sequence length.
+
+    Each length is tracked twice and the lower peak kept: pathlib interns the
+    name of every file the run opens, and one run can hold a one-off resize
+    of the interpreter's table of interned strings (1.8 MiB late in a full
+    test session). After a resize the table has room for more names than
+    the four runs open, so it does not fall into both runs of one length."""
     # carry_box at 120 frames also loads depth, builds parts, runs LK and
     # fires Approach and Carry
     for name in ("background", "carry_box"):
@@ -890,12 +824,15 @@ def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
                 box_rect=box["rect"],
                 box_ref_frame=box["ref_frame"],
             )
-            tracemalloc.start()
-            try:
-                cli.run_pipeline(cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            runs = []
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    cli.run_pipeline(cfg)
+                    runs.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(min(runs))
         assert peaks[1] <= 1.1 * peaks[0], (name, [p / 2**20 for p in peaks])
 
 

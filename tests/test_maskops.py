@@ -400,7 +400,7 @@ def test_cropped_mask_ops_match_reference_on_carry_box():
         refined, stats, silhouette = mo.refine_mask(fg, 384, (3, 3), 1)
         assert refined.tobytes() == _reference_refine_mask(fg, 384, (3, 3), 1).tobytes()
         _same_person(stats, silhouette, refined)
-        sm.update_scene(model, f, refined, 0.05)
+        sm.update_scene(model, f, refined, 0.05, 4.0)
 
 
 def _kept_count(mask, min_area, se, iterations):

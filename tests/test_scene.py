@@ -1,5 +1,4 @@
 import copy
-import struct
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ def test_learn_identical_frames_var_at_floor():
     frames = [flat_frame((10, 20, 30), index=i) for i in range(30)]
     model = sm.learn_scene(frames, var_floor=4.0)
     assert (model.var == 4.0).all()
-    assert model.frames_seen == 30
 
 
 def test_learn_two_point_variance():
@@ -137,7 +135,7 @@ def test_update_all_foreground_unchanged():
     model = sm.learn_scene(frames, var_floor=4.0)
     mean0, var0 = model.mean.copy(), model.var.copy()
     fg = np.ones((30, 40), bool)
-    sm.update_scene(model, flat_frame((1, 2, 3)), fg, alpha=0.1)
+    sm.update_scene(model, flat_frame((1, 2, 3)), fg, alpha=0.1, var_floor=4.0)
     assert np.array_equal(model.mean, mean0)
     assert np.array_equal(model.var, var0)
 
@@ -147,7 +145,7 @@ def test_update_fixed_point_at_mean():
     model = sm.learn_scene(frames, var_floor=4.0)  # identical frames: var at floor, mean exact
     mean0, var0 = model.mean.copy(), model.var.copy()
     fg = np.zeros((30, 40), bool)
-    sm.update_scene(model, frames[0], fg, alpha=0.05)
+    sm.update_scene(model, frames[0], fg, alpha=0.05, var_floor=4.0)
     assert np.allclose(model.mean, mean0)
     assert np.array_equal(model.var, var0)
 
@@ -164,7 +162,7 @@ def test_update_geometric_decay():
     x = np.float32(stepped.yuv[0, 0, 0])
     m0 = m = model.mean[0, 0, 0]
     for _ in range(k):
-        sm.update_scene(model, stepped, fg, alpha=alpha)
+        sm.update_scene(model, stepped, fg, alpha=alpha, var_floor=4.0)
         m = keep * m + a * x
     assert m.dtype == np.float32 and m0 < m < x  # moved towards x, not there yet
     assert (model.mean[..., 0] == m).all()
@@ -178,7 +176,7 @@ def test_update_never_touches_masked_pixels():
         bits = rng.random((9, 12)) < 0.4
         mean0 = model.mean.copy()
         var0 = model.var.copy()
-        sm.update_scene(model, _random_frames(rng, 1)[0], bits, alpha=0.2)
+        sm.update_scene(model, _random_frames(rng, 1)[0], bits, alpha=0.2, var_floor=4.0)
         assert np.array_equal(model.mean[bits], mean0[bits])
         assert np.array_equal(model.var[bits], var0[bits])
 
@@ -210,38 +208,12 @@ def test_illumination_step_compensated():
     steps = int(np.ceil(3 / alpha))
     for i in range(steps):
         noisy = np.clip(stepped_base + rng.normal(0, 2, base.shape), 0, 255).astype(np.uint8)
-        sm.update_scene(model, frame_from_rgb(noisy), empty, alpha=alpha)
+        sm.update_scene(model, frame_from_rgb(noisy), empty, alpha=alpha, var_floor=4.0)
     probe = frame_from_rgb(
         np.clip(stepped_base + rng.normal(0, 2, base.shape), 0, 255).astype(np.uint8)
     )
     mask = sm.detect_foreground(model, probe, tau=4.0)
     assert mask.bits.mean() < 0.01
-
-
-def test_scene_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(23)
-    model = sm.learn_scene(_random_frames(rng, 4), var_floor=4.0)
-    path = tmp_path / "scene.bin"
-    sm.save_scene(model, path)
-    loaded = sm.load_scene(path)
-    assert loaded.frames_seen == model.frames_seen
-    assert loaded.var_floor == model.var_floor
-    for got, want in ((loaded.mean, model.mean), (loaded.var, model.var)):
-        assert got.dtype == np.float32 and got.flags.c_contiguous and got.flags.writeable
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_scene_load_rejects_bad_magic(tmp_path):
-    (tmp_path / "x.bin").write_bytes(b"NOTSCENE" + b"\0" * 16)
-    with pytest.raises(ValueError, match="scene model"):
-        sm.load_scene(tmp_path / "x.bin")
-
-
-def test_scene_load_rejects_bad_dimensions(tmp_path):
-    path = tmp_path / "x.bin"
-    path.write_bytes(sm._MAGIC + struct.pack("<iiif", -4, 3, 30, 4.0) + b"\0" * 288)
-    with pytest.raises(ValueError, match=r"x.bin: bad scene dimensions -4x3$"):
-        sm.load_scene(path)
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +227,19 @@ def _reference_detect_foreground(model, frame, tau):
     return dist2 > np.float32(tau * tau)
 
 
-def _reference_update_scene(model, frame, bits, alpha):
-    """(mean, var, frames_seen) after the update; ``model`` is not touched."""
+def _reference_update_scene(model, frame, bits, alpha, var_floor):
+    """(mean, var) after the update; ``model`` is not touched."""
     vis = ~bits
     if not vis.any():
-        return model.mean.copy(), model.var.copy(), model.frames_seen
+        return model.mean.copy(), model.var.copy()
     x = frame.yuv.astype(np.float32)
     a, keep = np.float32(alpha), np.float32(1.0 - alpha)
     new_mean = keep * model.mean + a * x
     d = x - new_mean
-    new_var = np.maximum(keep * model.var + a * d * d, np.float32(model.var_floor))
+    new_var = np.maximum(keep * model.var + a * d * d, np.float32(var_floor))
     assert new_mean.dtype == new_var.dtype == np.float32
     keep = vis[:, :, None]
-    return (
-        np.where(keep, new_mean, model.mean),
-        np.where(keep, new_var, model.var),
-        model.frames_seen + 1,
-    )
+    return np.where(keep, new_mean, model.mean), np.where(keep, new_var, model.var)
 
 
 def _update_masks(rng, detected):
@@ -292,22 +260,21 @@ def _update_masks(rng, detected):
     yield ~one  # only the last pixel is visible
 
 
-def _assert_scene_passes_match(model, frames, alpha, tau, seed=0):
+def _assert_scene_passes_match(model, frames, alpha, tau, var_floor, seed=0):
     rng = np.random.default_rng(seed)
     for frame in frames:
         bits = sm.detect_foreground(model, frame, tau).bits
         assert np.array_equal(bits, _reference_detect_foreground(model, frame, tau))
         for mask in _update_masks(rng, bits):
             trial = copy.deepcopy(model)
-            mean, var, seen = _reference_update_scene(trial, frame, mask, alpha)
+            mean, var = _reference_update_scene(trial, frame, mask, alpha, var_floor)
             before_mean, before_var = trial.mean.copy(), trial.var.copy()
-            assert sm.update_scene(trial, frame, mask, alpha) is trial
+            assert sm.update_scene(trial, frame, mask, alpha, var_floor) is trial
             assert trial.mean.tobytes() == mean.tobytes()
             assert trial.var.tobytes() == var.tobytes()
-            assert trial.frames_seen == seen
             assert trial.mean[mask].tobytes() == before_mean[mask].tobytes()
             assert trial.var[mask].tobytes() == before_var[mask].tobytes()
-        sm.update_scene(model, frame, bits, alpha)
+        sm.update_scene(model, frame, bits, alpha, var_floor)
 
 
 def test_detect_foreground_sums_channels_in_np_sum_order():
@@ -323,7 +290,7 @@ def test_detect_foreground_sums_channels_in_np_sum_order():
     scale *= 1 + rng.integers(-4, 5, size=(h, w)).astype(np.float32) * np.finfo(np.float32).eps
     var = np.repeat(scale[:, :, None], 3, axis=2)
     assert d.dtype == var.dtype == np.float32
-    model = sm.SceneModel(mean=mean, var=var, frames_seen=2, var_floor=1e-9)
+    model = sm.SceneModel(mean=mean, var=var)
     q = d * d / var
     left = (q[:, :, 0] + q[:, :, 1]) + q[:, :, 2] > np.float32(tau * tau)
     right = q[:, :, 0] + (q[:, :, 1] + q[:, :, 2]) > np.float32(tau * tau)
@@ -338,26 +305,26 @@ def test_scene_passes_match_reference_on_random_frames(shape):
     h, w = shape
     frames = _random_frames(rng, 12, w=w, h=h)
     model = sm.learn_scene(frames[:4], var_floor=4.0)
-    _assert_scene_passes_match(model, frames[4:], alpha=0.05, tau=4.0)
+    _assert_scene_passes_match(model, frames[4:], alpha=0.05, tau=4.0, var_floor=4.0)
     # a tiny floor gives huge distances; a large alpha and tau move the cut
     model = sm.learn_scene(frames[:4], var_floor=1e-3)
-    _assert_scene_passes_match(model, frames[4:], alpha=0.7, tau=40.0, seed=1)
+    _assert_scene_passes_match(model, frames[4:], alpha=0.7, tau=40.0, var_floor=1e-3, seed=1)
 
 
 @pytest.mark.parametrize("name", ["walker", "carry_box"])
 def test_scene_passes_match_reference_on_synthgen(name):
     frames, _, _ = sg.generate_scenario(sg.Scenario(name, frames=80, seed=5))
     model = sm.learn_scene(frames[:30], var_floor=4.0)
-    _assert_scene_passes_match(model, frames[30:80:5], alpha=0.05, tau=4.0)
+    _assert_scene_passes_match(model, frames[30:80:5], alpha=0.05, tau=4.0, var_floor=4.0)
 
 
 def test_scene_model_arrays_are_contiguous_float32():
     mean = np.zeros((4, 5, 3))[:, ::-1]
-    model = sm.SceneModel(mean=mean, var=np.ones((4, 5, 3)), frames_seen=2, var_floor=1.0)
+    model = sm.SceneModel(mean=mean, var=np.ones((4, 5, 3)))
     for a in (model.mean, model.var):
         assert a.flags.c_contiguous and a.dtype == np.float32
     frame = flat_frame((10, 20, 30), width=5, height=4)
-    sm.update_scene(model, frame, np.zeros((4, 5), bool), alpha=0.5)
+    sm.update_scene(model, frame, np.zeros((4, 5), bool), alpha=0.5, var_floor=1.0)
     assert (model.mean[..., 0] == 0.5 * frame.yuv[0, 0, 0]).all()
 
 
@@ -370,7 +337,7 @@ def test_scene_passes_match_reference_at_block_boundaries(blocks, extra):
     rng = np.random.default_rng(n)
     frames = _random_frames(rng, 5, w=n // h, h=h)
     model = sm.learn_scene(frames[:3], var_floor=4.0)
-    _assert_scene_passes_match(model, frames[3:], alpha=0.05, tau=4.0)
+    _assert_scene_passes_match(model, frames[3:], alpha=0.05, tau=4.0, var_floor=4.0)
 
 
 def test_detect_foreground_compares_with_tau2_rounded_to_float32():
@@ -388,7 +355,7 @@ def test_detect_foreground_compares_with_tau2_rounded_to_float32():
     frame = frame_from_rgb(np.zeros((1, n, 3), np.uint8))
     frame.yuv = np.zeros((1, n, 3), np.uint8)
     frame.yuv[..., 0] = 1
-    model = sm.SceneModel(np.zeros((1, n, 3)), var, frames_seen=2, var_floor=1e-9)
+    model = sm.SceneModel(np.zeros((1, n, 3)), var)
     dist2 = np.float32(1.0) / var[0, :, 0]
     at_t32 = dist2 == t32
     assert at_t32.any() and (dist2 < t32).any() and (dist2 > t32).any()
@@ -426,7 +393,7 @@ def test_float32_decisions_match_float64_on_synthgen(name):
     model = sm.learn_scene(frames[:30], var_floor=4.0)
     for frame in frames[30:]:
         _flips_within_rounding_bound(model, frame, 4.0)
-        sm.update_scene(model, frame, sm.detect_foreground(model, frame, 4.0).bits, 0.05)
+        sm.update_scene(model, frame, sm.detect_foreground(model, frame, 4.0).bits, 0.05, 4.0)
 
 
 @pytest.mark.parametrize("tau", [4.0, 3.3, 3.7])
@@ -440,5 +407,5 @@ def test_float32_decisions_flip_only_near_tau2(tau):
     d = (frame.yuv - mean).astype(np.float64)
     var = np.repeat(((d * d).sum(axis=2) / (tau * tau))[:, :, None], 3, axis=2)
     var *= 1 + rng.integers(-6, 7, size=(h, w, 1)) * np.finfo(np.float32).eps
-    model = sm.SceneModel(mean=mean, var=var, frames_seen=2, var_floor=1e-9)
+    model = sm.SceneModel(mean=mean, var=var)
     assert _flips_within_rounding_bound(model, frame, tau) > 50  # the case flips decisions
