@@ -46,11 +46,27 @@ def _depth_paths(directory, n_frames):
     return paths
 
 
-def _learn_set(paths, count):
-    """Decode the first ``count`` frames; all must share the first one's size."""
-    first = iio.read_frame(paths[0], 0)
-    size = (first.width, first.height)
-    return [first] + [iio.read_frame(paths[i], i, size) for i in range(1, count)]
+def _learn_set(cfg, paths):
+    """Decode the first ``learn.frames`` frames; all must share the first
+    one's size, which ``box.rect`` is checked against before the rest are
+    decoded.
+
+    Each frame's YUV raster is derived as the frame is decoded. Unless
+    overlays are written, its RGB plane is then dropped: ``_annotate`` is
+    the only reader of a frame's RGB plane once its YUV raster exists.
+    """
+    frames = []
+    size = None
+    for i in range(min(cfg.learn_frames, len(paths))):
+        frame = iio.read_frame(paths[i], i, size)
+        if size is None:
+            size = (frame.width, frame.height)
+            check_box(cfg, *size, len(paths))
+        frame.yuv  # derived now, so that the RGB plane can go
+        if not cfg.emit_overlays:
+            frame.rgb = None
+        frames.append(frame)
+    return frames
 
 
 def _annotate(frame, person, disc, model, box):
@@ -189,9 +205,8 @@ def run_pipeline(cfg):
         for dp, fp in zip(depth_paths, paths):  # paired by number, not by position
             if iio.frame_sort_key(dp)[0] != iio.frame_sort_key(fp)[0]:
                 raise ValueError(f"{dp} does not match {fp}")
-        head = deque(_learn_set(paths, min(cfg.learn_frames, n)))
+        head = deque(_learn_set(cfg, paths))
     size = (head[0].width, head[0].height)
-    check_box(cfg, *size, n)
     with _timed(stage_ms, "learn"):
         model = sm.learn_scene(head, cfg.scene_var_floor)
     step = FrameStep(cfg, model, stage_ms)

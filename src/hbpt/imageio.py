@@ -1,10 +1,12 @@
 """Frame and depth raster I/O, color conversion, drawing primitives.
 
-A frame is its decoded RGB plane; its YUV raster is derived on first use and
-kept, so a frame that is only written is never converted, and writing its
-RGB plane back is byte-preserving. The YUV raster is exact BT.601 full range,
-rounded half up, computed in integers so it does not depend on how a matrix
-product orders its sums. Depth rasters are 16-bit PGM files holding
+A frame holds its decoded RGB plane, its YUV raster or both. The YUV raster
+is derived on first use and kept, so a frame that is only written is never
+converted, and writing its RGB plane back is byte-preserving. Once the YUV
+raster is derived, a frame whose RGB plane nothing will read again can drop
+it (set ``rgb`` to None) and still give its size. The YUV raster is exact
+BT.601 full range, rounded half up, computed in integers so it does not
+depend on how a matrix product orders its sums. Depth rasters are 16-bit PGM files holding
 millimeters, 0 = invalid, handed over as (h, w) int32 arrays. A sequence is
 listed up front (``frame_paths``) and decoded one frame at a time
 (``read_frame``). PNG rows filtered none, sub or up are undone by whole-row
@@ -28,18 +30,25 @@ DEPTH_MAX_MM = 10000
 
 @dataclass
 class Frame:
-    """One color frame, the (h, w, 3) uint8 RGB raster it was decoded from."""
+    """One color frame: the (h, w, 3) uint8 RGB raster it was decoded from,
+    None once dropped, and the YUV raster derived from it, which must exist
+    before the RGB raster is dropped."""
 
     index: int
-    rgb: np.ndarray  # (h, w, 3) uint8
+    rgb: np.ndarray | None  # (h, w, 3) uint8
 
     @property
     def width(self):
-        return self.rgb.shape[1]
+        return self._plane.shape[1]
 
     @property
     def height(self):
-        return self.rgb.shape[0]
+        return self._plane.shape[0]
+
+    @property
+    def _plane(self):
+        """The RGB plane, or the YUV raster once the RGB plane is dropped."""
+        return self.yuv if self.rgb is None else self.rgb
 
     @cached_property
     def yuv(self):
@@ -156,7 +165,8 @@ def read_ppm(path, size=None):
     so bytes after the first image's payload are ignored. Given ``size``,
     a header of another size raises ``DimensionMismatch``.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     (w, h, maxval), pos = _read_pnm_header(data, b"P6", path)
     if maxval != 255:
         raise ValueError(f"{path}: unsupported PPM maxval {maxval}")
@@ -178,7 +188,8 @@ def write_ppm(path, rgb):
 def read_pgm16(path):
     """Read a 16-bit big-endian PGM (P5, maxval 65535); like ``read_ppm``,
     only the file's first image."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     (w, h, maxval), pos = _read_pnm_header(data, b"P5", path)
     if maxval != 65535:
         raise ValueError(f"{path}: depth PGM must have maxval 65535, got {maxval}")
@@ -311,7 +322,8 @@ def read_png(path, size=None):
     filter. Given ``size``, a header of another size raises
     ``DimensionMismatch`` before the image data is inflated.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:8] != _PNG_SIGNATURE:
         raise ValueError(f"{path}: not a PNG file")
     header = None

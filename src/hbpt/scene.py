@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Pixels per block of the full-frame passes: a block's float32 temporaries
-# (192 KB each) stay in cache from one numpy op to the next.
+# Pixels per block of the full-frame passes: a block's temporaries (192 KB
+# each in float32, 384 KB in float64) stay in cache from one numpy op to the
+# next.
 _BLOCK_PIXELS = 16384
 
 
@@ -43,7 +44,12 @@ class ForegroundMask:
 
 def learn_scene(frames, var_floor):
     """Accumulate per-pixel mean and population variance over person-free
-    frames, in float64 from exact integer sums, and round both once to float32."""
+    frames, in float64 from exact integer sums, and round both once to float32.
+
+    Only the frames' YUV rasters are read. The sums are turned into the
+    model's float32 arrays block by block, so no full-frame float64 array
+    is made.
+    """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames to learn a scene, got {len(frames)}")
     w, h = frames[0].width, frames[0].height
@@ -58,14 +64,27 @@ def learn_scene(frames, var_floor):
         acc += f.yuv
         np.multiply(f.yuv, f.yuv, out=sq, dtype=np.uint16)
         acc2 += sq
-    n = float(len(frames))
-    mean = acc / n
-    var = acc2 / n
-    var -= mean * mean
-    # Rounding is monotonic, so the maximum of the values rounded to float32
-    # is the float64 maximum rounded to float32.
-    var = np.maximum(var, np.float32(var_floor), dtype=np.float32)
-    return SceneModel(mean=mean.astype(np.float32), var=var)
+    model = SceneModel(
+        mean=np.empty((h, w, 3), np.float32), var=np.empty((h, w, 3), np.float32)
+    )
+    # (h*w, 3) views of the sums and of the model's arrays
+    acc, acc2 = acc.reshape(-1, 3), acc2.reshape(-1, 3)
+    mean, var = model.mean.reshape(-1, 3), model.var.reshape(-1, 3)
+    m = np.empty((min(_BLOCK_PIXELS, acc.shape[0]), 3))  # float64 mean, then mean^2
+    v = np.empty_like(m)  # float64 var
+    n, floor = float(len(frames)), np.float32(var_floor)
+    for s in range(0, acc.shape[0], _BLOCK_PIXELS):
+        e = min(s + _BLOCK_PIXELS, acc.shape[0])
+        mb, vb = m[: e - s], v[: e - s]
+        np.divide(acc[s:e], n, out=mb)
+        np.divide(acc2[s:e], n, out=vb)
+        mean[s:e] = mb
+        mb *= mb
+        vb -= mb
+        # Rounding is monotonic, so the maximum of the values rounded to
+        # float32 is the float64 maximum rounded to float32.
+        np.maximum(vb, floor, out=var[s:e], dtype=np.float32)
+    return model
 
 
 def detect_foreground(model, frame, tau):

@@ -278,18 +278,35 @@ def _scripted_events(sc):
     return []
 
 
+def _add_noise(rgb, rng):
+    """The uint8 ``rgb`` plus Gaussian pixel noise, rounded and clipped to uint8.
+
+    The frame is added into the float64 noise array, which is rounded and
+    clipped in place: the one full-frame float64 array, freed on return. The
+    sums are those of adding the noise to a float64 frame, since IEEE
+    addition is commutative.
+    """
+    noisy = rng.normal(0.0, NOISE_SIGMA, size=rgb.shape)
+    noisy += rgb
+    np.rint(noisy, out=noisy)
+    return np.clip(noisy, 0, 255, out=noisy).astype(np.uint8)
+
+
 def render_frames(sc):
     """Render a scenario one frame at a time, in frame order.
 
     Yields (frame, depth, entry) per frame: the ``Frame``, its (h, w) int32
     millimeter depth raster or None for scenarios without a box, and its
     ``truth.json`` ``per_frame`` entry. Only one frame is held at a time.
+
+    Frames are drawn in uint8 (see ``_add_noise``).
     """
     w, h = WIDTH, HEIGHT
     rng = np.random.default_rng(sc.seed)
     blocks = rng.integers(-12, 13, size=(h // 8 + 1, w // 8 + 1, 3))
-    texture = np.repeat(np.repeat(blocks, 8, axis=0), 8, axis=1)[:h, :w]
-    background = np.clip(np.array(BG_BASE) + texture, 0, 255).astype(np.float64)
+    # the blocks are clipped before they are tiled, which gives the same pixels
+    tiles = np.clip(np.array(BG_BASE) + blocks, 0, 255).astype(np.uint8)
+    background = np.repeat(np.repeat(tiles, 8, axis=0), 8, axis=1)[:h, :w]
 
     for f in range(sc.frames):
         rgb = background.copy()
@@ -300,8 +317,7 @@ def render_frames(sc):
         script = _person_script(sc, f)
         if script is not None:
             _render_person(rgb, mask, script)
-        noisy = rgb + rng.normal(0.0, NOISE_SIGMA, size=rgb.shape)
-        out = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        out = _add_noise(rgb, rng)
         z = None
         if sc.name in _BOX_SCENARIOS:
             z = np.full((h, w), BG_DEPTH_MM, dtype=np.int32)

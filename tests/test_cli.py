@@ -579,14 +579,27 @@ def test_track_accepts_box_at_frame_border(tmp_path, scenario_dir):
          "box.ref_frame must lie in [0, 200) for 200 frames, got 200"),
     ],
 )
-def test_track_rejects_a_box_that_does_not_fit(tmp_path, capsys, scenario_dir, lines, message):
-    """``config.check_box`` is the one check of ``box.rect`` and ``box.ref_frame``."""
+def test_track_rejects_a_box_that_does_not_fit(
+    tmp_path, capsys, monkeypatch, scenario_dir, lines, message
+):
+    """``config.check_box`` is the one check of ``box.rect`` and
+    ``box.ref_frame``; it runs once frame 0 gives the sequence size, before
+    the other learning frames are decoded."""
     indir, _ = scenario_dir("carry_box", frames=200, seed=1)
+    decoded = []
+    real_read_frame = iio.read_frame
+
+    def spy(path, index, size):
+        decoded.append(index)
+        return real_read_frame(path, index, size)
+
+    monkeypatch.setattr(iio, "read_frame", spy)
     cfg_path = tmp_path / "box.cfg"
     cfg_path.write_text(lines + "\n")
     out = tmp_path / "out"
     assert _track(indir, out, "--config", str(cfg_path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert decoded == [0]
     assert not (out / "blobs.jsonl").exists()
 
 
@@ -802,15 +815,41 @@ def test_each_frame_and_depth_raster_is_decoded_once(tmp_path, monkeypatch, scen
     assert calls == {"read_ppm": 40, "rgb_to_yuv_image": 40, "load_depth_raster": 40}
 
 
+@pytest.mark.parametrize("overlays", [False, True])
+def test_learning_frames_keep_their_rgb_plane_only_for_overlays(
+    tmp_path, monkeypatch, scenario_dir, overlays
+):
+    """Each learning frame holds its YUV raster; it keeps its RGB plane only
+    when overlays are written, since ``_annotate`` is the one reader of it."""
+    indir, truth = scenario_dir("carry_box", frames=40, seed=3)
+    held = []
+    real_learn_scene = sm.learn_scene
+
+    def spy(frames, var_floor):
+        model = real_learn_scene(frames, var_floor)
+        held.extend((f.rgb is not None, "yuv" in vars(f)) for f in frames)
+        return model
+
+    monkeypatch.setattr(sm, "learn_scene", spy)
+    cfg = PipelineConfig(
+        input=str(indir), output=str(tmp_path / "out"), box_rect=truth["box"]["rect"],
+        box_ref_frame=truth["box"]["ref_frame"], emit_overlays=overlays,
+    )
+    cli.run_pipeline(cfg)
+    assert held == [(overlays, True)] * cfg.learn_frames
+
+
 def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
     """Frames are decoded as the loop reaches them, so the peak does not grow
-    with the sequence length.
+    with the sequence length; and with overlays off a learning frame holds
+    only its YUV raster, so the peak stays below 60 frame planes.
 
-    Each length is tracked twice and the lower peak kept: pathlib interns the
-    name of every file the run opens, and one run can hold a one-off resize
-    of the interpreter's table of interned strings (1.8 MiB late in a full
-    test session). After a resize the table has room for more names than
-    the four runs open, so it does not fall into both runs of one length."""
+    Each length is tracked twice and the lower peak kept: a run interns a
+    few dozen strings through pathlib, whatever its length, and one run can
+    hold a one-off resize of the interpreter's table of interned strings
+    (1.8 MiB late in a full test session). After a resize the table has
+    room for far more strings than the four runs intern, so it does not
+    fall into both runs of one length."""
     # carry_box at 120 frames also loads depth, builds parts, runs LK and
     # fires Approach and Carry
     for name in ("background", "carry_box"):
@@ -834,6 +873,8 @@ def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
                     tracemalloc.stop()
             peaks.append(min(runs))
         assert peaks[1] <= 1.1 * peaks[0], (name, [p / 2**20 for p in peaks])
+        plane = sg.WIDTH * sg.HEIGHT * 3  # one uint8 RGB or YUV raster
+        assert max(peaks) <= 60 * plane, (name, [p / plane for p in peaks])
 
 
 def test_frame_step_in_memory_matches_the_files_run_pipeline_writes(tmp_path, scenario_dir):

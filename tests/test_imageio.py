@@ -11,6 +11,7 @@ from hbpt import cli
 from hbpt import imageio as iio
 from hbpt import synthgen as sg
 from hbpt.bodyparts import PART_LABELS
+from hbpt.config import PipelineConfig
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +133,10 @@ def test_rgb_to_yuv_synthgen_frames():
 
 
 def _read_sequence(directory, pattern="frame_*.ppm"):
-    """Every frame of a directory, as the scene-learning reader decodes them."""
+    """Every frame of a directory, as the scene-learning reader decodes them
+    when overlays are written, so that each keeps its RGB plane."""
     paths = iio.frame_paths(directory, pattern)
-    return cli._learn_set(paths, len(paths))
+    return cli._learn_set(PipelineConfig(learn_frames=len(paths), emit_overlays=True), paths)
 
 
 def test_load_sequence_empty_dir(tmp_path):

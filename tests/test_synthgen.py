@@ -138,7 +138,8 @@ def test_write_scenario_converts_no_frame_to_yuv(tmp_path, monkeypatch):
 
 def test_write_scenario_memory_does_not_grow_with_frame_count(tmp_path):
     """Each frame and depth raster is written as it is rendered, so the peak
-    holds one frame whatever the sequence length.
+    holds one frame whatever the sequence length; and a frame is drawn in
+    uint8, so the peak stays below 2.5 float64 frame planes.
 
     Each length is written twice and the lower peak kept: pathlib interns
     every file name, and a run can then hold a one-off resize of the
@@ -156,6 +157,8 @@ def test_write_scenario_memory_does_not_grow_with_frame_count(tmp_path):
                 tracemalloc.stop()
         peaks.append(min(runs))
     assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
+    f64_plane = sg.WIDTH * sg.HEIGHT * 3 * 8
+    assert max(peaks) <= 2.5 * f64_plane, [p / f64_plane for p in peaks]
 
 
 def _reference_truth_for_frame(sc, f, mask, script, box):
