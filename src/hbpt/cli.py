@@ -230,7 +230,8 @@ def run_pipeline(cfg):
                         fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
                 if overlay is not None:
                     with _timed(stage_ms, "overlays"):
-                        iio.write_ppm(outdir / f"out_{fi:06d}.ppm", overlay)
+                        # a string, so pathlib parses no path per frame
+                        iio.write_ppm(os.path.join(outdir, f"out_{fi:06d}.ppm"), overlay)
         for partial, name in zip(partials, names):
             os.replace(partial, outdir / name)
     except BaseException:

@@ -182,7 +182,7 @@ def write_ppm(path, rgb):
     h, w = rgb.shape[:2]
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(rgb, dtype=np.uint8).tobytes())
+        f.write(np.ascontiguousarray(rgb, dtype=np.uint8))
 
 
 def read_pgm16(path):
@@ -441,6 +441,12 @@ def load_depth_raster(path, size=None):
 # ---------------------------------------------------------------------------
 # drawing primitives (RGB colors, clipped to the image)
 
+def _read_only(array):
+    """The array, made read-only: a cached array is shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
 def _put_pixels(img, xs, ys, color):
     h, w = img.shape[:2]
     keep = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
@@ -452,23 +458,32 @@ def draw_rectangle(img, rect, color):
     x, y, w, h = (int(round(v)) for v in rect)
     if w <= 0 or h <= 0:
         return
-    xs = np.arange(x, x + w)
-    ys = np.arange(y, y + h)
-    _put_pixels(img, xs, np.full_like(xs, y), color)
-    _put_pixels(img, xs, np.full_like(xs, y + h - 1), color)
-    _put_pixels(img, np.full_like(ys, x), ys, color)
-    _put_pixels(img, np.full_like(ys, x + w - 1), ys, color)
+    height, width = img.shape[:2]
+    x0, x1 = max(x, 0), min(x + w, width)
+    y0, y1 = max(y, 0), min(y + h, height)
+    for row in (y, y + h - 1):
+        if 0 <= row < height and x0 < x1:
+            img[row, x0:x1] = color
+    for col in (x, x + w - 1):
+        if 0 <= col < width and y0 < y1:
+            img[y0:y1, col] = color
+
+
+@cache
+def _unit_circle(n):
+    """cos and sin of n angles evenly spaced over a turn, for ``draw_ellipse``."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return _read_only(np.cos(t)), _read_only(np.sin(t))
 
 
 def draw_ellipse(img, center, semi_axes, angle, color):
     """Boundary of an ellipse given center, semi axes (a, b) and rotation."""
     cx, cy = center
     a, b = max(semi_axes[0], 0.5), max(semi_axes[1], 0.5)
-    n = max(int(8 * (a + b)), 16)
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    cos_t, sin_t = _unit_circle(max(int(8 * (a + b)), 16))
     ca, sa = np.cos(angle), np.sin(angle)
-    ex = a * np.cos(t)
-    ey = b * np.sin(t)
+    ex = a * cos_t
+    ey = b * sin_t
     xs = np.rint(cx + ca * ex - sa * ey).astype(int)
     ys = np.rint(cy + sa * ex + ca * ey).astype(int)
     _put_pixels(img, xs, ys, color)
@@ -496,18 +511,22 @@ _FONT = {
 }
 
 
+@cache
+def _glyph_offsets(text):
+    """(dx, dy) int arrays of the set pixels of ``draw_text``'s label, from its
+    origin; a character without a glyph leaves a blank."""
+    dxs, dys = [], []
+    for i, ch in enumerate(text.upper()):
+        for dy, row in enumerate(_FONT.get(ch, ())):
+            for dx, bit in enumerate(row):
+                if bit == "1":
+                    dxs.append(4 * i + dx)
+                    dys.append(dy)
+    return _read_only(np.array(dxs, dtype=int)), _read_only(np.array(dys, dtype=int))
+
+
 def draw_text(img, origin, text, color):
     """Tiny 3x5 font of the overlay labels, in upper case; a character
     without a glyph leaves a blank."""
-    x0, y0 = int(round(origin[0])), int(round(origin[1]))
-    xs, ys = [], []
-    for ch in text.upper():
-        glyph = _FONT.get(ch)
-        if glyph is not None:
-            for dy, row in enumerate(glyph):
-                for dx, bit in enumerate(row):
-                    if bit == "1":
-                        xs.append(x0 + dx)
-                        ys.append(y0 + dy)
-        x0 += 4
-    _put_pixels(img, np.array(xs, dtype=int), np.array(ys, dtype=int), color)
+    dxs, dys = _glyph_offsets(text)
+    _put_pixels(img, int(round(origin[0])) + dxs, int(round(origin[1])) + dys, color)

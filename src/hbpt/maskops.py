@@ -5,13 +5,18 @@ which also hands over the person component.
 
 A list of crops is labelled in one pass over a mosaic of them
 (``fill_holes_many``, ``largest_components``) rather than one pass per crop.
+Labelling and bounding boxes come from hbpt's own ``ndimage`` module, bound
+here as ``ndimage``, so a caller can count labelling passes by wrapping
+``maskops.ndimage.label``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
+from . import ndimage
+
+_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT8 = np.ones((3, 3), dtype=bool)
 
 
@@ -124,7 +129,7 @@ def fill_holes_many(masks):
     if not masks:
         return []
     mosaic, tops = _mosaic(masks)
-    bg_labels, _ = ndimage.label(~mosaic)
+    bg_labels, _ = ndimage.label(~mosaic, structure=_STRUCT4)
     filled = bg_labels != bg_labels[0, 0]
     return [filled[t : t + m.shape[0], 1 : 1 + m.shape[1]] for m, t in zip(masks, tops)]
 

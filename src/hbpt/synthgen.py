@@ -10,6 +10,7 @@ than rendering details.
 """
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -366,11 +367,12 @@ def write_scenario(scenario, outdir):
     then truth.json; returns the truth."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    base = os.fspath(outdir)  # per-frame names as strings: no pathlib parse per file
     per_frame = []
     for frame, z, entry in render_frames(scenario):
-        write_ppm(outdir / f"frame_{frame.index:06d}.ppm", frame.rgb)
+        write_ppm(os.path.join(base, f"frame_{frame.index:06d}.ppm"), frame.rgb)
         if z is not None:
-            write_pgm16(outdir / f"depth_{frame.index:06d}.pgm", z)
+            write_pgm16(os.path.join(base, f"depth_{frame.index:06d}.pgm"), z)
         per_frame.append(entry)
     truth = _truth(scenario, per_frame)
     with open(outdir / "truth.json", "w") as fh:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shutil
+import sys
 import time
 import tracemalloc
 
@@ -875,6 +876,23 @@ def test_peak_memory_does_not_grow_with_sequence_length(tmp_path, scenario_dir):
         assert peaks[1] <= 1.1 * peaks[0], (name, [p / 2**20 for p in peaks])
         plane = sg.WIDTH * sg.HEIGHT * 3  # one uint8 RGB or YUV raster
         assert max(peaks) <= 60 * plane, (name, [p / plane for p in peaks])
+
+
+def test_overlay_runs_intern_no_string_per_frame(tmp_path, monkeypatch, scenario_dir):
+    """Overlay file names are built as strings, so pathlib parses and interns
+    no path component per frame: the count does not grow with the length."""
+    counts = []
+    intern = sys.intern
+    for frames in (40, 120):
+        indir, _ = scenario_dir("walker", frames=frames, seed=2)
+        cfg = PipelineConfig(input=str(indir), output=str(tmp_path / f"{frames}"), emit_overlays=True)
+        calls = []
+        monkeypatch.setattr(sys, "intern", lambda s: calls.append(s) or intern(s))
+        cli.run_pipeline(cfg)
+        monkeypatch.setattr(sys, "intern", intern)
+        assert len(list((tmp_path / f"{frames}").glob("out_*.ppm"))) == frames
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_frame_step_in_memory_matches_the_files_run_pipeline_writes(tmp_path, scenario_dir):

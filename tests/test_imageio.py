@@ -819,6 +819,34 @@ def test_rectangle_overlay_touches_only_border():
     assert (got[6, 5:13] == (255, 220, 0)).all()
 
 
+def _reference_draw_rectangle(img, rect, color):
+    """The border as four clipped pixel lists."""
+    x, y, w, h = (int(round(v)) for v in rect)
+    if w <= 0 or h <= 0:
+        return
+    xs = np.arange(x, x + w)
+    ys = np.arange(y, y + h)
+    iio._put_pixels(img, xs, np.full_like(xs, y), color)
+    iio._put_pixels(img, xs, np.full_like(xs, y + h - 1), color)
+    iio._put_pixels(img, np.full_like(ys, x), ys, color)
+    iio._put_pixels(img, np.full_like(ys, x + w - 1), ys, color)
+
+
+def test_draw_rectangle_matches_pixel_list_reference():
+    """Slice writes give the pixel-list border byte for byte: rects partly
+    or wholly outside, negative origins, 1-px and empty sides."""
+    rng = np.random.default_rng(4)
+    sides = [0, 1, 2]
+    for _ in range(2000):
+        x, y = rng.uniform(-30, 40, 2)
+        w, h = (float(rng.choice(sides)) if rng.random() < 0.3 else rng.uniform(-2, 45) for _ in range(2))
+        img = rng.integers(0, 256, size=(int(rng.integers(1, 25)), int(rng.integers(1, 35)), 3)).astype(np.uint8)
+        want = img.copy()
+        _reference_draw_rectangle(want, (x, y, w, h), (7, 200, 99))
+        iio.draw_rectangle(img, (x, y, w, h), (7, 200, 99))
+        assert img.tobytes() == want.tobytes(), (x, y, w, h, img.shape)
+
+
 def test_ellipse_overlay_within_1px_of_analytic():
     rgb = np.zeros((60, 80, 3), np.uint8)
     center, axes, angle = (40.0, 30.0), (18.0, 9.0), 0.6

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from hbpt import maskops as mo
 from hbpt import scene as sm
@@ -436,13 +435,13 @@ def test_refine_mask_hands_over_the_largest_component_of_its_result():
 
 def test_label_passes_are_counted_through_the_module_attribute(monkeypatch):
     calls = []
-    label = ndimage.label
+    label = mo.ndimage.label
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(ndimage, "label", counted)
+    monkeypatch.setattr(mo.ndimage, "label", counted)
     m = np.zeros((20, 30), bool)
     m[4:9, 6:12] = True
     mo.refine_mask(m, 1, (3, 3), 1)

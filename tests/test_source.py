@@ -1,6 +1,9 @@
 """Source-level guards over the pipeline package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,15 @@ def test_defaulted_parameter_walk_sees_every_kind():
         ("m", "f", "b"), ("m", "f", "c"), ("m", "f", "e"), ("m", "f.<lambda>", "y"),
         ("m", "f.inner", "z"), ("m", "A.m", "w"),
     }
+
+
+def test_importing_the_command_line_loads_no_scipy():
+    """scipy is a test dependency only: a fresh interpreter that imports
+    hbpt.cli, and with it every pipeline module, holds no scipy module."""
+    code = (
+        "import sys, hbpt.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hbpt.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -141,10 +142,10 @@ def test_write_scenario_memory_does_not_grow_with_frame_count(tmp_path):
     holds one frame whatever the sequence length; and a frame is drawn in
     uint8, so the peak stays below 2.5 float64 frame planes.
 
-    Each length is written twice and the lower peak kept: pathlib interns
-    every file name, and a run can then hold a one-off resize of the
-    interpreter's table of interned strings (1.8 MiB late in a full test
-    session), which does not fall into both runs."""
+    Each length is written twice and the lower peak kept: a run interns a
+    few strings through pathlib, whatever its length, and one run can hold
+    a one-off resize of the interpreter's table of interned strings (1.8 MiB
+    late in a full test session), which does not fall into both runs."""
     peaks = []
     for frames in (40, 120):
         runs = []
@@ -159,6 +160,21 @@ def test_write_scenario_memory_does_not_grow_with_frame_count(tmp_path):
     assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
     f64_plane = sg.WIDTH * sg.HEIGHT * 3 * 8
     assert max(peaks) <= 2.5 * f64_plane, [p / f64_plane for p in peaks]
+
+
+def test_write_scenario_interns_no_string_per_frame(tmp_path, monkeypatch):
+    """Frame and depth file names are built as strings, so pathlib parses
+    and interns no path component per frame: the count does not grow with
+    the sequence length."""
+    counts = []
+    intern = sys.intern
+    for frames in (40, 120):
+        calls = []
+        monkeypatch.setattr(sys, "intern", lambda s: calls.append(s) or intern(s))
+        sg.write_scenario(sg.Scenario("carry_box", frames=frames, seed=2), tmp_path / f"{frames}")
+        monkeypatch.setattr(sys, "intern", intern)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def _reference_truth_for_frame(sc, f, mask, script, box):
