@@ -16,6 +16,7 @@ their final names once every frame is stepped and removed if the run fails.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -36,6 +37,17 @@ from . import synthgen as sg
 from . import tracker as tr
 from .blobmodel import blob_ellipse
 from .config import PipelineConfig, check_box, check_ranges, load_config
+
+# glibc's mallopt parameters (malloc.h) and the values track pins them to. A
+# fresh glibc process serves each block of 128 KiB or more with its own mmap
+# and gives freed heap tops above 128 KiB back to the kernel, until some large
+# free raises both thresholds; until then every full-frame temporary costs
+# fresh page faults. 32 MiB is the ceiling of glibc's own dynamic mmap
+# threshold on 64-bit hosts, and glibc keeps the trim threshold at twice it.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def _depth_paths(directory, n_frames):
@@ -428,6 +440,17 @@ def _build_config(args):
     return cfg
 
 
+def _pin_malloc_thresholds():
+    """Pin the C library's mmap and trim thresholds for this process, so
+    the frame temporaries reuse heap pages; a no-op where there is no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hbpt",
@@ -455,6 +478,7 @@ def main(argv=None):
             truth = sg.write_scenario(sc, args.output or ".")
             print(f"wrote {truth['frames']} frames of {sc.name} to {args.output or '.'}")
         elif args.command == "track":
+            _pin_malloc_thresholds()
             cfg = _build_config(args)
             outdir = run_pipeline(cfg)
             with open(outdir / "metrics.json") as fh:

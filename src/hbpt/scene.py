@@ -1,6 +1,7 @@
 """Background scene model: per-pixel YUV mean/variance, deviation detection,
 and exponential adaptation of pixels not covered by the person. The model
-is held in float32.
+is held in float32. Learning, detection and adaptation each run block by
+block over the frame's pixels, so none makes a temporary of frame size.
 
 Frame, mask and model sizes and ``scene.alpha`` are checked where they
 enter the run (as frames are decoded, and in ``config.check_ranges``).
@@ -46,38 +47,44 @@ def learn_scene(frames, var_floor):
     """Accumulate per-pixel mean and population variance over person-free
     frames, in float64 from exact integer sums, and round both once to float32.
 
-    Only the frames' YUV rasters are read. The sums are turned into the
-    model's float32 arrays block by block, so no full-frame float64 array
-    is made.
+    Only the frames' YUV rasters are read. The work runs block by block over
+    ``_BLOCK_PIXELS`` pixels, every frame's block summed before the next block
+    starts, and each block's sums are turned into the model's float32 arrays
+    at once, so no array of frame size is made beside the model's two.
     """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames to learn a scene, got {len(frames)}")
     w, h = frames[0].width, frames[0].height
+    # (h*w, 3) views of the frames' YUV rasters and of the model's arrays
+    xs = [f.yuv.reshape(-1, 3) for f in frames]
+    model = SceneModel(
+        mean=np.empty((h, w, 3), np.float32), var=np.empty((h, w, 3), np.float32)
+    )
+    mean, var = model.mean.reshape(-1, 3), model.var.reshape(-1, 3)
     # Exact sums of the uint8 values and their squares, each in the smallest
     # unsigned type that holds it. Every sum is below 2**53, so it converts
     # to float64 exactly, and mean and var are what a float64 accumulation
     # gives until the final operations round them to float32.
-    acc = np.zeros((h, w, 3), dtype=np.min_scalar_type(len(frames) * 255))
-    acc2 = np.zeros((h, w, 3), dtype=np.min_scalar_type(len(frames) * 255**2))
-    sq = np.empty((h, w, 3), dtype=np.uint16)  # 255**2 fits
-    for f in frames:
-        acc += f.yuv
-        np.multiply(f.yuv, f.yuv, out=sq, dtype=np.uint16)
-        acc2 += sq
-    model = SceneModel(
-        mean=np.empty((h, w, 3), np.float32), var=np.empty((h, w, 3), np.float32)
-    )
-    # (h*w, 3) views of the sums and of the model's arrays
-    acc, acc2 = acc.reshape(-1, 3), acc2.reshape(-1, 3)
-    mean, var = model.mean.reshape(-1, 3), model.var.reshape(-1, 3)
-    m = np.empty((min(_BLOCK_PIXELS, acc.shape[0]), 3))  # float64 mean, then mean^2
+    rows = min(_BLOCK_PIXELS, h * w)
+    acc = np.empty((rows, 3), dtype=np.min_scalar_type(len(frames) * 255))
+    acc2 = np.empty((rows, 3), dtype=np.min_scalar_type(len(frames) * 255**2))
+    sq = np.empty((rows, 3), dtype=np.uint16)  # 255**2 fits
+    m = np.empty((rows, 3))  # float64 mean, then mean^2
     v = np.empty_like(m)  # float64 var
     n, floor = float(len(frames)), np.float32(var_floor)
-    for s in range(0, acc.shape[0], _BLOCK_PIXELS):
-        e = min(s + _BLOCK_PIXELS, acc.shape[0])
+    for s in range(0, h * w, _BLOCK_PIXELS):
+        e = min(s + _BLOCK_PIXELS, h * w)
+        ab, a2b, sqb = acc[: e - s], acc2[: e - s], sq[: e - s]
         mb, vb = m[: e - s], v[: e - s]
-        np.divide(acc[s:e], n, out=mb)
-        np.divide(acc2[s:e], n, out=vb)
+        ab.fill(0)
+        a2b.fill(0)
+        for x in xs:
+            xb = x[s:e]
+            ab += xb
+            np.multiply(xb, xb, out=sqb, dtype=np.uint16)
+            a2b += sqb
+        np.divide(ab, n, out=mb)
+        np.divide(a2b, n, out=vb)
         mean[s:e] = mb
         mb *= mb
         vb -= mb

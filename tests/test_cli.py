@@ -1,11 +1,15 @@
+import ctypes
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -893,6 +897,94 @@ def test_overlay_runs_intern_no_string_per_frame(tmp_path, monkeypatch, scenario
         assert len(list((tmp_path / f"{frames}").glob("out_*.ppm"))) == frames
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
+
+
+# heap: track pins glibc's mmap and trim thresholds
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# Runs ``hbpt track`` with the given arguments in a fresh interpreter and
+# prints the process's minor page faults as the call starts and at each
+# ``scene.detect_foreground`` call, the first layer call of every frame.
+_FAULT_PROBE = """
+import json, resource, sys
+from hbpt import cli, scene
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+faults = []
+detect = scene.detect_foreground
+
+def probe(*args):
+    faults.append(minflt())
+    return detect(*args)
+
+scene.detect_foreground = probe
+start = minflt()
+rc = cli.main(["track", *sys.argv[1:]])
+print(json.dumps([rc, start, faults]))
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_track_makes_few_page_faults_in_set_up_and_after_the_learning_frames(
+    tmp_path, scenario_dir
+):
+    """A fresh glibc process maps and trims every temporary of 128 KiB or
+    more until a large free raises its thresholds, so each full-frame
+    temporary costs fresh page faults. Left to glibc, with full-frame sums
+    in ``learn_scene``, this run takes 7,800-11,700 faults in set-up and
+    30-60 per frame after the learning frames; with the thresholds pinned
+    by ``track`` and the sums made block by block, about 2,400 and 0.5, the
+    loop's almost all from the heap's first growth as the person shows."""
+    indir, truth = scenario_dir("carry_box", frames=150, seed=1)
+    box = truth["box"]
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"box.rect = {box['rect']}\nbox.ref_frame = {box['ref_frame']}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, "--input", str(indir),
+         "--output", str(tmp_path / "out"), "--config", str(cfg)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    rc, start, faults = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0 and len(faults) == 150
+    setup = faults[0] - start
+    learn = PipelineConfig().learn_frames
+    loop = (faults[-1] - faults[learn]) / (len(faults) - 1 - learn)
+    assert setup <= 5000, (setup, loop)
+    assert loop <= 1.0, (setup, loop)
+
+
+@pytest.mark.parametrize("cdll", ["raises", "no_mallopt"])
+def test_track_runs_where_the_c_library_has_no_mallopt(
+    tmp_path, monkeypatch, scenario_dir, cdll
+):
+    indir, truth = scenario_dir("carry_box", frames=40, seed=3)
+    box = truth["box"]
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"box.rect = {box['rect']}\nbox.ref_frame = {box['ref_frame']}\n")
+    assert _track(indir, tmp_path / "pinned", "--config", str(cfg)) == 0
+    opened = []
+
+    def fake_cdll(name):
+        opened.append(name)
+        if cdll == "raises":
+            raise OSError("no C library")
+        return object()  # a library without mallopt
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    assert _track(indir, tmp_path / "unpinned", "--config", str(cfg)) == 0
+    assert opened == [None]
+    for name in ("blobs.jsonl", "events.json"):
+        pinned = (tmp_path / "pinned" / name).read_bytes()
+        assert (tmp_path / "unpinned" / name).read_bytes() == pinned, name
 
 
 def test_frame_step_in_memory_matches_the_files_run_pipeline_writes(tmp_path, scenario_dir):

@@ -66,19 +66,23 @@ def _reference_learn_scene(frames, var_floor):
 
 
 # 257 frames are the most whose sums fit uint16; white frames reach the
-# largest sums, 255 per frame in Y
+# largest sums, 255 per frame in Y. A 130x130 frame (16,900 px) spans one
+# whole block of sums and a partial one.
 @pytest.mark.parametrize("n", [2, 30, 257, 258])
 @pytest.mark.parametrize("white", [False, True])
 def test_learn_matches_float64_accumulation(n, white):
-    if white:
-        frames = [flat_frame((255, 255, 255), 12, 9, i) for i in range(n)]
-    else:
-        frames = _random_frames(np.random.default_rng(n), n)
-    for var_floor in (0.0, 4.0):
-        model = sm.learn_scene(frames, var_floor)
-        mean, var = _reference_learn_scene(frames, var_floor)
-        assert model.mean.tobytes() == mean.tobytes()
-        assert model.var.tobytes() == var.tobytes()
+    assert sm._BLOCK_PIXELS < 130 * 130 < 2 * sm._BLOCK_PIXELS
+    sizes = [(12, 9)] if n == 30 else [(12, 9), (130, 130)]
+    for w, h in sizes:
+        if white:
+            frames = [flat_frame((255, 255, 255), w, h, i) for i in range(n)]
+        else:
+            frames = _random_frames(np.random.default_rng(n), n, w, h)
+        for var_floor in (0.0, 4.0):
+            model = sm.learn_scene(frames, var_floor)
+            mean, var = _reference_learn_scene(frames, var_floor)
+            assert model.mean.tobytes() == mean.tobytes(), (w, h)
+            assert model.var.tobytes() == var.tobytes(), (w, h)
 
 
 def test_learn_matches_float64_accumulation_on_synthgen():
