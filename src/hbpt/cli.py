@@ -113,7 +113,7 @@ def _timed(stage_ms, stage):
 
 class FrameStep:
     """The per-frame core over a scene model. It keeps the scene model,
-    person, particles and activity monitor from one ``step`` to the next and
+    person and activity monitor from one ``step`` to the next and
     adds each stage's time to ``stage_ms``. Every layer is called through its
     module (``sm.detect_foreground``, ``tr.mspf_track``, ``_annotate``, ...),
     so a function replaced there is the one called."""
@@ -123,7 +123,7 @@ class FrameStep:
         area = model.width * model.height
         self.refine_min_area = max(1, int(round(cfg.mask_min_area_frac * area)))
         self.person_min_area = max(1, int(round(cfg.person_min_area_frac * area)))
-        self.person = self.particles = None
+        self.person = None
         self.monitor = act.ActivityMonitor(cfg)
 
     def step(self, frame, depth):
@@ -144,12 +144,8 @@ class FrameStep:
         with _timed(ms, "track"):
             if self.person is None:
                 self.person = tr.detect_person(component, silhouette, frame, self.person_min_area)
-                if self.person is not None:
-                    self.particles = tr.init_particles(self.person, cfg.particles_n, cfg.seed)
             else:
-                self.person, self.particles = tr.mspf_track(
-                    self.person, self.particles, frame, refined, component, cfg
-                )
+                self.person = tr.mspf_track(self.person, frame, refined, component)
         person = self.person
 
         disc = part_model = None
@@ -416,7 +412,7 @@ _FLAGS = {
     "config": {"help": "flat key=value config file"},
     "input": {"help": "input frame directory"},
     "output": {"help": "output directory"},
-    "seed": {"type": int, "help": "random seed"},
+    "seed": {"type": int, "help": "scenario seed"},
     "overlays": {"action": "store_true", "help": "write annotated frames"},
 }
 
@@ -433,8 +429,6 @@ def _build_config(args):
         cfg.input = args.input
     if args.output:
         cfg.output = args.output
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.overlays:
         cfg.emit_overlays = True
     return cfg
@@ -464,7 +458,7 @@ def main(argv=None):
     p_synth.add_argument("--frames", type=int, help="frame count override")
 
     p_track = sub.add_parser("track", help="run the full tracking pipeline")
-    _add_flags(p_track, "config", "input", "output", "seed", "overlays")
+    _add_flags(p_track, "config", "input", "output", "overlays")
 
     p_eval = sub.add_parser("eval", help="compare outputs against truth.json")
     _add_flags(p_eval, "output")

@@ -3,8 +3,8 @@ default of every setting; the pipeline's stages take their settings from it.
 
 Config files hold one ``key = value`` pair per line ('#' starts a comment,
 except inside a quoted value). A key is its field's name, with the '_' after
-a section name written as '.': ``scene.tau`` sets ``scene_tau``, ``seed``
-sets ``seed``.
+a section name written as '.': ``scene.tau`` sets ``scene_tau``,
+``pattern`` sets ``pattern``.
 Values may be numbers, true/false, quoted strings or [a, b, c] number lists.
 Unknown keys are rejected. CLI flags override file values.
 """
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 
-_SECTIONS = ("scene", "learn", "mask", "person", "particles", "parts", "activity", "box")
+_SECTIONS = ("scene", "learn", "mask", "person", "parts", "activity", "box")
 
 
 @dataclass
@@ -21,7 +21,6 @@ class PipelineConfig:
     input: str = ""
     output: str = ""
     pattern: str = "frame_*.ppm"
-    seed: int = 0
     learn_frames: int = 30
     scene_var_floor: float = 4.0
     scene_tau: float = 4.0
@@ -30,10 +29,6 @@ class PipelineConfig:
     mask_se: int = 3
     mask_iterations: int = 1
     person_min_area_frac: float = 0.01
-    particles_n: int = 100
-    particles_sigma_xy: float = 5.0
-    particles_sigma_scale: float = 0.02
-    particles_iou_gate: float = 0.3
     parts_min_area: int = 15
     activity_d_xy: float = 30.0
     activity_z_gate_mm: float = 300.0
@@ -167,25 +162,20 @@ def check_ranges(cfg):
         raise ValueError(f"mask.se must be odd and positive, got {cfg.mask_se}")
     if cfg.mask_iterations < 1:
         raise ValueError(f"mask.iterations must be at least 1, got {cfg.mask_iterations}")
-    if cfg.particles_n < 1:
-        raise ValueError(f"particles.n must be at least 1, got {cfg.particles_n}")
     for key in ("mask.min_area_frac", "person.min_area_frac"):
         value = getattr(cfg, key.replace(".", "_"))
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{key} must lie in [0, 1], got {value}")
-    for key in ("particles.iou_gate", "activity.theta_open"):
-        value = getattr(cfg, key.replace(".", "_"))
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"{key} must lie in [0, 1), got {value}")
+    if not 0.0 <= cfg.activity_theta_open < 1.0:
+        raise ValueError(
+            f"activity.theta_open must lie in [0, 1), got {cfg.activity_theta_open}"
+        )
     for key in ("activity.approach_frames", "activity.open_frames", "activity.carry_frames"):
         value = getattr(cfg, key.replace(".", "_"))
         if value < 1:
             raise ValueError(f"{key} must be at least 1, got {value}")
     for key in (
-        "seed",
         "parts.min_area",
-        "particles.sigma_xy",
-        "particles.sigma_scale",
         "activity.d_xy",
         "activity.z_gate_mm",
         "activity.carry_min_disp",

@@ -1,9 +1,8 @@
 """Person blob detection and tracking.
 
-The tracker combines a particle filter weighted by UV-histogram similarity
-with a mean-shift refinement over the backprojected reference histogram,
-fused with the largest foreground component. The torso disc is seeded from
-the tracked person blob.
+The tracker moves the person's last window by mean shift over the
+backprojected reference histogram and fuses the result with the largest
+foreground component. The torso disc is seeded from the tracked person blob.
 """
 
 from dataclasses import dataclass
@@ -14,6 +13,9 @@ from .maskops import foreground_box
 
 N_BINS = 16  # joint 4x4 quantization of (U, V)
 MEAN_SHIFT_MAX_ITER = 20  # mean-shift recentring steps per call at most
+# the tracked window and the person component are fused when their boxes'
+# IoU exceeds this; otherwise the window stands alone
+FUSION_IOU_GATE = 0.3
 
 
 @dataclass
@@ -30,13 +32,6 @@ class PersonBlob:
 class TorsoDisc:
     center: tuple  # (x, y)
     radius: float
-
-
-@dataclass
-class ParticleSet:
-    states: np.ndarray  # (n, 3): x, y, scale
-    rng: np.random.Generator
-    ref_size: tuple  # (w, h) of the person bbox at init
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +153,7 @@ def mean_shift(weights, window, trace=None):
 
 
 # ---------------------------------------------------------------------------
-# particle filter + mean shift
-
-def init_particles(person, n, seed):
-    """Seed n particles at the person centroid with unit scale."""
-    states = np.zeros((n, 3), dtype=np.float64)
-    states[:, 0] = person.centroid[0]
-    states[:, 1] = person.centroid[1]
-    states[:, 2] = 1.0
-    return ParticleSet(
-        states=states,
-        rng=np.random.default_rng(seed),
-        ref_size=(person.bbox[2], person.bbox[3]),
-    )
-
+# tracking
 
 def _rect_iou(a, b):
     ax0, ay0, aw, ah = a
@@ -199,120 +181,48 @@ def _shift_blob(prev, width, height):
     )
 
 
-def _state_windows(states, ref_size, height, width):
-    """The window (x, y, w, h arrays) of each (x, y, scale) state: ``ref_size``
-    scaled, at least 2 px, centred on (x, y) and clipped to the frame like
-    ``_clip_rect``. np.rint rounds half to even."""
-    w = np.maximum(2, np.rint(ref_size[0] * states[:, 2])).astype(np.intp)
-    h = np.maximum(2, np.rint(ref_size[1] * states[:, 2])).astype(np.intp)
-    x = np.rint(states[:, 0] - (w - 1) / 2.0).astype(np.intp)
-    y = np.rint(states[:, 1] - (h - 1) / 2.0).astype(np.intp)
-    np.minimum(w, width, out=w)
-    np.minimum(h, height, out=h)
-    return np.clip(x, 0, width - w), np.clip(y, 0, height - h), w, h
+def _last_window(prev):
+    """``prev``'s window: its bbox size, at least 2 px, centred on its
+    centroid. Python's round rounds half to even; ``mean_shift`` clips the
+    window to the frame."""
+    w, h = max(2, int(prev.bbox[2])), max(2, int(prev.bbox[3]))
+    cx, cy = prev.centroid
+    return (round(cx - (w - 1) / 2.0), round(cy - (h - 1) / 2.0), w, h)
 
 
-def _particle_weights(plane, states, ref_size, sqrt_ref):
-    """Bhattacharyya coefficient of each particle window's UV histogram.
+def mspf_track(prev, frame, fg, component):
+    """One tracking step: mean shift from the last window, then fusion.
 
-    Full-window histograms: background dilution penalizes oversized windows,
-    which keeps the scale random walk in check. The window counts come from
-    an integral histogram over the union of the windows (Porikli, CVPR
-    2005), four lookups per window; bins the reference lacks add exactly 0.0
-    to every coefficient, so only the others are counted. Several bins share
-    one int64 integral image, a lane, each in a bit field wide enough for
-    the union's area: no count can carry into the next field, and a window's
-    four-corner difference leaves every field at its count.
-    """
-    x, y, w, h = _state_windows(states, ref_size, *plane.shape)
-    x0, y0 = int(x.min()), int(y.min())
-    union = plane[y0 : int((y + h).max()), x0 : int((x + w).max())]
-    bins = np.flatnonzero(sqrt_ref > 0)
-    bits = union.size.bit_length()  # a field holds any count up to the union's area
-    per_lane = 63 // bits  # the fields of a lane stay within int64's value bits
-    stride = union.shape[1] + 1
-    top = (y - y0) * stride
-    bottom = top + h * stride
-    left = x - x0
-    right = left + w
-    integral = np.zeros((union.shape[0] + 1, stride), np.int64)
-    flat = integral.ravel()
-    counts = np.empty((bins.size, len(states)), np.int64)
-    for s in range(0, bins.size, per_lane):
-        lane = bins[s : s + per_lane]
-        lut = np.zeros(N_BINS, np.int64)  # a pixel of a lane bin adds 1 to its field
-        lut[lane] = 1 << (bits * np.arange(lane.size))
-        np.cumsum(lut.take(union), axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-        # each difference counts pixels of one strip, so no field borrows
-        packed = (flat[bottom + right] - flat[top + right]) - (
-            flat[bottom + left] - flat[top + left]
-        )
-        for j in range(lane.size):
-            counts[s + j] = (packed >> (bits * j)) & ((1 << bits) - 1)
-    # every pixel lies in one of the 16 bins, so the window area is the count total
-    terms = np.zeros((len(states), N_BINS))
-    terms[:, bins] = np.sqrt(counts.T / (w * h)[:, None]) * sqrt_ref[bins]
-    return terms.sum(axis=1)
-
-
-def mspf_track(prev, particles, frame, fg, component, cfg):
-    """One tracking step: propagate, weight, resample, refine, fuse.
-
-    Particles take Gaussian steps of ``cfg.particles_sigma_xy`` px and
-    ``cfg.particles_sigma_scale`` in scale, and their windows are scored by
-    Bhattacharyya similarity between their UV histogram and the reference
-    histogram. The best particle is refined by mean shift over the
-    backprojection masked by ``fg``, the (h, w) bool foreground mask, then
-    fused with ``component``, the ``ComponentStats`` of the person component
-    that ``maskops.refine_mask`` returns, when their boxes' IoU exceeds
-    ``cfg.particles_iou_gate``. A window that holds no foreground at all is no
-    evidence, and the component's box and centroid are taken instead. With no component
-    (``None``: refinement kept nothing) the previous state coasts at its last
-    velocity and confidence decays by 0.8 per frame; a coast that carries
-    the centroid out of the frame ends the track and returns (None, None).
+    The name, from the mean-shift particle filter this step replaced, is
+    kept because ``perfbench/run.py`` times the function under it
+    (``TIMED_FUNCS``). Mean shift starts from
+    ``prev``'s window (``_last_window``) over the backprojection of the
+    reference histogram masked by ``fg``, the (h, w) bool foreground mask.
+    The converged window is fused with ``component``, the ``ComponentStats``
+    of the person component that ``maskops.refine_mask`` returns, when their
+    boxes' IoU exceeds ``FUSION_IOU_GATE``. A window that holds no foreground
+    at all is no evidence, and the component's box and centroid are taken
+    instead. With no component (``None``: refinement kept nothing) the
+    previous state coasts at its last velocity and confidence decays by 0.8
+    per frame; a coast that carries the centroid out of the frame ends the
+    track and returns None.
     """
     if component is None:
         coast = _shift_blob(prev, frame.width, frame.height)
         cx, cy = coast.centroid
         if not (0 <= cx <= frame.width - 1 and 0 <= cy <= frame.height - 1):
-            return None, None
-        return coast, particles
-
-    n = particles.states.shape[0]
-    rng = particles.rng
-    states = particles.states
-    sigma_xy, sigma_scale = cfg.particles_sigma_xy, cfg.particles_sigma_scale
-    states[:, 0] += rng.normal(0.0, sigma_xy, n) if sigma_xy > 0 else 0.0
-    states[:, 1] += rng.normal(0.0, sigma_xy, n) if sigma_xy > 0 else 0.0
-    states[:, 2] += rng.normal(0.0, sigma_scale, n) if sigma_scale > 0 else 0.0
-    np.clip(states[:, 0], 0, frame.width - 1, out=states[:, 0])
-    np.clip(states[:, 1], 0, frame.height - 1, out=states[:, 1])
-    np.clip(states[:, 2], 0.2, 3.0, out=states[:, 2])
+            return None
+        return coast
 
     plane = frame.uv_bins
     ref = prev.ref_hist
-    sqrt_ref = np.sqrt(ref)
-    weights = _particle_weights(plane, states, particles.ref_size, sqrt_ref)
-    best_state = states[int(np.argmax(weights))].copy()
-
-    wsum = weights.sum()
-    probs = weights / wsum if wsum > 0 else np.full(n, 1.0 / n)
-    positions = (rng.random() + np.arange(n)) / n
-    idx = np.searchsorted(np.cumsum(probs), positions)
-    particles.states = states[np.minimum(idx, n - 1)].copy()
-
-    # mean-shift refinement of the best particle over the masked backprojection;
-    # the window takes the tracked person's current size so a wandering scale
-    # cannot crop the silhouette and bias the position estimate. Off the
-    # foreground every weight is 0.0, so only its bounding box is filled in.
+    # mean shift over the masked backprojection. Off the foreground every
+    # weight is 0.0, so only its bounding box is filled in.
     wimg = np.zeros(fg.shape)
     y0, y1, x0, x1 = foreground_box(fg) or (0, 0, 0, 0)
     crop = np.s_[y0:y1, x0:x1]
     wimg[crop] = np.where(fg[crop], ref.take(plane[crop]), 0.0)
-    seed = np.array([[best_state[0], best_state[1], 1.0]])
-    win0 = tuple(int(v[0]) for v in _state_windows(seed, prev.bbox[2:], *fg.shape))
-    win, _, _ = mean_shift(wimg, win0)
+    win, _, _ = mean_shift(wimg, _last_window(prev))
     wx, wy, ww, wh = win
     sub = fg[wy : wy + wh, wx : wx + ww]
     total = sub.sum()
@@ -323,7 +233,7 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
         # the foreground centroid inside the converged window
         ex = float((sub.sum(axis=0) * np.arange(wx, wx + ww)).sum() / total)
         ey = float((sub.sum(axis=1) * np.arange(wy, wy + wh)).sum() / total)
-        if _rect_iou(win, component.bbox) > cfg.particles_iou_gate:
+        if _rect_iou(win, component.bbox) > FUSION_IOU_GATE:
             centroid = ((ex + component.centroid[0]) / 2.0, (ey + component.centroid[1]) / 2.0)
             bbox = component.bbox
         else:
@@ -333,9 +243,9 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
     counts = np.bincount(plane[crop][fg[crop]], minlength=N_BINS)
     # the counts never sum to 0: the crop is either the component's box, and
     # the component's pixels lie in fg, or a window found to hold foreground
-    conf = float((np.sqrt(counts / counts.sum()) * sqrt_ref).sum())
+    conf = float((np.sqrt(counts / counts.sum()) * np.sqrt(ref)).sum())
 
-    out = PersonBlob(
+    return PersonBlob(
         bbox=bbox,
         centroid=centroid,
         area=component.area,
@@ -343,7 +253,6 @@ def mspf_track(prev, particles, frame, fg, component, cfg):
         confidence=conf,
         velocity=(centroid[0] - prev.centroid[0], centroid[1] - prev.centroid[1]),
     )
-    return out, particles
 
 
 def torso_from_person(person):

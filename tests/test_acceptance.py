@@ -280,7 +280,6 @@ def test_criterion_8_determinism(tmp_path_factory):
         cfg = PipelineConfig(
             input=str(indir),
             output=str(root / run),
-            seed=5,
             box_rect=box["rect"],
             box_ref_frame=box["ref_frame"],
         )

@@ -891,7 +891,7 @@ def test_box_rect_is_drawn_and_moves_after_carry(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the recognizer and particle settings reach the stages through the config
+# the recognizer settings reach the stage through the config
 
 def _depth_ramp(calls, mm_per_px=5):
     """The calls with depth growing to the right by ``mm_per_px`` per column,
@@ -902,24 +902,6 @@ def _depth_ramp(calls, mm_per_px=5):
         z = np.where(depth > 0, depth + ramp, 0).astype(np.int32)
         out.append((frame_index, frame, model, z))
     return out
-
-
-def _tracked_persons(cfg):
-    """(bbox, centroid, confidence) of every mspf_track result of a run."""
-    from hbpt.cli import run_pipeline
-
-    seen = []
-    mspf_track = tr.mspf_track
-
-    def spy(*args, **kwargs):
-        person, particles = mspf_track(*args, **kwargs)
-        seen.append(person and (person.bbox, person.centroid, person.confidence))
-        return person, particles
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "mspf_track", spy)
-        run_pipeline(cfg)
-    return seen
 
 
 @pytest.mark.parametrize(
@@ -935,16 +917,13 @@ def _tracked_persons(cfg):
         # theta_open shows in the Open event's threshold rather than its frame
         ("activity.theta_open = 0.9", "open"),
         ("activity.open_frames = 1", "open"),
-        ("particles.sigma_xy = 0", "track"),
-        ("particles.sigma_scale = 0", "track"),
-        ("particles.iou_gate = 0.95", "track"),
     ],
 )
 def test_config_value_changes_what_the_stage_returns(
-    line, run, carry_monitor_calls, open_monitor_calls, scenario_dir, tmp_path
+    line, run, carry_monitor_calls, open_monitor_calls
 ):
     """A non-default value set through a config file changes what
-    ActivityMonitor or mspf_track return on the same input."""
+    ActivityMonitor returns on the same input."""
     def with_line(default):
         """A copy of ``default`` with the one field the line sets."""
         name = line.split("=")[0].strip().replace(".", "_")
@@ -952,14 +931,6 @@ def test_config_value_changes_what_the_stage_returns(
         setattr(cfg, name, getattr(parse_config_text(line), name))
         return cfg
 
-    if run == "track":
-        indir, _ = scenario_dir("walker", frames=40, seed=12)
-        default = PipelineConfig(input=str(indir), output=str(tmp_path))
-        cfg = with_line(default)
-        want = _tracked_persons(default)
-        assert len(want) >= 5
-        assert _tracked_persons(cfg) != want
-        return
     default, calls = carry_monitor_calls if run == "carry" else open_monitor_calls
     if run == "carry":
         calls = _depth_ramp(calls)

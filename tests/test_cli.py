@@ -39,17 +39,16 @@ def test_config_defaults():
     assert cfg.learn_frames == 30
     assert cfg.scene_tau == 4.0
     assert cfg.scene_alpha == 0.05
-    assert cfg.particles_n == 100
+    assert cfg.mask_iterations == 1
     assert cfg.activity_d_xy == 30.0
     assert cfg.activity_theta_open == 0.4
     assert cfg.parts_min_area == 15
 
 
 CONFIG_KEYS = (
-    "input", "output", "pattern", "seed", "learn.frames", "scene.var_floor",
+    "input", "output", "pattern", "learn.frames", "scene.var_floor",
     "scene.tau", "scene.alpha", "mask.min_area_frac", "mask.se",
-    "mask.iterations", "person.min_area_frac", "particles.n", "particles.sigma_xy",
-    "particles.sigma_scale", "particles.iou_gate", "parts.min_area", "activity.d_xy",
+    "mask.iterations", "person.min_area_frac", "parts.min_area", "activity.d_xy",
     "activity.z_gate_mm", "activity.approach_frames", "activity.theta_open",
     "activity.open_frames", "activity.carry_frames", "activity.carry_min_disp",
     "activity.carry_z_rate_mm", "box.rect", "box.ref_frame", "emit_overlays",
@@ -58,10 +57,10 @@ CONFIG_KEYS = (
 
 
 def test_config_keys_name_every_field_once():
-    """Each of the 29 keys sets its own field, and together they set all of them."""
+    """Each of the 24 keys sets its own field, and together they set all of them."""
     fields = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
     names = [key.replace(".", "_") for key in CONFIG_KEYS]
-    assert len(fields) == 29 and sorted(names) == sorted(fields)
+    assert len(fields) == 24 and sorted(names) == sorted(fields)
     values = {bool: "true", int: "7", float: "0.5", str: '"x"', list: "[1, 2, 3, 4]"}
     default = PipelineConfig()
     for key, name in zip(CONFIG_KEYS, names):
@@ -73,14 +72,14 @@ def test_config_parsing_and_types(tmp_path):
     text = """
 # pipeline settings
 scene.tau = 3.5
-particles.n = 64
+mask.iterations = 64
 box.rect = [10, 20, 30, 40]
 emit_overlays = true
 pattern = "frame_*.png"
 """
     cfg = parse_config_text(text)
     assert cfg.scene_tau == 3.5
-    assert cfg.particles_n == 64
+    assert cfg.mask_iterations == 64
     assert cfg.box_rect == [10, 20, 30, 40]
     assert cfg.emit_overlays is True
     assert cfg.pattern == "frame_*.png"
@@ -90,9 +89,12 @@ pattern = "frame_*.png"
 
 
 def test_config_rejects_unknown_key():
-    # a field name, a section alone and a dotted non-section are no second spelling
+    # a field name, a section alone and a dotted non-section are no second
+    # spelling, and the tracker draws no random number, so it has no
+    # particles.* or seed key
     for key in (
         "scene.gamma", "scene_tau", "activity_d_xy", "scene", "emit.overlays", "scene.file",
+        "particles.n", "particles.iou_gate", "seed",
     ):
         with pytest.raises(ValueError, match=rf"line 1: unknown config key '{re.escape(key)}'"):
             parse_config_text(f"{key} = 2")
@@ -115,8 +117,8 @@ def test_config_bench_files_parse_unchanged():
 
 
 def test_config_converts_numbers_to_field_type():
-    cfg = parse_config_text("particles.n = 64.0\nscene.tau = 3\nbox.rect = []")
-    assert cfg.particles_n == 64 and type(cfg.particles_n) is int
+    cfg = parse_config_text("mask.iterations = 64.0\nscene.tau = 3\nbox.rect = []")
+    assert cfg.mask_iterations == 64 and type(cfg.mask_iterations) is int
     assert cfg.scene_tau == 3.0 and type(cfg.scene_tau) is float
     assert cfg.box_rect == []
     cfg = parse_config_text("box.rect = [230.0, 112, 24, 20.0]")
@@ -128,8 +130,8 @@ def test_config_converts_numbers_to_field_type():
     [
         ("emit_overlays = no", "emit_overlays expects true/false"),
         ("emit_overlays = 1", "emit_overlays expects true/false"),
-        ("particles.n = 50.7", "particles.n expects an integer"),
-        ("particles.n = true", "particles.n expects an integer"),
+        ("mask.iterations = 50.7", "mask.iterations expects an integer"),
+        ("mask.iterations = true", "mask.iterations expects an integer"),
         ("mask.se = five", "mask.se expects an integer"),
         ("scene.tau = false", "scene.tau expects a number"),
         ("scene.alpha = [1]", "scene.alpha expects a number"),
@@ -147,7 +149,7 @@ def test_config_converts_numbers_to_field_type():
 )
 def test_config_rejects_wrong_types(line, message):
     with pytest.raises(ValueError, match=rf"line 2: {re.escape(message)}"):
-        parse_config_text("seed = 1\n" + line)
+        parse_config_text("learn.frames = 30\n" + line)
 
 
 def test_config_hash_inside_quotes_is_kept():
@@ -164,7 +166,7 @@ def test_config_hash_inside_quotes_is_kept():
 
 def test_config_rejects_unterminated_quote():
     with pytest.raises(ValueError, match=r"^line 2: unterminated quote in 'output = \"runs/#3'$"):
-        parse_config_text('seed = 1\noutput = "runs/#3')
+        parse_config_text('learn.frames = 30\noutput = "runs/#3')
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,7 @@ def test_help_exits_zero(capsys):
         ["eval", "--truth", "truth.json", "--config", "run.cfg"],
         ["eval", "--truth", "truth.json", "--input", "seq"],
         ["eval", "--truth", "truth.json", "--seed", "3"],
+        ["track", "--input", "seq", "--output", "out", "--seed", "5"],
         ["eval", "--truth", "truth.json", "--overlays"],
     ],
 )
@@ -326,7 +329,7 @@ def test_track_runs_are_byte_identical(tmp_path):
     outs = []
     for run in ("a", "b"):
         outdir = tmp_path / run
-        cli.run_pipeline(PipelineConfig(input=str(indir), output=str(outdir), seed=7))
+        cli.run_pipeline(PipelineConfig(input=str(indir), output=str(outdir)))
         outs.append(
             (
                 (outdir / "blobs.jsonl").read_bytes(),
@@ -463,7 +466,6 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("mask.se = 0", "mask.se"),
         ("mask.se = -3", "mask.se"),
         ("mask.iterations = 0", "mask.iterations"),
-        ("particles.n = 0", "particles.n"),
         ("scene.tau = 0", "scene.tau"),
         ("scene.tau = -2", "scene.tau"),
         ("scene.var_floor = 0", "scene.var_floor"),
@@ -483,10 +485,6 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("mask.min_area_frac = -1", "mask.min_area_frac"),
         ("mask.min_area_frac = 1.5", "mask.min_area_frac"),
         ("parts.min_area = -3", "parts.min_area"),
-        ("particles.sigma_xy = -1", "particles.sigma_xy"),
-        ("particles.sigma_scale = -0.02", "particles.sigma_scale"),
-        ("particles.iou_gate = 1", "particles.iou_gate"),
-        ("particles.iou_gate = -0.1", "particles.iou_gate"),
         ("activity.approach_frames = 0", "activity.approach_frames"),
         ("activity.open_frames = 0", "activity.open_frames"),
         ("activity.carry_frames = -2", "activity.carry_frames"),
@@ -496,7 +494,6 @@ def test_baseline_honours_mask_config(tmp_path, monkeypatch):
         ("activity.z_gate_mm = -1", "activity.z_gate_mm"),
         ("activity.carry_min_disp = -0.5", "activity.carry_min_disp"),
         ("activity.carry_z_rate_mm = -200", "activity.carry_z_rate_mm"),
-        ("seed = -1", "seed"),
         ("scene.tau = inf", "scene.tau"),
     ],
 )
@@ -532,7 +529,7 @@ def test_config_rejects_infinite_float_values(key, value):
 @pytest.mark.parametrize("key", ["input", "output", "pattern"])
 def test_track_rejects_non_string_config(tmp_path, capsys, key):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"seed = 1\n{key} = 5\n")
+    cfg_path.write_text(f"learn.frames = 30\n{key} = 5\n")
     rc = cli.main(
         ["track", "--input", str(tmp_path), "--output", str(tmp_path / "out"),
          "--config", str(cfg_path)]
@@ -722,7 +719,7 @@ def test_track_removes_an_earlier_evaluation(tmp_path, scenario_dir):
     assert _track(src, out) == 0
     assert cli.main(["eval", "--output", str(out), "--truth", str(src / "truth.json")]) == 0
     assert (out / "eval.json").exists()
-    assert _track(src, out, "--seed", "5") == 0
+    assert _track(src, out) == 0
     assert not (out / "eval.json").exists()
 
 

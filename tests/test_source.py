@@ -37,6 +37,30 @@ def _matrix_products(tree):
     return found
 
 
+# the one module that may draw random numbers: the scenario renderer, whose
+# noise is reproducible from the scenario's seed
+RANDOM_MODULES = {"synthgen"}
+
+
+def _random_uses(tree):
+    """(line, what) of each use or import of numpy's random module."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"{node.value.id}.random"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            module = getattr(node, "module", None) or ""
+            if "numpy.random" in names + [module] or module == "numpy" and "random" in names:
+                found.append((node.lineno, "numpy.random import"))
+    return found
+
+
 # (module, function, parameter) of every default-valued parameter; each
 # carries data or a hook a caller uses. A fixed algorithm setting is a module
 # constant instead, so a new default is listed here only once justified.
@@ -108,6 +132,33 @@ def test_no_matrix_product_in_the_pipeline(path):
 )
 def test_guard_catches_each_form(code):
     assert _matrix_products(ast.parse(code))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_random_numbers_outside_the_renderer(path):
+    """The pipeline draws no random number, so its output depends on its
+    input and config alone."""
+    if path.stem not in RANDOM_MODULES:
+        assert _random_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_renderer_is_the_module_that_draws_random_numbers():
+    (path,) = [p for p in SOURCES if p.stem in RANDOM_MODULES]
+    assert _random_uses(ast.parse(path.read_text(), str(path)))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "rng = np.random.default_rng(0)",
+        "x = numpy.random.normal(0.0, 1.0, 5)",
+        "import numpy.random",
+        "from numpy.random import default_rng",
+        "from numpy import random",
+    ],
+)
+def test_random_guard_catches_each_form(code):
+    assert _random_uses(ast.parse(code))
 
 
 def test_defaulted_parameters_are_the_listed_ones():

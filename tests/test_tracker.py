@@ -7,12 +7,9 @@ from hbpt import maskops as mo
 from hbpt import scene as sm
 from hbpt import synthgen as sg
 from hbpt import tracker as tr
-from hbpt.config import PipelineConfig
 
 from conftest import frame_from_rgb, person_component
 from test_maskops import flood_fill_oracle
-
-CFG = PipelineConfig()  # the pipeline's default settings
 
 
 def _square_person_frame(size=31, left=40, top=30, w=120, h=90):
@@ -150,15 +147,13 @@ def test_mean_shift_weight_sum_non_decreasing():
 
 
 # ---------------------------------------------------------------------------
-# particle filter
+# mean shift from the last window, fusion and coasting
 
 def test_mspf_static_noiseless_fixed_point():
     frame, fg = _square_person_frame()
     component, silhouette = person_component(fg)
     person = tr.detect_person(component, silhouette, frame, 100)
-    particles = tr.init_particles(person, n=20, seed=3)
-    cfg = PipelineConfig(particles_sigma_xy=0.0, particles_sigma_scale=0.0)
-    out, particles = tr.mspf_track(person, particles, frame, fg, component, cfg)
+    out = tr.mspf_track(person, frame, fg, component)
     assert out.bbox == person.bbox
     assert out.centroid == person.centroid
     assert out.confidence == pytest.approx(1.0)
@@ -166,27 +161,24 @@ def test_mspf_static_noiseless_fixed_point():
 
 
 def test_mspf_deterministic_with_seed():
-    frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=45))
+    """Two runs over the same seeded scenario track the same persons."""
+    frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=45, seed=11))
     model = sm.learn_scene(frames[:30], var_floor=4.0)
 
     def run():
-        person = particles = None
+        person = None
         outs = []
         for f in frames[30:]:
             fg = sm.detect_foreground(model, f, tau=4.0).bits
             refined, component, silhouette = mo.refine_mask(fg, 300, (3, 3), 1)
             if person is None:
                 person = tr.detect_person(component, silhouette, f, 700)
-                particles = tr.init_particles(person, 50, seed=11)
             else:
-                person, particles = tr.mspf_track(person, particles, f, refined, component, CFG)
+                person = tr.mspf_track(person, f, refined, component)
             outs.append((person.bbox, person.centroid, person.confidence))
-        return outs, particles.states.copy()
+        return outs
 
-    outs1, states1 = run()
-    outs2, states2 = run()
-    assert outs1 == outs2
-    assert np.array_equal(states1, states2)
+    assert run() == run()
 
 
 def test_mspf_coasting_on_empty_foreground():
@@ -194,11 +186,10 @@ def test_mspf_coasting_on_empty_foreground():
     person = tr.detect_person(*person_component(fg), frame, 100)
     person.velocity = (2.0, -1.0)
     person.confidence = 1.0
-    particles = tr.init_particles(person, n=10, seed=0)
     empty = np.zeros_like(fg)
     cur = person
     for k in range(1, 6):
-        cur, particles = tr.mspf_track(cur, particles, frame, empty, None, CFG)
+        cur = tr.mspf_track(cur, frame, empty, None)
         assert cur.velocity == (2.0, -1.0)
         assert cur.centroid == (person.centroid[0] + 2.0 * k, person.centroid[1] - 1.0 * k)
         assert cur.confidence == pytest.approx(0.8**k)
@@ -271,184 +262,84 @@ def test_uv_bin_plane_is_cached_on_the_frame():
 
 
 def _walker_steps(frames=60):
-    """(prev, particles, frame, fg, component) for each tracked walker frame."""
+    """(prev, frame, fg, component) for each tracked walker frame."""
     frames, _, _ = sg.generate_scenario(sg.Scenario("walker", frames=frames, seed=4))
     model = sm.learn_scene(frames[:30], var_floor=4.0)
-    person = particles = None
+    person = None
     for f in frames[30:]:
         fg = sm.detect_foreground(model, f, tau=4.0).bits
         refined, component, silhouette = mo.refine_mask(fg, 300, (3, 3), 1)
         if person is None:
             person = tr.detect_person(component, silhouette, f, 700)
-            if person is not None:
-                particles = tr.init_particles(person, 40, seed=9)
             continue
-        yield person, copy.deepcopy(particles), f, refined, component
-        person, particles = tr.mspf_track(person, particles, f, refined, component, CFG)
+        yield person, f, refined, component
+        person = tr.mspf_track(person, f, refined, component)
 
 
-def test_particle_weights_match_int64_plane():
-    rng = np.random.default_rng(6)
-    steps = 0
-    for prev, particles, frame, _, _ in _walker_steps(45):
-        states = particles.states + rng.normal(0.0, 8.0, particles.states.shape)
-        states[:, 2] = np.clip(states[:, 2], 0.2, 3.0)
-        states[::7, 0] = -40.0  # windows clipped at the frame border
-        sqrt_ref = np.sqrt(prev.ref_hist)
-        got = tr._particle_weights(frame.uv_bins, states, particles.ref_size, sqrt_ref)
-        want = tr._particle_weights(
-            _reference_uv_bin_plane(frame), states, particles.ref_size, sqrt_ref
-        )
-        assert got.tobytes() == want.tobytes()
-        steps += 1
-    assert steps >= 10
+def _reference_window(prev):
+    """``prev``'s bbox size, at least 2 px, centred on its centroid with
+    np.rint (half to even)."""
+    w, h = max(2, prev.bbox[2]), max(2, prev.bbox[3])
+    x = int(np.rint(prev.centroid[0] - (w - 1) / 2.0))
+    y = int(np.rint(prev.centroid[1] - (h - 1) / 2.0))
+    return (x, y, w, h)
 
 
 def test_mspf_track_matches_int64_where_reference(monkeypatch):
-    """Backprojection, blob and particles equal those of the int64 plane and
-    the full-frame np.where."""
+    """Mean shift starts from the last window, and backprojection and blob
+    equal those of the int64 plane and the full-frame np.where."""
     seen = []
     mean_shift = tr.mean_shift
 
     def spy(weights, window, *args, **kwargs):
-        seen.append(weights)
+        seen.append((weights, window))
         return mean_shift(weights, window, *args, **kwargs)
 
     monkeypatch.setattr(tr, "mean_shift", spy)
     compared = 0
-    for prev, particles, frame, fg, component in _walker_steps():
-        twin = copy.deepcopy(particles)
+    for prev, frame, fg, component in _walker_steps():
         seen.clear()
-        out, parts = tr.mspf_track(prev, particles, frame, fg, component, CFG)
-        (wimg,) = seen
+        out = tr.mspf_track(prev, frame, fg, component)
+        ((wimg, window),) = seen
+        assert window == _reference_window(prev)
         want = np.where(fg, prev.ref_hist[_reference_uv_bin_plane(frame)], 0.0)
         assert wimg.dtype == np.float64 and wimg.tobytes() == want.tobytes()
         ref_frame = copy.copy(frame)
         ref_frame.uv_bins = _reference_uv_bin_plane(frame)
-        ref_out, ref_parts = tr.mspf_track(prev, twin, ref_frame, fg, component, CFG)
+        ref_out = tr.mspf_track(prev, ref_frame, fg, component)
         for key in ("bbox", "centroid", "area", "confidence", "velocity"):
             assert getattr(out, key) == getattr(ref_out, key)
-        assert parts.states.tobytes() == ref_parts.states.tobytes()
         compared += 1
     assert compared >= 20
 
 
-# ---------------------------------------------------------------------------
-# integral-histogram particle weights against the per-particle loop they replace
-
-def _reference_state_rect(state, ref_size, width, height):
-    """One state's window, with Python's round (half to even)."""
-    w = max(2, int(round(ref_size[0] * state[2])))
-    h = max(2, int(round(ref_size[1] * state[2])))
-    x = int(round(state[0] - (w - 1) / 2.0))
-    y = int(round(state[1] - (h - 1) / 2.0))
-    return tr._clip_rect((x, y, w, h), width, height)
-
-
-def test_state_windows_match_per_state_reference():
+def test_last_window_rounds_half_to_even_and_mean_shift_clips_it():
     rng = np.random.default_rng(29)
-    n = 20000
-    states = np.column_stack(
-        [rng.uniform(-20, 340, n), rng.uniform(-20, 260, n), rng.uniform(0.2, 3.0, n)]
-    )
-    tie = rng.random(n) < 0.3  # exact .5 positions, where rounding ties
-    states[tie, :2] = np.floor(states[tie, :2]) + 0.5
-    for ref_size in ((31, 77), (40, 80), (1, 2), (400, 300)):
-        got = np.column_stack(tr._state_windows(states, ref_size, 240, 320))
-        want = [_reference_state_rect(s, ref_size, 320, 240) for s in states]
-        assert got.tolist() == [list(r) for r in want], ref_size
-
-
-def _reference_particle_weights(plane, states, ref_size, sqrt_ref):
-    height, width = plane.shape
-    weights = np.zeros(len(states))
-    for i, state in enumerate(states):
-        x, y, w, h = _reference_state_rect(state, ref_size, width, height)
-        counts = np.bincount(plane[y : y + h, x : x + w].ravel(), minlength=tr.N_BINS)[
-            : tr.N_BINS
-        ]
-        total = counts.sum()
-        if total:
-            weights[i] = float((np.sqrt(counts / total) * sqrt_ref).sum())
-    return weights
-
-
-def _reference_hists(rng, prev):
-    """The tracked reference, one with a single bin and one with all 16 bins."""
-    one = np.zeros(tr.N_BINS)
-    one[int(rng.integers(tr.N_BINS))] = 1.0
-    full = rng.random(tr.N_BINS) + 0.01
-    return prev.ref_hist, one, full / full.sum()
-
-
-def test_particle_weights_match_per_particle_reference():
-    rng = np.random.default_rng(17)
-    steps = 0
-    for prev, particles, frame, _, _ in _walker_steps(50):
-        plane = frame.uv_bins
-        states = particles.states + rng.normal(0.0, 8.0, particles.states.shape)
-        states[:, 2] = np.clip(states[:, 2], 0.2, 3.0)
-        states[::7, 0] = -40.0  # windows clipped at the left border
-        states[1::7, 1] = frame.height + 15.0  # and at the bottom one
-        states[2::7, 2] = 0.2
-        states[3::7, 2] = 3.0  # wider than the frame is high
-        states[4::7, :2] = np.round(states[4::7, :2]) + 0.5  # rounding ties
-        for ref in _reference_hists(rng, prev):
-            sqrt_ref = np.sqrt(ref)
-            for ref_size in (particles.ref_size, (1, 1), (frame.width * 2, 3)):
-                got = tr._particle_weights(plane, states, ref_size, sqrt_ref)
-                want = _reference_particle_weights(plane, states, ref_size, sqrt_ref)
-                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        steps += 1
-    assert steps >= 10
-
-
-def test_particle_weights_on_a_tiny_frame():
-    rng = np.random.default_rng(18)
-    plane = rng.integers(0, tr.N_BINS, size=(3, 2)).astype(np.uint8)
-    states = np.column_stack(
-        [rng.uniform(-2, 4, 30), rng.uniform(-2, 5, 30), rng.uniform(0.2, 3.0, 30)]
-    )
-    sqrt_ref = np.sqrt(np.full(tr.N_BINS, 1.0 / tr.N_BINS))
-    got = tr._particle_weights(plane, states, (2, 3), sqrt_ref)
-    assert got.tobytes() == _reference_particle_weights(plane, states, (2, 3), sqrt_ref).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(256, 256), (255, 257)])  # areas 2**16 and 2**16 - 1
-def test_particle_weights_at_a_lane_boundary(shape):
-    """A 16-bin reference over a union whose area fills a bit field: 17- and
-    16-bit fields, three bins to a lane, six lanes. One window is the whole
-    union, so a bin that holds every pixel puts the area itself in its field."""
-    rng = np.random.default_rng(19)
-    height, width = shape
-    assert (height * width).bit_length() in (16, 17)
-    states = np.column_stack(
-        [rng.uniform(0, width, 40), rng.uniform(0, height, 40), rng.uniform(0.2, 1.0, 40)]
-    )
-    states[0] = ((width - 1) / 2.0, (height - 1) / 2.0, 1.0)
-    ref = rng.random(tr.N_BINS) + 0.01
-    sqrt_ref = np.sqrt(ref / ref.sum())
-    noisy = rng.integers(0, tr.N_BINS, size=shape).astype(np.uint8)
-    for plane in [noisy] + [np.full(shape, b, np.uint8) for b in (0, 2, 3, 14, 15)]:
-        got = tr._particle_weights(plane, states, shape[::-1], sqrt_ref)
-        want = _reference_particle_weights(plane, states, shape[::-1], sqrt_ref)
-        assert got.tobytes() == want.tobytes()
+    for k in range(5000):
+        w, h = (int(v) for v in rng.integers(0, 400, 2))
+        cx, cy = rng.uniform(-20, 340), rng.uniform(-20, 260)
+        if k % 3 == 0:  # exact .5 corners, where rounding ties
+            cx = np.floor(cx) + 0.5 + (max(2, w) - 1) / 2.0 % 1.0
+            cy = np.floor(cy) + 0.5 + (max(2, h) - 1) / 2.0 % 1.0
+        prev = tr.PersonBlob(bbox=(0, 0, w, h), centroid=(float(cx), float(cy)), area=1,
+                             ref_hist=np.full(16, 1 / 16))
+        window = tr._last_window(prev)
+        assert window == _reference_window(prev), (w, h, cx, cy)
+        # an all-zero weight image leaves mean shift's clipped start window
+        got, _, _ = tr.mean_shift(np.zeros((240, 320)), window)
+        assert got == tr._clip_rect(window, 320, 240)
 
 
 def test_coasting_out_of_the_frame_ends_the_track():
     frame, fg = _square_person_frame()
     empty = np.zeros_like(fg)
-    particles = tr.init_particles(
-        tr.PersonBlob(bbox=(100, 30, 20, 40), centroid=(110.0, 50.0), area=800,
-                      ref_hist=np.full(16, 1 / 16)), 10, seed=1
-    )
     for velocity, inside in (((9.0, 0.0), True), ((10.5, 0.0), False), ((0.0, -51.0), False)):
         prev = tr.PersonBlob(
             bbox=(100, 30, 20, 40), centroid=(110.0, 50.0), area=800,
             ref_hist=np.full(16, 1 / 16), velocity=velocity,
         )
-        person, parts = tr.mspf_track(prev, particles, frame, empty, None, CFG)
+        person = tr.mspf_track(prev, frame, empty, None)
         if inside:
-            assert person.centroid == (119.0, 50.0) and parts is particles
+            assert person.centroid == (119.0, 50.0)
         else:
-            assert person is None and parts is None
+            assert person is None
